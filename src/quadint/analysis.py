@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import exprdsl, sampling
 from .errors import ConfigurationError
-from .exprdsl import Expr, NonlinearitySpec
+from .exprdsl import NonlinearitySpec
 from .model import MaterializedProblem
 from .spectral import Grid
 
@@ -32,7 +31,8 @@ SAMPLED_INFLATION = 1.1
 EMBEDDING_DERIVATION = (
     "sup|f| <= (2pi)^-d int|F| <= (2pi)^-d (int |F|^2 (1+|xi|^4))^(1/2) "
     "(int (1+|xi|^4)^-1)^(1/2) by Cauchy-Schwarz, so c_e = "
-    "(2pi)^(-d/2) (int_Rd (1+|xi|^4)^-1 dxi)^(1/2), evaluated by radial quadrature."
+    "(2pi)^(-d/2) (int_Rd (1+|xi|^4)^-1 dxi)^(1/2), with the radial integral in "
+    "closed form: int_0^inf r^(d-1)/(1+r^4) dr = pi/(4 sin(d pi/4))."
 )
 ALGEBRA_DERIVATION = (
     "pointwise (1+|xi|^4) <= 8(1+|eta|^4) + 8(1+|xi-eta|^4) splits the weighted "
@@ -45,7 +45,7 @@ def embedding_constant(d: int) -> float:
     """Constant in sup|f| <= c_e |f|_H2, valid on R^d for d = 2, 3."""
     if d not in (2, 3):
         raise ConfigurationError(f"dimension must be 2 or 3, got {d}")
-    radial, _ = quad(lambda r: r ** (d - 1) / (1.0 + r ** 4), 0.0, np.inf)
+    radial = np.pi / (4.0 * np.sin(d * np.pi / 4.0))
     angular = 2.0 * np.pi if d == 2 else 4.0 * np.pi
     return float((2.0 * np.pi) ** (-d / 2.0) * np.sqrt(angular * radial))
 
@@ -73,15 +73,6 @@ def ball_radius_state(c_e: float, u0_norm: float) -> float:
 
 # --- sup norms of expressions -------------------------------------------------
 
-def _sup_on_ball(e: Expr, n: int, radius: float, seed: int,
-                 interior: int, boundary: int) -> float:
-    pts_in = sampling.ball_points(n, radius, interior, seed=seed)
-    pts_bd = sampling.ball_points(n, radius, boundary, seed=seed + 1, boundary=True)
-    pts = np.vstack([pts_in, pts_bd])
-    cols = [pts[:, j] for j in range(n)]
-    return float(np.max(np.abs(exprdsl.evaluate_arrays(e, cols))))
-
-
 def _c1_norm(g: NonlinearitySpec, radius: float, seed: int,
              interior_per_component: int, boundary_per_component: int
              ) -> tuple[float, str]:
@@ -99,15 +90,16 @@ def _c1_norm(g: NonlinearitySpec, radius: float, seed: int,
                 total += exprdsl.polynomial_sup_bound(grad_poly, radius)
         return float(total), "rigorous-bound"
 
-    interior = interior_per_component * n
-    boundary = boundary_per_component * n
+    # one interior and one sphere set shared by all N + N^2 sups
+    pts = np.vstack([
+        sampling.ball_points(n, radius, interior_per_component * n, seed=seed),
+        sampling.ball_points(n, radius, boundary_per_component * n,
+                             seed=seed + 1, boundary=True)])
+    cols = [pts[:, j] for j in range(n)]
     total = 0.0
     for m in range(n):
-        total += _sup_on_ball(g.components[m], n, radius, seed + 101 * m,
-                              interior, boundary)
-        for j in range(n):
-            total += _sup_on_ball(g.gradient[m][j], n, radius,
-                                  seed + 101 * m + 7 * j + 1, interior, boundary)
+        for e in (g.components[m], *g.gradient[m]):
+            total += float(np.max(np.abs(exprdsl.evaluate_arrays(e, cols))))
     return float(total * SAMPLED_INFLATION), "sampled-estimate"
 
 

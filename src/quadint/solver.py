@@ -218,6 +218,8 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
 
     Both nonlinearities must satisfy the contraction condition with the joint
     C^1 bound M = max(M_1, M_2); sigma and the bound are formed with that M.
+    `report` must come from constants_report(mat, seed): its M is taken as
+    M_1 rather than estimated again.
     """
     if tol is None:
         tol = default_tolerance(mat.u0_norm)
@@ -225,7 +227,7 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
     if g2.n != g1.n:
         raise ConfigurationError("the two nonlinearities have different component counts")
 
-    M1, prov1 = estimate_M(g1, report.r_state, seed=seed)
+    M1, prov1 = report.M, report.provenance["M"]
     M2, prov2 = estimate_M(g2, report.r_state, seed=seed)
     M_joint = max(M1, M2)
     cert = check_contraction_condition(report.c_a, M_joint, report.u0_norm,

@@ -19,7 +19,7 @@ import quadint.spectral as sp
 class TestEmbeddingConstant:
     def test_d2_closed_form(self):
         # radial integral of r/(1+r^4) is pi/4, giving 1/(2 sqrt 2)
-        assert embedding_constant(2) == pytest.approx(1 / (2 * np.sqrt(2)), rel=1e-9)
+        assert embedding_constant(2) == pytest.approx(1 / (2 * np.sqrt(2)), rel=1e-15)
 
     def test_d3_matches_independent_quadrature(self):
         radial, _ = quad(lambda r: r * r / (1 + r ** 4), 0, np.inf)
@@ -106,6 +106,38 @@ class TestEstimateM:
         assert prov == "sampled-estimate"
         dense = (dense_sup_estimate(g.components[0], 1, 2.0, 10 ** 6, seed=1)
                  + dense_sup_estimate(g.gradient[0][0], 1, 2.0, 10 ** 6, seed=2))
+        assert M / analysis.SAMPLED_INFLATION == pytest.approx(dense, rel=0.02)
+
+    def test_one_point_set_per_estimate(self, monkeypatch):
+        calls = []
+        real = sampling.ball_points
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "ball_points", counting)
+        g = NonlinearitySpec.from_strings(
+            ["tanh(z1*z2)", "sin(z2)", "z3*exp(z4)", "z4^2"])
+        _, prov = estimate_M(g, 1.0, seed=3)
+        assert prov == "sampled-estimate"
+        assert len(calls) == 2
+        calls.clear()
+        _, prov = c1_distance(g, g.scaled(1.5), 1.0, seed=3)
+        assert prov == "sampled-estimate"
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("radius", [0.5, 1.3])
+    def test_shared_set_matches_dense_oracle(self, n, radius):
+        g = NonlinearitySpec.from_strings(
+            [f"tanh(z{m + 1}*z{(m + 1) % n + 1})" for m in range(n)])
+        M, prov = estimate_M(g, radius, seed=0)
+        assert prov == "sampled-estimate"
+        exprs = [e for m in range(n) for e in (g.components[m], *g.gradient[m])]
+        dense = sum(dense_sup_estimate(e, n, radius, 2 * 10 ** 5, seed=11 + k)
+                    for k, e in enumerate(exprs))
+        assert dense <= M
         assert M / analysis.SAMPLED_INFLATION == pytest.approx(dense, rel=0.02)
 
     def test_mean_value_bound(self, certified):
