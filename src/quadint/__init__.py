@@ -10,7 +10,7 @@ fixed-point map contracts a Sobolev ball, solves by iteration, and checks
 the certified rates and continuity bounds against measurements.
 """
 
-__version__ = "0.1.1"
+__version__ = "0.2.0"
 
 from .errors import (AssumptionViolation, BallEscapeError, ConfigurationError,
                      ExpressionDomainError, ExpressionSyntaxError,

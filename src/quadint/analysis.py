@@ -15,6 +15,7 @@ estimates inflated by a safety factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,13 +74,40 @@ def ball_radius_state(c_e: float, u0_norm: float) -> float:
 
 # --- sup norms of expressions -------------------------------------------------
 
-def _c1_norm(g: NonlinearitySpec, radius: float, seed: int,
-             interior_per_component: int, boundary_per_component: int
+@dataclass(frozen=True)
+class C1Sample:
+    """The point set of the sampled C^1 sups on the ball of radius `radius` in
+    R^n: interior_per_component * n interior points (seed `seed`) and
+    boundary_per_component * n sphere points (seed `seed + 1`).  Drawn on
+    first use, then shared by every sampled estimate on the same ball."""
+
+    n: int
+    radius: float
+    seed: int = 0
+    interior_per_component: int = 4096
+    boundary_per_component: int = 1024
+
+    @cached_property
+    def columns(self) -> list[np.ndarray]:
+        pts = np.vstack([
+            sampling.ball_points(self.n, self.radius,
+                                 self.interior_per_component * self.n, seed=self.seed),
+            sampling.ball_points(self.n, self.radius,
+                                 self.boundary_per_component * self.n,
+                                 seed=self.seed + 1, boundary=True)])
+        return [pts[:, j] for j in range(self.n)]
+
+
+def _c1_norm(g: NonlinearitySpec, sample: C1Sample, radius: float
              ) -> tuple[float, str]:
     """Sum over components of sup|g_m| + sum_j sup|dg_m/dz_j| on the ball.
     Rigorous coefficient bound when every piece is polynomial, otherwise a
-    quasi-random sup estimate inflated by SAMPLED_INFLATION."""
+    quasi-random sup estimate on `sample` inflated by SAMPLED_INFLATION."""
     n = g.n
+    if (sample.n, sample.radius) != (n, radius):
+        raise ConfigurationError(
+            f"point set drawn in R^{sample.n} on radius {sample.radius}, "
+            f"estimate asks for R^{n} on radius {radius}")
     polys = [exprdsl.as_polynomial(c, n) for c in g.components]
     if all(p is not None for p in polys):
         total = 0.0
@@ -91,11 +119,7 @@ def _c1_norm(g: NonlinearitySpec, radius: float, seed: int,
         return float(total), "rigorous-bound"
 
     # one interior and one sphere set shared by all N + N^2 sups
-    pts = np.vstack([
-        sampling.ball_points(n, radius, interior_per_component * n, seed=seed),
-        sampling.ball_points(n, radius, boundary_per_component * n,
-                             seed=seed + 1, boundary=True)])
-    cols = [pts[:, j] for j in range(n)]
+    cols = sample.columns
     total = 0.0
     for m in range(n):
         for e in (g.components[m], *g.gradient[m]):
@@ -105,15 +129,22 @@ def _c1_norm(g: NonlinearitySpec, radius: float, seed: int,
 
 def estimate_M(g: NonlinearitySpec, r_state: float, seed: int = 0,
                interior_per_component: int = 4096,
-               boundary_per_component: int = 1024) -> tuple[float, str]:
-    """C^1 bound of the nonlinearity on the state ball of radius r_state."""
-    return _c1_norm(g, r_state, seed, interior_per_component, boundary_per_component)
+               boundary_per_component: int = 1024,
+               sample: C1Sample | None = None) -> tuple[float, str]:
+    """C^1 bound of the nonlinearity on the state ball of radius r_state.
+    A given `sample` on the same ball replaces the seed and point counts."""
+    if sample is None:
+        sample = C1Sample(g.n, r_state, seed, interior_per_component,
+                          boundary_per_component)
+    return _c1_norm(g, sample, r_state)
 
 
 def c1_distance(g1: NonlinearitySpec, g2: NonlinearitySpec, r_state: float,
-                seed: int = 0) -> tuple[float, str]:
+                seed: int = 0, sample: C1Sample | None = None) -> tuple[float, str]:
     """C^1 norm of g1 - g2 on the state ball (same policy as estimate_M)."""
-    return _c1_norm(g1.difference(g2), r_state, seed, 4096, 1024)
+    if sample is None:
+        sample = C1Sample(g1.n, r_state, seed)
+    return _c1_norm(g1.difference(g2), sample, r_state)
 
 
 # --- aggregate constants --------------------------------------------------------
@@ -218,6 +249,8 @@ class ConstantsReport:
     notes: dict = field(default_factory=dict)
     constants_overridden: bool = False
     warnings: tuple[str, ...] = ()
+    # the point set behind a sampled M, for later estimates on the same ball
+    sample: C1Sample | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -269,7 +302,8 @@ def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport
             f"to hold on this grid")
 
     r_state = ball_radius_state(c_e, mat.u0_norm)
-    M, m_prov = estimate_M(spec.g, r_state, seed=seed)
+    sample = C1Sample(spec.g.n, r_state, seed)
+    M, m_prov = estimate_M(spec.g, r_state, sample=sample)
     kernel_norms = tuple(k.w21 for k in mat.kernels)
     Q = compute_Q(mat.operator_norms, kernel_norms)
     rho = spec.rho if spec.rho is not None else 1.0
@@ -299,7 +333,7 @@ def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport
         operator_norms=mat.operator_norms, kernel_w21_norms=kernel_norms,
         certificate=cert, provenance=provenance,
         notes={"c_e": EMBEDDING_DERIVATION, "c_a": ALGEBRA_DERIVATION},
-        constants_overridden=overridden, warnings=tuple(warnings),
+        constants_overridden=overridden, warnings=tuple(warnings), sample=sample,
     )
 
 

@@ -418,6 +418,12 @@ def main(argv=None) -> int:
     except QuadIntError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (RecursionError, MemoryError) as exc:
+        # pathological input: nesting deeper than the interpreter's stack, or
+        # sizes beyond the memory of the machine
+        print(f"error: input exceeds interpreter limits: "
+              f"{str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

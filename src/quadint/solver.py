@@ -219,7 +219,8 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
     Both nonlinearities must satisfy the contraction condition with the joint
     C^1 bound M = max(M_1, M_2); sigma and the bound are formed with that M.
     `report` must come from constants_report(mat, seed): its M is taken as
-    M_1 rather than estimated again.
+    M_1 rather than estimated again, and its point set serves the sampled
+    estimates of M_2 and |g1 - g2|_C1.
     """
     if tol is None:
         tol = default_tolerance(mat.u0_norm)
@@ -228,7 +229,7 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
         raise ConfigurationError("the two nonlinearities have different component counts")
 
     M1, prov1 = report.M, report.provenance["M"]
-    M2, prov2 = estimate_M(g2, report.r_state, seed=seed)
+    M2, prov2 = estimate_M(g2, report.r_state, seed=seed, sample=report.sample)
     M_joint = max(M1, M2)
     cert = check_contraction_condition(report.c_a, M_joint, report.u0_norm,
                                        report.Q, report.rho)
@@ -244,7 +245,8 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
     sol2, _ = picard_solve(mat2, joint_report, tol=tol)
 
     measured = (sol1.u - sol2.u).h2_norm()
-    dist, dist_prov = c1_distance(g1, g2, report.r_state, seed=seed)
+    dist, dist_prov = c1_distance(g1, g2, report.r_state, seed=seed,
+                                  sample=report.sample)
     bound = continuity_bound(report.c_a, report.Q, M_joint, report.u0_norm, dist)
     passed = measured <= bound + 2.0 * tol
     return ContinuityReport(

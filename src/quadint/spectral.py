@@ -23,6 +23,9 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
+# numpy loads its fft module on first use; load it with this module, so that
+# code wrapping its entry points (perfbench/tracer.py) finds it in place
+import numpy.fft  # noqa: F401
 
 from .errors import ConfigurationError
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quadint import sampling
 from quadint.analysis import constants_report
 from quadint.exprdsl import NonlinearitySpec, parse
 from quadint.model import ExpressionKernel, InverseHelmholtz, ProblemSpec, \
@@ -73,3 +74,17 @@ def certified_3d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def ball_point_calls(monkeypatch):
+    """The argument tuples of every sampling.ball_points call in the test."""
+    calls = []
+    real = sampling.ball_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "ball_points", counting)
+    return calls

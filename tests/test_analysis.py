@@ -127,6 +127,22 @@ class TestEstimateM:
         assert prov == "sampled-estimate"
         assert len(calls) == 2
 
+    def test_shared_sample_is_drawn_once(self, ball_point_calls):
+        g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
+        sample = analysis.C1Sample(2, 1.0, seed=3)
+        shared = (estimate_M(g, 1.0, sample=sample),
+                  c1_distance(g, g.scaled(1.5), 1.0, sample=sample))
+        assert len(ball_point_calls) == 2
+        assert shared == (estimate_M(g, 1.0, seed=3),
+                          c1_distance(g, g.scaled(1.5), 1.0, seed=3))
+
+    def test_sample_on_another_ball_is_refused(self):
+        g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
+        with pytest.raises(ConfigurationError):
+            estimate_M(g, 1.0, sample=analysis.C1Sample(2, 2.0))
+        with pytest.raises(ConfigurationError):
+            c1_distance(g, g, 1.0, sample=analysis.C1Sample(3, 1.0))
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("radius", [0.5, 1.3])
     def test_shared_set_matches_dense_oracle(self, n, radius):

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from quadint import cli
 from quadint.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 CERTIFIED = {
     "grid": {"d": 2, "n": 64, "L": 8.0},
@@ -11,6 +18,17 @@ CERTIFIED = {
     "operators": [{"type": "inverse_helmholtz"}],
     "u0": ["0.1*exp(-x1^2-x2^2)"],
     "g": ["z1^2"],
+}
+
+
+# two coupled tanh components: M takes the sampled route
+TANH = {
+    "grid": {"d": 2, "n": 16, "L": 8.0},
+    "components": 2,
+    "kernels": [{"type": "expression", "expr": "0.0002*exp(-x1^2-x2^2)"}] * 2,
+    "operators": [{"type": "inverse_helmholtz"}] * 2,
+    "u0": ["0.03*exp(-x1^2-x2^2)", "0.02*exp(-x1^2-x2^2)"],
+    "g": ["tanh(z1*z2)", "tanh(z2*z1)"],
 }
 
 
@@ -24,6 +42,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 class TestCheck:
@@ -155,6 +181,18 @@ class TestContinuity:
         code, _ = run(capsys, "continuity", path, "--g2", g2)
         assert code == 2
 
+    def test_each_point_set_is_drawn_once(self, tmp_path, capsys, ball_point_calls):
+        # the report's M, M_2 and |g1 - g2|_C1 share one interior and one
+        # sphere set
+        path = write_problem(tmp_path, TANH)
+        g2 = write_problem(tmp_path, {"g": ["1.01*tanh(z1*z2)", "tanh(z2*z1)"]},
+                           "g2.json")
+        code, doc = run(capsys, "continuity", path, "--g2", g2, "--seed", "3")
+        assert code == 0
+        assert doc["constants"]["provenance"]["M"] == "sampled-estimate"
+        assert doc["continuity"]["c1_provenance"] == "sampled-estimate"
+        assert len(ball_point_calls) == 2
+
 
 class TestOracle:
     def test_default_size_passes(self, tmp_path, capsys):
@@ -208,3 +246,53 @@ class TestDeterminism:
             traces.append(trace.read_bytes())
         assert outs[0] == outs[1]
         assert traces[0] == traces[1]
+
+
+class TestPathologicalInput:
+    DEEP = "(" * 3000 + "z1" + ")" * 3000
+
+    def test_deep_nesting_is_input_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, dict(CERTIFIED, g=[self.DEEP]))
+        code = main(["check", path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_deep_nesting_in_a_process(self, tmp_path):
+        path = write_problem(tmp_path, dict(CERTIFIED, g=[self.DEEP]))
+        proc = run_python("-m", "quadint.cli", "check", path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_memory_error_is_input_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "load_problem", exhausted)
+        code = main(["check", write_problem(tmp_path, CERTIFIED)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: input exceeds interpreter limits: MemoryError\n"
+
+
+def test_sampled_solve_loads_no_scipy(tmp_path):
+    path = write_problem(tmp_path, TANH)
+    out = tmp_path / "report.json"
+    code = (
+        "import sys\n"
+        "import quadint.cli\n"
+        "rc = quadint.cli.main(['solve', sys.argv[1], '--out', sys.argv[2]])\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(rc, len(loaded), *sorted(loaded)[:5])\n"
+    )
+    proc = run_python("-c", code, path, str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+    doc = json.loads(out.read_text())
+    assert doc["constants"]["provenance"]["M"] == "sampled-estimate"
+    assert doc["solve"]["converged"] is True
