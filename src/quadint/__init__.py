@@ -10,15 +10,15 @@ fixed-point map contracts a Sobolev ball, solves by iteration, and checks
 the certified rates and continuity bounds against measurements.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (AssumptionViolation, BallEscapeError, ConfigurationError,
                      ExpressionDomainError, ExpressionSyntaxError,
                      NonConvergenceError, OracleBudgetError, QuadIntError)
-from .spectral import Grid, ScalarField, SpectralField
+from .spectral import Grid
 from .model import (ExpressionKernel, GaussianKernel, InverseHelmholtz,
                     MaterializedProblem, ProblemSpec, RationalMultiplier,
-                    ScaledIdentity, TabulatedKernel, VectorField, materialize,
+                    ScaledIdentity, TabulatedKernel, materialize,
                     validate_assumptions)
 from .exprdsl import NonlinearitySpec, parse
 from .analysis import ConstantsReport, ContractionCertificate, constants_report
@@ -28,7 +28,7 @@ from .solver import (ContinuityReport, IterationTrace, Solution, apply_map_tg,
 
 __all__ = [
     "__version__",
-    "Grid", "ScalarField", "SpectralField", "VectorField",
+    "Grid",
     "GaussianKernel", "ExpressionKernel", "TabulatedKernel",
     "InverseHelmholtz", "ScaledIdentity", "RationalMultiplier",
     "NonlinearitySpec", "parse",

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import exprdsl, sampling
+from . import exprdsl, sampling, spectral
 from .errors import ConfigurationError
 from .exprdsl import NonlinearitySpec
 from .model import MaterializedProblem
@@ -57,7 +57,7 @@ def lattice_embedding_constant(grid: Grid) -> float:
     achievable.  Smaller than embedding_constant(d) on adequately large
     boxes; if it exceeds the continuous value the box is too small for the
     continuum constants to be valid on the grid."""
-    total = float(np.sum(1.0 / grid.h2_weight))
+    total = float(np.sum(grid.multiplicity / grid.h2_weight))
     return float(np.sqrt(total / grid.volume))
 
 
@@ -350,7 +350,7 @@ def falsify_embedding(grid: Grid, count: int, seed: int = 0) -> tuple[int, float
         batch = -(-count // 6)  # ceil so the suite size is at least `count`
         fields = sampling.band_limited_batch(grid, batch, rng, band, slope)
         sups = np.max(np.abs(fields), axis=tuple(range(1, grid.d + 1)))
-        h2 = _h2_batch(grid, fields)
+        h2 = spectral.h2_norms(grid, spectral.forward_transform(grid, fields))
         keep = h2 > 0
         ratios = sups[keep] / (c_e * h2[keep])
         violations += int(np.sum(ratios > 1.0))
@@ -370,7 +370,8 @@ def falsify_algebra(grid: Grid, count: int, seed: int = 0) -> tuple[int, float]:
         f = sampling.band_limited_batch(grid, batch, rng, band, slope)
         g = sampling.band_limited_batch(grid, batch, rng, band, slope)
         prod = f * g
-        hf, hg, hp = (_h2_batch(grid, arr) for arr in (f, g, prod))
+        hf, hg, hp = (spectral.h2_norms(grid, spectral.forward_transform(grid, arr))
+                      for arr in (f, g, prod))
         keep = (hf > 0) & (hg > 0)
         ratios = hp[keep] / (c_a * hf[keep] * hg[keep])
         violations += int(np.sum(ratios > 1.0))
@@ -384,9 +385,3 @@ def _spectral_shapes(grid: Grid):
     return [(grid.n // 8, 0.0), (grid.n // 8, 2.0), (grid.n // 4, 1.0),
             (grid.n // 4, 3.0), (full, 0.0), (full, 2.0)]
 
-
-def _h2_batch(grid: Grid, fields: np.ndarray) -> np.ndarray:
-    axes = tuple(range(1, grid.d + 1))
-    A = np.fft.fftn(fields, axes=axes)
-    scale = grid.cell_volume / grid.num_points
-    return np.sqrt(scale * np.sum(grid.h2_weight * np.abs(A) ** 2, axis=axes))

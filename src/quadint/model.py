@@ -14,10 +14,10 @@ from typing import Union
 
 import numpy as np
 
-from . import exprdsl, spectral
+from . import exprdsl, sampling, spectral
 from .errors import AssumptionViolation, ConfigurationError
 from .exprdsl import Expr, NonlinearitySpec
-from .spectral import Grid, ScalarField
+from .spectral import Grid
 
 TAIL_MASS_WARN = 1e-8
 
@@ -61,17 +61,15 @@ def _gaussian_expr(alpha: float, d: int) -> Expr:
 class MaterializedKernel:
     """A kernel sampled on the grid with its Laplacian and norms."""
 
-    field: ScalarField
-    delta: ScalarField
+    values: np.ndarray
+    delta: np.ndarray
     delta_source: str  # 'symbolic' or 'spectral'
-    l1: float
-    delta_l1: float
     w21: float
     tail_fraction: float
 
     @property
     def nontrivial(self) -> bool:
-        return bool(np.any(self.field.values != 0.0))
+        return bool(np.any(self.values != 0.0))
 
 
 def materialize_kernel(spec: KernelSpec, grid: Grid, strict: bool = True) -> MaterializedKernel:
@@ -93,30 +91,37 @@ def materialize_kernel(spec: KernelSpec, grid: Grid, strict: bool = True) -> Mat
         dK = _sample_expression(delta_expr, grid)
         source = "symbolic"
     else:
-        vals = np.asarray(spec.values, dtype=float)
-        K = ScalarField(grid, vals)
-        dK = spectral.laplacian(K)
+        K = _tabulated(spec.values, grid, "tabulated kernel")
+        dK = spectral.laplacian(grid, K)
         source = "spectral"
 
-    if strict and not np.any(K.values != 0.0):
+    if strict and not np.any(K != 0.0):
         raise AssumptionViolation("kernel vanishes identically on the grid")
 
-    l1 = spectral.l1_norm(K)
-    dl1 = spectral.l1_norm(dK)
     return MaterializedKernel(
-        field=K,
+        values=K,
         delta=dK,
         delta_source=source,
-        l1=l1,
-        delta_l1=dl1,
-        w21=float(np.hypot(l1, dl1)),
-        tail_fraction=spectral.tail_mass_fraction(K, "l1"),
+        w21=spectral.tilde_w21_norm(grid, K, dK),
+        tail_fraction=spectral.tail_mass_fraction(grid, K, "l1"),
     )
 
 
-def _sample_expression(expr: Expr, grid: Grid) -> ScalarField:
+def _sample_expression(expr: Expr, grid: Grid) -> np.ndarray:
+    # evaluate_arrays refuses non-finite values
     vals = exprdsl.evaluate_arrays(expr, grid.coords)
-    return ScalarField(grid, np.array(np.broadcast_to(vals, grid.shape)))
+    return np.array(np.broadcast_to(vals, grid.shape), dtype=float)
+
+
+def _tabulated(values, grid: Grid, what: str) -> np.ndarray:
+    """Raw samples from a problem file, checked against the grid."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != grid.shape:
+        raise ConfigurationError(
+            f"{what} shape {vals.shape} does not match grid shape {grid.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigurationError(f"{what} contains non-finite samples")
+    return vals
 
 
 # --- operators ---------------------------------------------------------------
@@ -143,12 +148,13 @@ OperatorSpec = Union[InverseHelmholtz, ScaledIdentity, RationalMultiplier]
 
 
 def multiplier_values(spec: OperatorSpec, grid: Grid) -> np.ndarray:
-    """The multiplier evaluated on the grid's frequency lattice."""
+    """The multiplier evaluated on the half lattice of the grid's spectra.
+    It depends on |xi|^2 alone, so the mirrored half takes the same values."""
     s = grid.xi_squared
     if isinstance(spec, InverseHelmholtz):
         return 1.0 / (1.0 + s)
     if isinstance(spec, ScaledIdentity):
-        return np.full(grid.shape, float(spec.alpha))
+        return np.full(grid.spectral_shape, float(spec.alpha))
     if isinstance(spec, RationalMultiplier):
         p = np.polynomial.polynomial.polyval(s, np.asarray(spec.p, dtype=float))
         q = np.polynomial.polynomial.polyval(s, np.asarray(spec.q, dtype=float))
@@ -156,69 +162,15 @@ def multiplier_values(spec: OperatorSpec, grid: Grid) -> np.ndarray:
             raise ConfigurationError("rational multiplier denominator is not positive "
                                      "on the frequency lattice")
         # polyval collapses degree-0 polynomials to scalars
-        return np.array(np.broadcast_to(np.asarray(p / q, dtype=float), grid.shape))
+        return np.array(np.broadcast_to(np.asarray(p / q, dtype=float), grid.spectral_shape))
     raise ConfigurationError(f"unknown operator spec {spec!r}")
 
 
-def apply_operator(spec: OperatorSpec, f: ScalarField) -> ScalarField:
-    """Apply the operator in frequency space."""
-    return spectral.apply_multiplier(f, multiplier_values(spec, f.grid))
-
-
-def operator_norm(spec: OperatorSpec, grid: Grid) -> float:
+def operator_norm(multiplier: np.ndarray) -> float:
     """Exact operator norm on the discrete Sobolev space: the multiplier
     commutes with the (1 + |xi|^4) weight, so the norm is sup |multiplier|
     over the lattice."""
-    norm = float(np.max(np.abs(multiplier_values(spec, grid))))
-    if norm == 0.0:
-        raise AssumptionViolation("operator multiplier vanishes identically")
-    return norm
-
-
-# --- vector fields -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VectorField:
-    """N scalar components on one shared grid."""
-
-    components: tuple[ScalarField, ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ConfigurationError("vector field needs at least one component")
-        g = self.components[0].grid
-        for c in self.components[1:]:
-            if c.grid != g:
-                raise ConfigurationError("vector field components live on different grids")
-
-    @property
-    def grid(self) -> Grid:
-        return self.components[0].grid
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-    @classmethod
-    def zero(cls, grid: Grid, n: int) -> "VectorField":
-        return cls(tuple(ScalarField.zero(grid) for _ in range(n)))
-
-    def h2_norm(self) -> float:
-        return spectral.h2_norm_many(self.components)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __mul__(self, scalar: float) -> "VectorField":
-        return VectorField(tuple(c * scalar for c in self.components))
-
-    __rmul__ = __mul__
-
-    def values_list(self) -> list[np.ndarray]:
-        return [c.values for c in self.components]
+    return float(np.max(np.abs(multiplier)))
 
 
 # --- problem -----------------------------------------------------------------
@@ -251,13 +203,17 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class MaterializedProblem:
-    """A problem with every field sampled and every operator norm computed."""
+    """A problem with every field sampled and every operator norm computed.
+    Fields are stacked over the components, spectra in rfftn layout (see
+    spectral)."""
 
     spec: ProblemSpec
     kernels: tuple[MaterializedKernel, ...]
-    multipliers: tuple[np.ndarray, ...]
+    kernel_spectra: np.ndarray   # (N, *spectral_shape), from spectral.kernel_spectrum
+    multipliers: np.ndarray      # (N, *spectral_shape)
     operator_norms: tuple[float, ...]
-    u0: VectorField
+    u0: np.ndarray               # (N, *shape)
+    u0_spectrum: np.ndarray      # (N, *spectral_shape)
     u0_norm: float
     u0_tail_fractions: tuple[float, ...]
 
@@ -274,41 +230,40 @@ class MaterializedProblem:
         return self.spec.g
 
 
-def materialize_u0(problem: ProblemSpec, strict: bool = True) -> VectorField:
-    """Sample the initial data.  With strict=True, initial data that vanishes
-    identically in every component raises."""
-    comps = []
-    for entry in problem.u0:
-        if isinstance(entry, np.ndarray):
-            comps.append(ScalarField(problem.grid, np.asarray(entry, dtype=float)))
-        else:
-            comps.append(_sample_expression(entry, problem.grid))
-    u0 = VectorField(tuple(comps))
-    if strict and not any(np.any(c.values != 0.0) for c in u0.components):
+def materialize_u0(problem: ProblemSpec, strict: bool = True) -> np.ndarray:
+    """Sample the initial data, stacked over the components.  With
+    strict=True, initial data that vanishes identically in every component
+    raises."""
+    grid = problem.grid
+    u0 = np.stack([_tabulated(entry, grid, "tabulated initial data")
+                   if isinstance(entry, np.ndarray) else _sample_expression(entry, grid)
+                   for entry in problem.u0])
+    if strict and not np.any(u0 != 0.0):
         raise AssumptionViolation("initial data vanishes identically in every component")
     return u0
 
 
 def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProblem:
-    """Sample all fields and precompute operator data."""
-    kernels = tuple(materialize_kernel(k, problem.grid, strict=strict)
-                    for k in problem.kernels)
-    mults = tuple(multiplier_values(op, problem.grid) for op in problem.operators)
-    norms = []
-    for op, m in zip(problem.operators, mults):
-        norm = float(np.max(np.abs(m)))
-        if strict and norm == 0.0:
-            raise AssumptionViolation("operator multiplier vanishes identically")
-        norms.append(norm)
+    """Sample all fields and precompute operator data: the kernel spectra,
+    the multipliers and the spectrum of u0, each computed once here."""
+    grid = problem.grid
+    kernels = tuple(materialize_kernel(k, grid, strict=strict) for k in problem.kernels)
+    mults = np.stack([multiplier_values(op, grid) for op in problem.operators])
+    norms = tuple(operator_norm(m) for m in mults)
+    if strict and 0.0 in norms:
+        raise AssumptionViolation("operator multiplier vanishes identically")
     u0 = materialize_u0(problem, strict=strict)
+    u0_spectrum = spectral.forward_transform(grid, u0)
     return MaterializedProblem(
         spec=problem,
         kernels=kernels,
+        kernel_spectra=spectral.kernel_spectrum(grid, np.stack([k.values for k in kernels])),
         multipliers=mults,
-        operator_norms=tuple(norms),
+        operator_norms=norms,
         u0=u0,
-        u0_norm=u0.h2_norm(),
-        u0_tail_fractions=tuple(spectral.tail_mass_fraction(c, "l2") for c in u0.components),
+        u0_spectrum=u0_spectrum,
+        u0_norm=spectral.h2_norm(grid, u0_spectrum),
+        u0_tail_fractions=tuple(spectral.tail_mass_fraction(grid, c, "l2") for c in u0),
     )
 
 
@@ -344,7 +299,7 @@ def validate_assumptions(mat: MaterializedProblem,
                 f"kernel {m + 1} has relative tail mass {k.tail_fraction:.3e} "
                 f"in the outer shell of the box; consider a larger L")
 
-    if not any(np.any(c.values != 0.0) for c in mat.u0.components):
+    if not np.any(mat.u0 != 0.0):
         report.violations.append("initial data vanishes identically in every component")
     for m, frac in enumerate(mat.u0_tail_fractions):
         if frac > TAIL_MASS_WARN:
@@ -355,11 +310,7 @@ def validate_assumptions(mat: MaterializedProblem,
         report.violations.append("nonlinearity does not vanish at the origin")
 
     r = 1.0 if ball_radius is None else float(ball_radius)
-    rng = np.random.default_rng(sample_seed)
-    pts = rng.standard_normal((256, spec.n))
-    radii = np.linalg.norm(pts, axis=1, keepdims=True)
-    radii[radii == 0.0] = 1.0
-    pts = pts / radii * (r * rng.uniform(0, 1, (256, 1)) ** (1.0 / spec.n))
+    pts = sampling.random_ball_points(spec.n, r, 256, seed=sample_seed)
     cols = [pts[:, j] for j in range(spec.n)]
     try:
         values = spec.g.evaluate_components(cols)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import OracleBudgetError
 from .exprdsl import Expr, NonlinearitySpec, evaluate, evaluate_arrays
-from .sampling import ball_points
-from .spectral import Grid, ScalarField
+from .sampling import ball_points, random_ball_points
+from .spectral import Grid
 
 
 @dataclass(frozen=True)
@@ -37,24 +37,24 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-def direct_convolution(K: ScalarField, f: ScalarField,
-                       budget: OracleBudget = DEFAULT_BUDGET) -> ScalarField:
-    """Literal periodic quadrature sum_y K(x - y) f(y) h^d.
+def direct_convolution(grid: Grid, K: np.ndarray, f: np.ndarray,
+                       budget: OracleBudget = DEFAULT_BUDGET) -> np.ndarray:
+    """Literal periodic quadrature sum_y K(x - y) f(y) h^d of two fields
+    sampled on the grid.
 
     x = 0 sits at sample index n/2, so the kernel index for the pair (j, l)
     is (j - l + n/2) mod n per axis.
     """
-    grid = K.grid
-    if grid != f.grid:
-        raise OracleBudgetError("kernel and field live on different grids")
+    if K.shape != grid.shape or f.shape != grid.shape:
+        raise OracleBudgetError("kernel and field must both be sampled on the grid")
     budget.check(grid)
     n = grid.n
     out = np.zeros(grid.shape)
     idx = np.indices(grid.shape)
     for j in product(range(n), repeat=grid.d):
         shifted = tuple((j[ax] - idx[ax] + n // 2) % n for ax in range(grid.d))
-        out[j] = np.sum(K.values[shifted] * f.values)
-    return ScalarField(grid, out * grid.cell_volume)
+        out[j] = np.sum(K[shifted] * f)
+    return out * grid.cell_volume
 
 
 def finite_diff_gradient(g: NonlinearitySpec, z, step_scale: float = 1e-5) -> np.ndarray:
@@ -80,3 +80,14 @@ def dense_sup_estimate(e: Expr, arity: int, radius: float, samples: int,
     pts = ball_points(arity, radius, samples, seed=seed)
     cols = [pts[:, j] for j in range(arity)]
     return float(np.max(np.abs(evaluate_arrays(e, cols))))
+
+
+def dense_c1_norm(g: NonlinearitySpec, radius: float, samples: int,
+                  seed: int = 0) -> float:
+    """sum_m (sup|g_m| + sum_j sup|dg_m/dz_j|) over one set of `samples`
+    pseudo-random points of the ball of the given radius in R^N, drawn once
+    and shared by all N + N^2 expressions."""
+    pts = random_ball_points(g.n, radius, samples, seed=seed)
+    cols = [pts[:, j] for j in range(g.n)]
+    return float(sum(np.max(np.abs(evaluate_arrays(e, cols)))
+                     for m in range(g.n) for e in (g.components[m], *g.gradient[m])))

@@ -1,12 +1,13 @@
-"""Seeded random fields and quasi-random point sets used by the
-falsification suites, the solver probes, and the sampled sup estimates."""
+"""Seeded random fields, and pseudo- and quasi-random point sets, used by
+the falsification suites, the solver probes, the structural checks and the
+sampled sup estimates."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import VectorField
-from .spectral import Grid, ScalarField
+from . import spectral
+from .spectral import Grid
 
 
 def band_limited_batch(grid: Grid, count: int, rng: np.random.Generator,
@@ -16,30 +17,34 @@ def band_limited_batch(grid: Grid, count: int, rng: np.random.Generator,
     if band is None:
         band = grid.n // 4
     noise = rng.standard_normal((count,) + grid.shape)
-    spec = np.fft.fftn(noise, axes=tuple(range(1, grid.d + 1)))
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax_k in np.meshgrid(*([grid.freq_index] * grid.d), indexing="ij", sparse=True):
-        mask = mask & (np.abs(ax_k) <= band)
+    mask = np.ones(grid.spectral_shape, dtype=bool)
+    for k in grid.wavenumbers:
+        mask = mask & (np.abs(k) <= band)
     weight = mask * (1.0 + grid.xi_squared) ** (-slope / 2.0)
-    out = np.fft.ifftn(spec * weight, axes=tuple(range(1, grid.d + 1))).real
-    return out
-
-
-def random_field(grid: Grid, rng: np.random.Generator,
-                 band: int | None = None, slope: float = 2.0) -> ScalarField:
-    return ScalarField(grid, band_limited_batch(grid, 1, rng, band, slope)[0])
+    return spectral.inverse_transform(grid, spectral.forward_transform(grid, noise) * weight)
 
 
 def random_vector_in_ball(grid: Grid, n: int, rho: float,
-                          rng: np.random.Generator) -> VectorField:
-    """A random band-limited vector field scaled to a uniform radius in the
-    Sobolev ball of radius rho."""
-    comps = [random_field(grid, rng) for _ in range(n)]
-    vf = VectorField(tuple(comps))
-    norm = vf.h2_norm()
+                          rng: np.random.Generator) -> np.ndarray:
+    """A random band-limited field with n stacked components, scaled to a
+    uniform radius in the Sobolev ball of radius rho."""
+    v = band_limited_batch(grid, n, rng)
+    norm = spectral.h2_norm(grid, spectral.forward_transform(grid, v))
     if norm == 0.0:
-        return VectorField.zero(grid, n)
-    return vf * (rho * rng.uniform(0.0, 1.0) / norm)
+        return np.zeros_like(v)
+    return v * (rho * rng.uniform(0.0, 1.0) / norm)
+
+
+def random_ball_points(n: int, radius: float, count: int, seed=0) -> np.ndarray:
+    """Pseudo-random points uniform in the closed ball of R^n, shape
+    (count, n): Gaussian directions from np.random.default_rng(seed), and
+    radius r u^(1/n) for a uniform u.  A stream independent of the
+    quasi-random ball_points sets."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((count, n))
+    radii = np.linalg.norm(pts, axis=1, keepdims=True)
+    radii[radii == 0.0] = 1.0
+    return pts / radii * (radius * rng.uniform(0, 1, (count, 1)) ** (1.0 / n))
 
 
 def radical_inverse(count: int, perms: np.ndarray) -> np.ndarray:

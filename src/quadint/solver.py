@@ -10,6 +10,13 @@ where (*) is periodic convolution.  On a certified problem this map is a
 strict contraction of the ball B_rho, so iteration from the center
 converges geometrically to the unique perturbation u_p, and u = u0 + u_p
 solves the original system.
+
+Fields are stacked real arrays of shape (N, n, ..., n) and spectra are in
+rfftn layout (see spectral).  One Picard step costs four real transforms,
+each batched over the N components: forward of g(u0 + v), inverse of the
+kernel product, inverse of T(u0 + v) from the known spectra of u0 and v,
+and forward of the new iterate, whose spectrum gives both norms and serves
+the next step.
 """
 
 from __future__ import annotations
@@ -24,8 +31,7 @@ from .analysis import ConstantsReport, c1_distance, check_contraction_condition,
     compute_sigma, continuity_bound, estimate_M
 from .errors import BallEscapeError, ConfigurationError, NonConvergenceError
 from .exprdsl import NonlinearitySpec
-from .model import MaterializedProblem, VectorField
-from .spectral import ScalarField
+from .model import MaterializedProblem
 
 BALL_SLACK = 1e-9
 
@@ -34,19 +40,31 @@ def default_tolerance(u0_norm: float) -> float:
     return 1e-10 * max(1.0, u0_norm)
 
 
-def apply_map_tg(mat: MaterializedProblem, v: VectorField) -> VectorField:
-    """One application of the auxiliary map at v."""
-    if v.grid != mat.grid or v.n != mat.n:
+def apply_map_tg(mat: MaterializedProblem, v: np.ndarray,
+                 v_spectrum: np.ndarray | None = None) -> np.ndarray:
+    """One application of the auxiliary map at v, stacked over the
+    components.  `v_spectrum`, when known, saves the transform of v."""
+    grid = mat.grid
+    if v.shape != (mat.n,) + grid.shape:
         raise ConfigurationError("input field does not match the problem grid/components")
-    w = mat.u0 + v
-    g_values = mat.g.evaluate_components(w.values_list())
-    out = []
-    for m in range(mat.n):
-        integrand = ScalarField(mat.grid, np.array(np.broadcast_to(g_values[m], mat.grid.shape)))
-        conv = spectral.convolve(mat.kernels[m].field, integrand)
-        prefactor = spectral.apply_multiplier(w.components[m], mat.multipliers[m])
-        out.append(prefactor * conv)
-    return VectorField(tuple(out))
+    if v_spectrum is None:
+        v_spectrum = spectral.forward_transform(grid, v)
+    integrand = np.empty_like(v)
+    for m, values in enumerate(mat.g.evaluate_components(list(mat.u0 + v))):
+        integrand[m] = values
+    conv = spectral.convolve(grid, mat.kernel_spectra, integrand)
+    del integrand  # free it before the next transform
+    prefactor = spectral.apply_multiplier(grid, mat.multipliers, mat.u0_spectrum + v_spectrum)
+    conv *= prefactor
+    return conv
+
+
+def a_posteriori_bound(sigma: float, k: int, delta_1: float) -> float:
+    """Geometric error bound sigma^k / (1 - sigma) * delta_1 after step k;
+    valid only for sigma < 1."""
+    if not 0.0 <= sigma < 1.0:
+        raise ConfigurationError(f"a-posteriori bound needs sigma in [0, 1), got {sigma}")
+    return sigma ** k / (1.0 - sigma) * delta_1
 
 
 @dataclass
@@ -67,8 +85,8 @@ class IterationTrace:
         self.norms.append(norm)
         self.deltas.append(delta)
         self.ratios.append(ratio if k > 1 else float("nan"))
-        if self.sigma is not None and self.sigma < 1.0 and self.deltas:
-            self.bounds.append(self.sigma ** k / (1.0 - self.sigma) * self.deltas[0])
+        if self.sigma is not None and self.sigma < 1.0:
+            self.bounds.append(a_posteriori_bound(self.sigma, k, self.deltas[0]))
         else:
             self.bounds.append(float("nan"))
 
@@ -87,27 +105,17 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class Solution:
-    u_p: VectorField
-    u: VectorField
+    u_p: np.ndarray
+    u_p_spectrum: np.ndarray
+    u: np.ndarray
     residual: float
     iterations: int
     certified: bool
 
 
-def a_posteriori_bound(trace: IterationTrace, sigma: float) -> list[float]:
-    """Geometric error bounds sigma^k / (1 - sigma) * delta_1 for each
-    recorded step; valid only for sigma < 1."""
-    if not 0.0 <= sigma < 1.0:
-        raise ConfigurationError(f"a-posteriori bound needs sigma in [0, 1), got {sigma}")
-    if not trace.deltas:
-        return []
-    d1 = trace.deltas[0]
-    return [sigma ** k / (1.0 - sigma) * d1 for k in trace.ks]
-
-
 def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
                  tol: float | None = None, max_iter: int = 200,
-                 start: VectorField | None = None,
+                 start: np.ndarray | None = None,
                  best_effort: bool = False) -> tuple[Solution, IterationTrace]:
     """Iterate the auxiliary map to its fixed point.
 
@@ -118,6 +126,7 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
 
     Uncertified problems are refused unless best_effort is set, in which
     case divergence is a reportable outcome rather than an internal error.
+    An iterate with non-finite samples raises ConfigurationError.
     """
     certified = report.certificate.passed
     if not certified and not best_effort:
@@ -128,25 +137,35 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
     if tol <= 0 or max_iter < 1:
         raise ConfigurationError("tolerance must be positive and max_iter >= 1")
 
+    grid = mat.grid
     rho = report.rho
-    v = start if start is not None else VectorField.zero(mat.grid, mat.n)
-    if certified and v.h2_norm() > rho * (1.0 + BALL_SLACK):
-        raise ConfigurationError("starting point lies outside the certified ball")
+    if start is None:
+        v = np.zeros((mat.n,) + grid.shape)
+        v_spectrum = np.zeros((mat.n,) + grid.spectral_shape, dtype=complex)
+    else:
+        v = start
+        v_spectrum = spectral.forward_transform(grid, v)
+        if certified and spectral.h2_norm(grid, v_spectrum) > rho * (1.0 + BALL_SLACK):
+            raise ConfigurationError("starting point lies outside the certified ball")
 
     sigma = report.sigma if report.sigma < 1.0 else None
     trace = IterationTrace(sigma=sigma)
     escape_limit = 1e8 * max(1.0, mat.u0_norm)
 
     for k in range(1, max_iter + 1):
-        w = apply_map_tg(mat, v)
-        delta = (w - v).h2_norm()
-        norm_w = w.h2_norm()
+        # overflow shows up as a non-finite norm, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = apply_map_tg(mat, v, v_spectrum)
+            w_spectrum = spectral.forward_transform(grid, w)
+            delta = spectral.h2_norm(grid, w_spectrum - v_spectrum)
+            norm_w = spectral.h2_norm(grid, w_spectrum)
+        # a NaN compares false with every bound below
+        if not np.isfinite(norm_w) and not np.all(np.isfinite(w)):
+            raise ConfigurationError("field contains non-finite samples")
         trace.record(k, norm_w, delta)
         if delta <= tol:
-            u_p = v
-            u = assemble_solution(mat.u0, u_p)
-            return Solution(u_p=u_p, u=u, residual=delta, iterations=k,
-                            certified=certified), trace
+            return Solution(u_p=v, u_p_spectrum=v_spectrum, u=assemble_solution(mat.u0, v),
+                            residual=delta, iterations=k, certified=certified), trace
         if certified and norm_w > rho * (1.0 + BALL_SLACK):
             raise BallEscapeError(
                 f"iterate {k} left the certified ball: |w| = {norm_w} > rho = {rho}")
@@ -154,7 +173,7 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
             raise NonConvergenceError(
                 f"iteration diverged at step {k} (|w| = {norm_w:.3e})",
                 iterations=k, last_delta=delta, trace=trace)
-        v = w
+        v, v_spectrum = w, w_spectrum
 
     raise NonConvergenceError(
         f"no convergence within {max_iter} iterations (last residual "
@@ -162,26 +181,24 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
         iterations=max_iter, last_delta=trace.deltas[-1], trace=trace)
 
 
-def assemble_solution(u0: VectorField, u_p: VectorField) -> VectorField:
+def assemble_solution(u0: np.ndarray, u_p: np.ndarray) -> np.ndarray:
     """The solution of the original system is initial data plus perturbation."""
     return u0 + u_p
 
 
-def residual_original_system(mat: MaterializedProblem, u: VectorField) -> float:
-    """Residual of the original system at u, independent of the perturbative
-    route: |u_m - u0_m - [T_m u_m] . (K_m (*) g_m(u))| in the vector Sobolev
-    norm.  Note the prefactor uses T_m u_m, not T_m(u0_m + v_m)."""
-    if u.grid != mat.grid or u.n != mat.n:
+def residual_original_system(mat: MaterializedProblem, u: np.ndarray,
+                             u_spectrum: np.ndarray | None = None) -> float:
+    """Residual of the original system at u,
+    |u_m - u0_m - [T_m u_m] . (K_m (*) g_m(u))| in the vector Sobolev norm.
+    With v = u - u0 this is |v - t_g(v)|, so it goes through the same map
+    as the iteration; the independent check of that map is oracle.py.
+    `u_spectrum`, when known, saves the transform of u."""
+    if u.shape != (mat.n,) + mat.grid.shape:
         raise ConfigurationError("field does not match the problem grid/components")
-    g_values = mat.g.evaluate_components(u.values_list())
-    residual_components = []
-    for m in range(mat.n):
-        integrand = ScalarField(mat.grid, np.array(np.broadcast_to(g_values[m], mat.grid.shape)))
-        conv = spectral.convolve(mat.kernels[m].field, integrand)
-        prefactor = spectral.apply_multiplier(u.components[m], mat.multipliers[m])
-        residual_components.append(
-            u.components[m] - mat.u0.components[m] - prefactor * conv)
-    return VectorField(tuple(residual_components)).h2_norm()
+    v = u - mat.u0
+    v_spectrum = None if u_spectrum is None else u_spectrum - mat.u0_spectrum
+    r = v - apply_map_tg(mat, v, v_spectrum)
+    return spectral.h2_norm(mat.grid, spectral.forward_transform(mat.grid, r))
 
 
 @dataclass(frozen=True)
@@ -244,7 +261,8 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
     mat2 = _with_nonlinearity(mat, g2)
     sol2, _ = picard_solve(mat2, joint_report, tol=tol)
 
-    measured = (sol1.u - sol2.u).h2_norm()
+    # both solutions share u0, so their distance is that of the perturbations
+    measured = spectral.h2_norm(mat.grid, sol1.u_p_spectrum - sol2.u_p_spectrum)
     dist, dist_prov = c1_distance(g1, g2, report.r_state, seed=seed,
                                   sample=report.sample)
     bound = continuity_bound(report.c_a, report.Q, M_joint, report.u0_norm, dist)

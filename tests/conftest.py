@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
 
+import quadint.spectral as sp
 from quadint import sampling
 from quadint.analysis import constants_report
 from quadint.exprdsl import NonlinearitySpec, parse
 from quadint.model import ExpressionKernel, InverseHelmholtz, ProblemSpec, \
     ScaledIdentity, materialize
 from quadint.spectral import Grid
+
+
+def h2(grid, f):
+    """Sobolev norm of a field, or the vector norm of stacked fields."""
+    return sp.h2_norm(grid, sp.forward_transform(grid, f))
+
+
+def cosine_x1(grid):
+    """cos(pi x1 / L) sampled on the grid: one mode along the first axis."""
+    return np.array(np.broadcast_to(np.cos(np.pi * grid.coords[0] / grid.L), grid.shape))
 
 
 def make_certified_problem(n=64):
@@ -87,4 +98,20 @@ def ball_point_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sampling, "ball_points", counting)
+    return calls
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """(name, input shape) of every numpy.fft transform called in the test."""
+    calls = []
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                 "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+        real = getattr(np.fft, name)
+
+        def counting(a, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
     return calls

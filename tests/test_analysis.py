@@ -12,8 +12,9 @@ from quadint.analysis import (algebra_constant, ball_radius_state,
 from quadint.errors import ConfigurationError
 from quadint.exprdsl import NonlinearitySpec
 from quadint.oracle import dense_sup_estimate
-from quadint.spectral import Grid, ScalarField
-import quadint.spectral as sp
+from quadint.spectral import Grid
+
+from conftest import h2
 
 
 class TestEmbeddingConstant:
@@ -60,14 +61,15 @@ class TestAlgebraConstant:
 
     def test_constant_pair_degenerate_case(self):
         g = Grid(2, 16, 8.0)
-        one = ScalarField(g, np.ones(g.shape))
-        ratio = sp.h2_norm(one * one) / sp.h2_norm(one) ** 2
+        one = np.ones(g.shape)
+        ratio = h2(g, one * one) / h2(g, one) ** 2
         assert ratio <= algebra_constant(2)
 
     def test_gaussian_pair_strictly_below_bound(self):
         g = Grid(2, 32, 8.0)
-        f = ScalarField.from_function(g, lambda x, y: np.exp(-(x ** 2 + y ** 2)))
-        ratio = sp.h2_norm(f * f) / sp.h2_norm(f) ** 2
+        x, y = g.coords
+        f = np.exp(-(x ** 2 + y ** 2))
+        ratio = h2(g, f * f) / h2(g, f) ** 2
         assert ratio < algebra_constant(2)
 
     def test_falsification_suite(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from quadint import cli
 from quadint.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 CERTIFIED = {
     "grid": {"d": 2, "n": 64, "L": 8.0},
@@ -132,6 +134,15 @@ class TestSolve:
             ratio = float(line.split(",")[3])
             assert ratio <= sigma + 1e-9
 
+    def test_solve_runs_only_batched_real_transforms(self, tmp_path, capsys, fft_calls):
+        # kernels and u0 at load, four per step, four for the residual; the
+        # report's norms reuse known spectra, and nothing is a complex fftn
+        code, doc = run(capsys, "solve", str(PROBLEMS / "two_component.json"))
+        assert code == 0
+        assert {name for name, _ in fft_calls} == {"rfftn", "irfftn"}
+        assert len(fft_calls) == 2 + 4 * doc["solve"]["iterations"] + 4
+        assert {shape for _, shape in fft_calls} == {(2, 32, 32), (2, 32, 17)}
+
     def test_uncertified_refused_without_flag(self, tmp_path, capsys):
         doc_in = dict(CERTIFIED, kernels=[{"type": "gaussian", "alpha": 1.0}])
         code, doc = run(capsys, "solve", write_problem(tmp_path, doc_in))
@@ -210,15 +221,42 @@ class TestOracle:
         import quadint.spectral as sp
         original = sp.convolve
 
-        def corrupted(K, f):
-            out = original(K, f)
-            return type(out)(out.grid, out.values * (1.0 + 1e-6))
+        def corrupted(grid, K_hat, f):
+            return original(grid, K_hat, f) * (1.0 + 1e-6)
 
         monkeypatch.setattr("quadint.spectral.convolve", corrupted)
         path = write_problem(tmp_path, CERTIFIED)
         code, doc = run(capsys, "oracle", path, "--size", "16")
         assert code == 1
         assert doc["oracle"]["all_passed"] is False
+
+
+    def test_corrupted_kernel_spectrum_detected(self, tmp_path, capsys, monkeypatch):
+        # the check runs on the spectra materialize caches for the solver
+        from quadint import model
+        original = model.materialize
+
+        def corrupted(problem, strict=True):
+            mat = original(problem, strict)
+            return dataclasses.replace(mat, kernel_spectra=mat.kernel_spectra * (1.0 + 1e-6))
+
+        monkeypatch.setattr(model, "materialize", corrupted)
+        path = write_problem(tmp_path, CERTIFIED)
+        code, doc = run(capsys, "oracle", path, "--size", "16")
+        assert code == 1
+        assert doc["oracle"]["checks"][0]["passed"] is False
+
+    def test_dense_reference_is_drawn_once_and_independently(
+            self, tmp_path, capsys, ball_point_calls):
+        # on the sampled route the report's M uses its two quasi-random sets;
+        # the dense reference is one pseudo-random set for all N + N^2 sups
+        path = write_problem(tmp_path, TANH)
+        code, doc = run(capsys, "oracle", path, "--size", "16", "--seed", "2")
+        assert code == 0
+        assert len(ball_point_calls) == 2
+        sup_check = doc["oracle"]["checks"][-1]
+        assert sup_check["name"] == "c1_bound_dominates_dense_sup"
+        assert sup_check["dense_reference"] < sup_check["M"]
 
 
 class TestDeterminism:
@@ -268,6 +306,33 @@ class TestPathologicalInput:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, CERTIFIED)
+        for command in ("check", "solve", "oracle"):
+            code = main([command, path, "--seed", "-1"])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+    def test_negative_seed_in_a_process(self):
+        proc = run_python("-m", "quadint.cli", "check",
+                          str(PROBLEMS / "gaussian_certified.json"),
+                          "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --seed must be a non-negative integer, got -1\n"
+
+    def test_nonfinite_iterate_is_input_error(self, tmp_path, capsys):
+        # u0 of size 1e110 keeps every constant finite, but the first
+        # iterate overflows: the same exit code as before, one stderr line
+        path = write_problem(tmp_path, dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0},
+                                            u0=["1e110*exp(-x1^2-x2^2)"]))
+        code = main(["solve", path, "--best-effort"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: field contains non-finite samples\n"
 
     def test_memory_error_is_input_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(path):

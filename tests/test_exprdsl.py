@@ -208,7 +208,7 @@ class TestSymbolicLaplacian:
         assert laplacian_symbolic(parse("3.5", 2, "x"), 2) == Num(0.0)
 
     def test_gaussian_matches_closed_form_and_spectral(self):
-        from quadint.spectral import Grid, ScalarField, laplacian as lap_spectral
+        from quadint.spectral import Grid, laplacian as lap_spectral
         e = parse("exp(-x1^2-x2^2)", 2, "x")
         sym = laplacian_symbolic(e, 2)
         rng = np.random.default_rng(5)
@@ -217,8 +217,7 @@ class TestSymbolicLaplacian:
             expected = (4 * (x[0] ** 2 + x[1] ** 2) - 4) * math.exp(-x[0] ** 2 - x[1] ** 2)
             assert evaluate(sym, x) == pytest.approx(expected, rel=1e-12)
         grid = Grid(2, 64, 8.0)
-        field = ScalarField(grid, evaluate_arrays(e, grid.coords))
-        spectral_vals = lap_spectral(field).values
+        spectral_vals = lap_spectral(grid, evaluate_arrays(e, grid.coords))
         sym_vals = evaluate_arrays(sym, grid.coords)
         inner = np.s_[8:-8, 8:-8]
         assert np.max(np.abs(spectral_vals[inner] - sym_vals[inner])) < 1e-6

@@ -8,19 +8,29 @@ from quadint.errors import AssumptionViolation, ConfigurationError
 from quadint.exprdsl import NonlinearitySpec, parse
 from quadint.model import (ExpressionKernel, GaussianKernel, InverseHelmholtz,
                            ProblemSpec, RationalMultiplier, ScaledIdentity,
-                           TabulatedKernel, VectorField, materialize,
-                           materialize_kernel, materialize_u0,
-                           validate_assumptions)
-from quadint.spectral import Grid, ScalarField
+                           TabulatedKernel, materialize, materialize_kernel,
+                           materialize_u0, validate_assumptions)
+from quadint.spectral import Grid
 
-from conftest import make_certified_problem
+from conftest import cosine_x1, h2, make_certified_problem
+
+
+def apply_operator(op, grid, f):
+    """The operator's multiplier applied to f in frequency space."""
+    return sp.apply_multiplier(grid, model.multiplier_values(op, grid),
+                               sp.forward_transform(grid, f))
+
+
+def one_component(grid, u0, kernel=GaussianKernel(1.0), op=InverseHelmholtz()):
+    return ProblemSpec(grid=grid, kernels=(kernel,), operators=(op,),
+                       g=NonlinearitySpec.from_strings(["z1^2"]), u0=(u0,))
 
 
 class TestKernels:
     def test_gaussian_l1_is_pi(self):
         g = Grid(2, 64, 8.0)
         mk = materialize_kernel(GaussianKernel(1.0), g)
-        assert mk.l1 == pytest.approx(np.pi, abs=1e-6)
+        assert sp.l1_norm(g, mk.values) == pytest.approx(np.pi, abs=1e-6)
         assert mk.delta_source == "symbolic"
 
     def test_zero_tabulated_kernel_rejected(self):
@@ -32,16 +42,31 @@ class TestKernels:
         g = Grid(2, 32, 8.0)
         a = materialize_kernel(GaussianKernel(1.0), g)
         b = materialize_kernel(ExpressionKernel("exp(-x1^2-x2^2)"), g)
-        assert np.max(np.abs(a.field.values - b.field.values)) < 1e-14
-        assert np.max(np.abs(a.delta.values - b.delta.values)) < 1e-12
+        assert np.max(np.abs(a.values - b.values)) < 1e-14
+        assert np.max(np.abs(a.delta - b.delta)) < 1e-12
+        assert a.w21 == pytest.approx(b.w21, rel=1e-13)
 
     def test_symbolic_delta_agrees_with_spectral(self):
         g = Grid(2, 64, 8.0)
         symbolic = materialize_kernel(GaussianKernel(1.0), g)
-        tabulated = materialize_kernel(TabulatedKernel(symbolic.field.values), g)
+        tabulated = materialize_kernel(TabulatedKernel(symbolic.values), g)
         assert tabulated.delta_source == "spectral"
-        diff = sp.l1_norm(symbolic.delta - tabulated.delta)
+        diff = sp.l1_norm(g, symbolic.delta - tabulated.delta)
         assert diff < 1e-6
+        # the report's kernel norm is spectral.tilde_w21_norm of the pair
+        assert symbolic.w21 == sp.tilde_w21_norm(g, symbolic.values, symbolic.delta)
+
+    def test_tabulated_shape_mismatch_rejected(self):
+        with pytest.raises(ConfigurationError, match="shape"):
+            materialize_kernel(TabulatedKernel(np.ones((8, 8))), Grid(2, 16, 4.0))
+
+    def test_nonfinite_tabulated_kernel_rejected(self):
+        g = Grid(2, 16, 4.0)
+        for bad in (np.nan, np.inf):
+            vals = np.ones(g.shape)
+            vals[0, 0] = bad
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                materialize_kernel(TabulatedKernel(vals), g)
 
     def test_gaussian_alpha_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -56,85 +81,99 @@ class TestKernels:
 class TestOperators:
     def test_inverse_helmholtz_on_constant(self):
         g = Grid(2, 16, 4.0)
-        c = ScalarField(g, np.full(g.shape, 3.0))
-        out = model.apply_operator(InverseHelmholtz(), c)
-        assert np.max(np.abs(out.values - 3.0)) < 1e-12
+        out = apply_operator(InverseHelmholtz(), g, np.full(g.shape, 3.0))
+        assert np.max(np.abs(out - 3.0)) < 1e-12
 
     def test_inverse_helmholtz_on_cosine(self):
         g = Grid(2, 32, 4.0)
-        f = ScalarField.from_function(g, lambda x, y: np.cos(np.pi * x / g.L) + 0 * y)
-        out = model.apply_operator(InverseHelmholtz(), f)
-        expected = f.values / (1.0 + (np.pi / g.L) ** 2)
-        assert np.max(np.abs(out.values - expected)) < 1e-12
+        for f in (cosine_x1(g), cosine_x1(g).T):
+            out = apply_operator(InverseHelmholtz(), g, f)
+            expected = f / (1.0 + (np.pi / g.L) ** 2)
+            assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_scaled_identity_exact(self, rng):
         g = Grid(2, 16, 4.0)
-        f = ScalarField(g, rng.standard_normal(g.shape))
-        out = model.apply_operator(ScaledIdentity(2.5), f)
-        assert np.max(np.abs(out.values - 2.5 * f.values)) < 1e-13
+        f = rng.standard_normal(g.shape)
+        out = apply_operator(ScaledIdentity(2.5), g, f)
+        assert np.max(np.abs(out - 2.5 * f)) < 1e-13
 
     def test_linearity(self, rng):
         g = Grid(2, 16, 4.0)
         op = InverseHelmholtz()
-        f1 = ScalarField(g, rng.standard_normal(g.shape))
-        f2 = ScalarField(g, rng.standard_normal(g.shape))
-        lhs = model.apply_operator(op, 2.0 * f1 + f2)
-        rhs = 2.0 * model.apply_operator(op, f1) + model.apply_operator(op, f2)
-        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
+        f1 = rng.standard_normal(g.shape)
+        f2 = rng.standard_normal(g.shape)
+        lhs = apply_operator(op, g, 2.0 * f1 + f2)
+        rhs = 2.0 * apply_operator(op, g, f1) + apply_operator(op, g, f2)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_h2_bound_by_operator_norm(self, rng):
         g = Grid(2, 16, 4.0)
         for op in (InverseHelmholtz(), ScaledIdentity(0.7),
                    RationalMultiplier(p=(1.0, 1.0), q=(2.0, 0.0, 1.0))):
-            norm = model.operator_norm(op, g)
+            norm = model.operator_norm(model.multiplier_values(op, g))
             for _ in range(20):
-                f = ScalarField(g, rng.standard_normal(g.shape))
-                assert sp.h2_norm(model.apply_operator(op, f)) <= \
-                    norm * sp.h2_norm(f) * (1 + 1e-12)
+                f = rng.standard_normal(g.shape)
+                assert h2(g, apply_operator(op, g, f)) <= norm * h2(g, f) * (1 + 1e-12)
 
     def test_operator_norms(self):
         g = Grid(2, 32, 4.0)
-        assert model.operator_norm(InverseHelmholtz(), g) == 1.0
-        assert model.operator_norm(ScaledIdentity(-2.5), g) == 2.5
-        assert model.operator_norm(
-            RationalMultiplier(p=(1.0,), q=(1.0, 0.0, 1.0)), g) == 1.0
+        for op, expected in ((InverseHelmholtz(), 1.0), (ScaledIdentity(-2.5), 2.5),
+                             (RationalMultiplier(p=(1.0,), q=(1.0, 0.0, 1.0)), 1.0)):
+            assert model.operator_norm(model.multiplier_values(op, g)) == expected
+        # materialize records the same norms
+        mat = materialize(one_component(g, parse("exp(-x1^2-x2^2)", 2, "x"),
+                                        op=ScaledIdentity(-2.5)))
+        assert mat.operator_norms == (2.5,)
 
     def test_degree_zero_rational_multiplier(self, rng):
         g = Grid(2, 16, 4.0)
         op = RationalMultiplier(p=(3.0,), q=(2.0,))
-        assert model.operator_norm(op, g) == pytest.approx(1.5)
-        f = ScalarField(g, rng.standard_normal(g.shape))
-        out = model.apply_operator(op, f)
-        assert np.max(np.abs(out.values - 1.5 * f.values)) < 1e-13
+        assert model.operator_norm(model.multiplier_values(op, g)) == pytest.approx(1.5)
+        f = rng.standard_normal(g.shape)
+        out = apply_operator(op, g, f)
+        assert np.max(np.abs(out - 1.5 * f)) < 1e-13
 
     def test_zero_multiplier_rejected(self):
         g = Grid(2, 16, 4.0)
-        with pytest.raises(AssumptionViolation):
-            model.operator_norm(ScaledIdentity(0.0), g)
+        problem = one_component(g, parse("exp(-x1^2-x2^2)", 2, "x"), op=ScaledIdentity(0.0))
+        with pytest.raises(AssumptionViolation, match="multiplier vanishes"):
+            materialize(problem)
+        # diagnostic mode keeps the zero norm for validation to report
+        mat = materialize(problem, strict=False)
+        assert mat.operator_norms == (0.0,)
+        assert any("operator 1 multiplier vanishes" in v
+                   for v in validate_assumptions(mat).violations)
 
     def test_nonpositive_denominator_rejected(self):
         g = Grid(2, 16, 4.0)
         with pytest.raises(ConfigurationError):
-            model.operator_norm(RationalMultiplier(p=(1.0,), q=(1.0, -1.0)), g)
+            model.multiplier_values(RationalMultiplier(p=(1.0,), q=(1.0, -1.0)), g)
 
 
 class TestVectorField:
     def test_requires_shared_grid(self, rng):
-        a = ScalarField(Grid(2, 16, 4.0), rng.standard_normal((16, 16)))
-        b = ScalarField(Grid(2, 16, 8.0), rng.standard_normal((16, 16)))
-        with pytest.raises(ConfigurationError):
-            VectorField((a, b))
+        # components are stacked on one grid; a tabulated component sampled
+        # on another grid is refused at load
+        problem = ProblemSpec(
+            grid=Grid(2, 16, 4.0),
+            kernels=(GaussianKernel(1.0),) * 2,
+            operators=(InverseHelmholtz(),) * 2,
+            g=NonlinearitySpec.from_strings(["z1*z2", "z1^2"]),
+            u0=(rng.standard_normal((16, 16)), rng.standard_normal((8, 8))),
+        )
+        with pytest.raises(ConfigurationError, match="shape"):
+            materialize_u0(problem)
 
     def test_norm_and_arithmetic(self, rng):
         g = Grid(2, 16, 4.0)
-        a = ScalarField(g, rng.standard_normal(g.shape))
-        b = ScalarField(g, rng.standard_normal(g.shape))
-        u = VectorField((a, b))
-        assert u.h2_norm() == pytest.approx(
-            np.hypot(sp.h2_norm(a), sp.h2_norm(b)), rel=1e-12)
+        a = rng.standard_normal(g.shape)
+        b = rng.standard_normal(g.shape)
+        u = np.stack([a, b])
+        assert h2(g, u) == pytest.approx(np.hypot(h2(g, a), h2(g, b)), rel=1e-12)
         v = u + u - u
-        assert np.allclose(v.components[0].values, a.values)
-        assert np.allclose((0.5 * u).components[1].values, 0.5 * b.values)
+        assert np.allclose(v[0], a)
+        assert np.allclose((0.5 * u)[1], 0.5 * b)
+        assert h2(g, 0.5 * u) == pytest.approx(0.5 * h2(g, u), rel=1e-12)
 
 
 class TestInitialData:
@@ -151,7 +190,8 @@ class TestInitialData:
         radial, _ = quad(lambda r: np.pi ** 2 * np.exp(-r * r / 2) * (1 + r ** 4) * r,
                          0, np.inf)
         expected = np.sqrt(radial / (2 * np.pi))
-        assert u0.h2_norm() == pytest.approx(expected, abs=1e-6)
+        assert h2(problem.grid, u0) == pytest.approx(expected, abs=1e-6)
+        assert materialize(problem).u0_norm == pytest.approx(expected, abs=1e-6)
 
     def test_all_zero_rejected(self):
         problem = ProblemSpec(
@@ -175,7 +215,15 @@ class TestInitialData:
             u0=(vals,),
         )
         u0 = materialize_u0(problem)
-        assert np.all(u0.components[0].values == 1.0)
+        assert u0.shape == (1,) + g.shape
+        assert np.all(u0[0] == 1.0)
+
+    def test_nonfinite_tabulated_rejected(self):
+        g = Grid(2, 16, 4.0)
+        vals = np.ones(g.shape)
+        vals[3, 4] = np.inf
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            materialize_u0(one_component(g, vals))
 
 
 class TestProblemSpec:

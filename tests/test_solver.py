@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 import quadint.spectral as sp
-from quadint import model, sampling, solver
+from quadint import sampling, solver
 from quadint.analysis import constants_report
 from quadint.errors import (BallEscapeError, ConfigurationError,
                             NonConvergenceError)
 from quadint.exprdsl import NonlinearitySpec, parse
 from quadint.model import (ExpressionKernel, InverseHelmholtz, ProblemSpec,
-                           TabulatedKernel, VectorField, materialize)
+                           TabulatedKernel, materialize)
 from quadint.oracle import direct_convolution
 from quadint.solver import (IterationTrace, a_posteriori_bound, apply_map_tg,
                             assemble_solution, continuity_experiment,
                             picard_solve, residual_original_system)
-from quadint.spectral import Grid, ScalarField
+from quadint.spectral import Grid
+
+from conftest import h2
+
+
+def zero(mat):
+    return np.zeros((mat.n,) + mat.grid.shape)
 
 
 def small_problem(g_texts=("z1^2",), kernel="0.005*exp(-x1^2-x2^2)", n=16):
@@ -34,39 +40,43 @@ class TestApplyMap:
     def test_zero_nonlinearity_gives_zero(self):
         mat = materialize(dataclasses.replace(
             small_problem(), g=NonlinearitySpec.from_strings(["0*z1"])))
-        v = VectorField.zero(mat.grid, 1)
-        out = apply_map_tg(mat, v)
-        assert np.all(out.components[0].values == 0.0)
+        out = apply_map_tg(mat, zero(mat))
+        assert np.all(out == 0.0)
 
     def test_zero_kernel_gives_zero(self):
         # diagnostic mode: materialize non-strictly with an all-zero kernel
         mat = materialize(dataclasses.replace(
             small_problem(), kernels=(TabulatedKernel(np.zeros((16, 16))),)),
             strict=False)
-        out = apply_map_tg(mat, VectorField.zero(mat.grid, 1))
-        assert np.all(out.components[0].values == 0.0)
+        out = apply_map_tg(mat, zero(mat))
+        assert np.all(out == 0.0)
 
     def test_matches_direct_quadrature_composition(self):
         # same map with the convolution replaced by the literal Riemann sum
         mat = materialize(small_problem(n=16))
-        v = VectorField.zero(mat.grid, 1)
+        grid = mat.grid
+        v = sampling.random_vector_in_ball(grid, 1, 0.5, np.random.default_rng(5))
         fast = apply_map_tg(mat, v)
 
-        w = mat.u0 + v
-        g_vals = mat.g.evaluate_components(w.values_list())
-        integrand = ScalarField(mat.grid, np.array(np.broadcast_to(
-            g_vals[0], mat.grid.shape)))
-        conv = direct_convolution(mat.kernels[0].field, integrand)
-        prefactor = model.apply_operator(InverseHelmholtz(), w.components[0])
+        w = (mat.u0 + v)[0]
+        conv = direct_convolution(grid, mat.kernels[0].values, w ** 2)
+        # T w from the full complex spectrum, independent of the rfft layout
+        xi = np.pi * np.fft.fftfreq(grid.n) * grid.n / grid.L
+        s = xi[:, None] ** 2 + xi[None, :] ** 2
+        prefactor = np.fft.ifftn(np.fft.fftn(w) / (1.0 + s)).real
         reference = prefactor * conv
 
-        rel = sp.l2_norm(fast.components[0] - reference) / sp.l2_norm(reference)
+        rel = sp.l2_norm(grid, fast[0] - reference) / sp.l2_norm(grid, reference)
         assert rel <= 1e-9
+        # a known spectrum of v gives the same map
+        assert np.array_equal(apply_map_tg(mat, v, sp.forward_transform(grid, v)), fast)
 
     def test_grid_mismatch_rejected(self, certified):
         mat, _ = certified
         with pytest.raises(ConfigurationError):
-            apply_map_tg(mat, VectorField.zero(Grid(2, 16, 8.0), 1))
+            apply_map_tg(mat, np.zeros((1, 16, 16)))
+        with pytest.raises(ConfigurationError):
+            apply_map_tg(mat, np.zeros((2,) + mat.grid.shape))
 
 
 class TestPicard:
@@ -75,7 +85,8 @@ class TestPicard:
         sol, trace = picard_solve(mat, report)
         assert sol.certified
         assert sol.residual <= solver.default_tolerance(mat.u0_norm)
-        assert sol.u_p.h2_norm() <= report.rho
+        assert h2(mat.grid, sol.u_p) <= report.rho
+        assert np.array_equal(sol.u_p_spectrum, sp.forward_transform(mat.grid, sol.u_p))
         for ratio in trace.ratios[1:]:
             assert ratio <= report.sigma + 1e-9
         # deltas non-increasing once contraction kicks in
@@ -117,11 +128,24 @@ class TestPicard:
         with pytest.raises(NonConvergenceError):
             picard_solve(mat, report, best_effort=True, max_iter=60)
 
+    def test_nonfinite_iterate_is_an_input_error(self, certified, monkeypatch):
+        # a NaN norm compares false with the ball and escape bounds, so the
+        # iteration checks for non-finite samples itself
+        mat, report = certified
+
+        def poisoned(mat, v, v_spectrum=None):
+            return np.full_like(v, np.nan)
+
+        monkeypatch.setattr(solver, "apply_map_tg", poisoned)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            picard_solve(mat, report)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            picard_solve(mat, report, best_effort=True, max_iter=1)
+
     def test_start_outside_ball_rejected(self, certified):
         mat, report = certified
-        start = VectorField((ScalarField(
-            mat.grid, np.full(mat.grid.shape, 1.0)),))
-        assert start.h2_norm() > report.rho
+        start = np.ones((1,) + mat.grid.shape)
+        assert h2(mat.grid, start) > report.rho
         with pytest.raises(ConfigurationError, match="outside"):
             picard_solve(mat, report, start=start)
 
@@ -143,27 +167,49 @@ class TestPicard:
             start = sampling.random_vector_in_ball(mat.grid, mat.n,
                                                    report.rho, rng)
             sol, _ = picard_solve(mat, report, tol=tol, start=start)
-            assert (sol.u_p - baseline.u_p).h2_norm() <= 10 * tol
+            assert h2(mat.grid, sol.u_p - baseline.u_p) <= 10 * tol
+
+
+class TestTransformBudget:
+    def test_one_step_is_four_batched_real_transforms(self, two_component, fft_calls):
+        mat, report = two_component
+        sol, _ = picard_solve(mat, report, tol=1e-10)
+        assert sol.iterations >= 2
+        # from the centre: forward g(u0 + v), inverse K^ g^, inverse T(u0 + v),
+        # forward of the new iterate; each call carries both components
+        assert len(fft_calls) == 4 * sol.iterations
+        assert [name for name, _ in fft_calls[:4]] == ["rfftn", "irfftn", "irfftn", "rfftn"]
+        assert all(shape[0] == mat.n for _, shape in fft_calls)
+
+    def test_residual_is_four_real_transforms(self, two_component, fft_calls):
+        mat, report = two_component
+        sol, _ = picard_solve(mat, report, tol=1e-10)
+        u_spectrum = mat.u0_spectrum + sol.u_p_spectrum
+        del fft_calls[:]
+        known = residual_original_system(mat, sol.u, u_spectrum)
+        assert sorted(name for name, _ in fft_calls) == ["irfftn", "irfftn", "rfftn", "rfftn"]
+        # without the spectrum, u costs one more transform and the residual
+        # is the same up to rounding of fields of size |u0|
+        assert residual_original_system(mat, sol.u) == pytest.approx(
+            known, rel=0, abs=1e-13 * mat.u0_norm)
+        assert len(fft_calls) == 4 + 5
 
 
 class TestAssembleAndResidual:
     def test_assemble_trivial_cases(self, certified):
         mat, _ = certified
-        zero = VectorField.zero(mat.grid, mat.n)
-        assert np.all(assemble_solution(mat.u0, zero).components[0].values
-                      == mat.u0.components[0].values)
-        assert np.all(assemble_solution(zero, mat.u0).components[0].values
-                      == mat.u0.components[0].values)
+        assert np.all(assemble_solution(mat.u0, zero(mat)) == mat.u0)
+        assert np.all(assemble_solution(zero(mat), mat.u0) == mat.u0)
 
     def test_triangle_inequality(self, certified):
         mat, report = certified
         sol, _ = picard_solve(mat, report)
-        assert sol.u.h2_norm() <= mat.u0_norm + report.rho
+        assert h2(mat.grid, sol.u) <= mat.u0_norm + report.rho
 
     def test_nontrivial_solution(self, certified):
         mat, report = certified
         sol, _ = picard_solve(mat, report)
-        assert sp.sup_norm(sol.u.components[0]) > 0.0
+        assert sp.sup_norm(sol.u[0]) > 0.0
 
     def test_residual_zero_for_zero_nonlinearity(self):
         mat = materialize(dataclasses.replace(
@@ -187,14 +233,16 @@ class TestAPosteriori:
         trace.record(1, 1.0, 1.0)
         trace.record(2, 1.0, 0.5)
         trace.record(3, 1.0, 0.25)
-        bounds = a_posteriori_bound(trace, 0.5)
-        assert bounds == pytest.approx([1.0, 0.5, 0.25])
+        assert trace.bounds == pytest.approx([1.0, 0.5, 0.25])
+        assert a_posteriori_bound(0.5, 3, 1.0) == trace.bounds[-1]
 
     def test_sigma_at_least_one_rejected(self):
+        with pytest.raises(ConfigurationError):
+            a_posteriori_bound(1.0, 1, 1.0)
+        # a trace without a contraction factor records no bound
         trace = IterationTrace(sigma=None)
         trace.record(1, 1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            a_posteriori_bound(trace, 1.0)
+        assert np.isnan(trace.bounds[0])
 
     def test_bound_dominates_true_error(self, certified):
         # oversolve and compare each iterate against a much later one
@@ -209,10 +257,10 @@ class TestAPosteriori:
         reference = v
         for _ in range(20):
             reference = apply_map_tg(mat, reference)
-        d1 = (iterates[1] - iterates[0]).h2_norm()
+        d1 = h2(mat.grid, iterates[1] - iterates[0])
         for k in range(1, len(iterates)):
-            bound = report.sigma ** k / (1 - report.sigma) * d1
-            true_err = (iterates[k] - reference).h2_norm()
+            bound = a_posteriori_bound(report.sigma, k, d1)
+            true_err = h2(mat.grid, iterates[k] - reference)
             assert true_err <= bound + 1e-12
 
 
@@ -222,7 +270,7 @@ class TestMapProperties:
         cap = report.c_a * report.M * (report.u0_norm + 1) ** 2 * report.Q
         for _ in range(20):
             v = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
-            img = apply_map_tg(mat, v).h2_norm()
+            img = h2(mat.grid, apply_map_tg(mat, v))
             assert img <= report.rho
             assert img <= cap * (1 + 1e-12)
 
@@ -231,16 +279,16 @@ class TestMapProperties:
         for _ in range(20):
             v1 = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
             v2 = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
-            lhs = (apply_map_tg(mat, v1) - apply_map_tg(mat, v2)).h2_norm()
-            assert lhs <= report.sigma * (v1 - v2).h2_norm() + 1e-9
+            lhs = h2(mat.grid, apply_map_tg(mat, v1) - apply_map_tg(mat, v2))
+            assert lhs <= report.sigma * h2(mat.grid, v1 - v2) + 1e-9
 
     def test_contraction_3d(self, certified_3d, rng):
         mat, report = certified_3d
         for _ in range(10):
             v1 = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
             v2 = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
-            lhs = (apply_map_tg(mat, v1) - apply_map_tg(mat, v2)).h2_norm()
-            assert lhs <= report.sigma * (v1 - v2).h2_norm() + 1e-9
+            lhs = h2(mat.grid, apply_map_tg(mat, v1) - apply_map_tg(mat, v2))
+            assert lhs <= report.sigma * h2(mat.grid, v1 - v2) + 1e-9
 
 
 class TestTrace:
