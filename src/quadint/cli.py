@@ -139,14 +139,16 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_pipeline(problem: ProblemSpec, seed: int
+def _check_pipeline(problem: ProblemSpec, digest: str, seed: int
                     ) -> tuple[MaterializedProblem,
                                analysis.ConstantsReport | None,
-                               model.ValidationReport]:
-    """Materialize, compute constants, and validate.  Degenerate data can make
-    the constants uncomputable (e.g. a trivial kernel gives Q = 0); that is an
-    assumption failure, not an input error, so it lands in the validation
-    report and the constants slot stays empty."""
+                               model.ValidationReport, dict]:
+    """Materialize, compute constants, and validate; also returns the report
+    preamble that check, solve and continuity share, with its `constants`
+    and `assumptions` entries.  Degenerate data can make the constants
+    uncomputable (e.g. a trivial kernel gives Q = 0); that is an assumption
+    failure, not an input error, so it lands in the validation report and
+    the constants slot stays empty."""
     mat = model.materialize(problem, strict=False)
     report = None
     failure = None
@@ -163,18 +165,18 @@ def _check_pipeline(problem: ProblemSpec, seed: int
                                             sample_seed=seed)
     if failure is not None:
         validation.violations.append(f"constants computation failed: {failure}")
-    return mat, report, validation
+    doc = _base_report(problem, digest, seed)
+    doc["constants"] = report.to_dict() if report is not None else None
+    doc["assumptions"] = {"violations": validation.violations,
+                          "warnings": validation.warnings}
+    return mat, report, validation, doc
 
 
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_check(args) -> int:
     problem, digest = load_problem(args.file)
-    mat, report, validation = _check_pipeline(problem, args.seed)
-    doc = _base_report(problem, digest, args.seed)
-    doc["constants"] = report.to_dict() if report is not None else None
-    doc["assumptions"] = {"violations": validation.violations,
-                          "warnings": validation.warnings}
+    mat, report, validation, doc = _check_pipeline(problem, digest, args.seed)
     certified = bool(validation.ok and report is not None
                      and report.certificate.passed)
     doc["certified"] = certified
@@ -184,11 +186,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     problem, digest = load_problem(args.file)
-    mat, report, validation = _check_pipeline(problem, args.seed)
-    doc = _base_report(problem, digest, args.seed)
-    doc["constants"] = report.to_dict() if report is not None else None
-    doc["assumptions"] = {"violations": validation.violations,
-                          "warnings": validation.warnings}
+    mat, report, validation, doc = _check_pipeline(problem, digest, args.seed)
 
     if not validation.ok:
         doc["certified"] = False
@@ -250,11 +248,7 @@ def cmd_continuity(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"malformed JSON in {args.g2}: {exc}") from exc
 
-    mat, report, validation = _check_pipeline(problem, args.seed)
-    doc = _base_report(problem, digest, args.seed)
-    doc["constants"] = report.to_dict() if report is not None else None
-    doc["assumptions"] = {"violations": validation.violations,
-                          "warnings": validation.warnings}
+    mat, report, validation, doc = _check_pipeline(problem, digest, args.seed)
     if not validation.ok or not report.certificate.passed:
         doc["certified"] = False
         _emit(doc, args.out)

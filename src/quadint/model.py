@@ -59,10 +59,9 @@ def _gaussian_expr(alpha: float, d: int) -> Expr:
 
 @dataclass(frozen=True)
 class MaterializedKernel:
-    """A kernel sampled on the grid with its Laplacian and norms."""
+    """A kernel sampled on the grid with its norms."""
 
     values: np.ndarray
-    delta: np.ndarray
     delta_source: str  # 'symbolic' or 'spectral'
     w21: float
     tail_fraction: float
@@ -72,35 +71,32 @@ class MaterializedKernel:
         return bool(np.any(self.values != 0.0))
 
 
-def materialize_kernel(spec: KernelSpec, grid: Grid, strict: bool = True) -> MaterializedKernel:
-    """Sample the kernel and its Laplacian.  The Laplacian is exact symbolic
-    for built-in and expression kernels, spectral for tabulated ones.
-    With strict=True a kernel that vanishes identically raises."""
+def sample_kernel(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray, str]:
+    """The kernel K and its Laplacian sampled on the grid, with the source of
+    the Laplacian: exact 'symbolic' for built-in and expression kernels,
+    'spectral' for tabulated ones."""
     if isinstance(spec, GaussianKernel):
         expr = _gaussian_expr(spec.alpha, grid.d)
     elif isinstance(spec, ExpressionKernel):
         expr = exprdsl.parse(spec.text, grid.d, "x")
     elif isinstance(spec, TabulatedKernel):
-        expr = None
+        K = _tabulated(spec.values, grid, "tabulated kernel")
+        return K, spectral.laplacian(grid, K), "spectral"
     else:
         raise ConfigurationError(f"unknown kernel spec {spec!r}")
+    K = _sample_expression(expr, grid)
+    return K, _sample_expression(exprdsl.laplacian_symbolic(expr, grid.d), grid), "symbolic"
 
-    if expr is not None:
-        K = _sample_expression(expr, grid)
-        delta_expr = exprdsl.laplacian_symbolic(expr, grid.d)
-        dK = _sample_expression(delta_expr, grid)
-        source = "symbolic"
-    else:
-        K = _tabulated(spec.values, grid, "tabulated kernel")
-        dK = spectral.laplacian(grid, K)
-        source = "spectral"
 
+def materialize_kernel(spec: KernelSpec, grid: Grid, strict: bool = True) -> MaterializedKernel:
+    """Sample the kernel and compute its norms; the Laplacian serves the W21
+    norm and is not kept.  With strict=True a kernel that vanishes
+    identically raises."""
+    K, dK, source = sample_kernel(spec, grid)
     if strict and not np.any(K != 0.0):
         raise AssumptionViolation("kernel vanishes identically on the grid")
-
     return MaterializedKernel(
         values=K,
-        delta=dK,
         delta_source=source,
         w21=spectral.tilde_w21_norm(grid, K, dK),
         tail_fraction=spectral.tail_mass_fraction(grid, K, "l1"),

@@ -12,6 +12,12 @@ The columns 1..n/2-1 of the last axis also stand for their mirror images
 -k, whose coefficients are the complex conjugates.  Every transform passes
 its axes explicitly, so leading axes batch over components.
 
+Every axis pass of a transform writes into one complex array.
+:func:`inverse_transform` and :func:`apply_multiplier` overwrite the
+spectrum they are given, so callers pass them a scratch spectrum, never a
+cached one.  Every other helper leaves its arguments unchanged;
+:func:`convolve` and :func:`laplacian` overwrite only spectra they made.
+
 With this convention the discrete norms approximate their continuous
 counterparts: the L2 norm carries the cell volume h^d, and the H2 norm sums
 (1 + |xi|^4) |F|^2 h^d / n^d over the full lattice (Parseval).
@@ -132,13 +138,19 @@ class Grid:
 
 
 def forward_transform(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Unnormalized real DFT over the grid axes; leading axes are batched."""
-    return np.fft.rfftn(f, axes=grid.axes)
+    """Unnormalized real DFT over the grid axes; leading axes are batched.
+    Every axis pass writes into the one array returned."""
+    out = np.empty(f.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    return np.fft.rfftn(f, axes=grid.axes, out=out)
 
 
 def inverse_transform(grid: Grid, F: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`forward_transform`."""
-    return np.fft.irfftn(F, s=grid.shape, axes=grid.axes)
+    """Inverse of :func:`forward_transform`; overwrites F.  The complex
+    passes run in place on F, then the real pass over the last axis makes
+    the field.  ifftn runs its axes last to first, so the reversed leading
+    axes give irfftn's pass order and bit-identical output."""
+    np.fft.ifftn(F, axes=grid.axes[-2::-1], out=F)
+    return np.fft.irfft(F, n=grid.n, axis=-1)
 
 
 def kernel_spectrum(grid: Grid, K: np.ndarray) -> np.ndarray:
@@ -150,8 +162,9 @@ def kernel_spectrum(grid: Grid, K: np.ndarray) -> np.ndarray:
 
 def apply_multiplier(grid: Grid, multiplier: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The field with spectrum multiplier * F: a Fourier multiplier applied
-    to a field given by its spectrum F.  F is scaled in place, which saves
-    one spectrum of memory; callers pass a spectrum they do not keep."""
+    to a field given by its spectrum F.  F is scaled and transformed in
+    place, which saves spectra of memory; callers pass a spectrum they do
+    not keep."""
     F *= multiplier
     return inverse_transform(grid, F)
 

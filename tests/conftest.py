@@ -103,14 +103,20 @@ def ball_point_calls(monkeypatch):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """(name, input shape) of every numpy.fft transform called in the test."""
+    """(name, input shape, axes) of every numpy.fft transform called in the
+    test.  axes are the `axes` or `axis` keyword, counted from the end as
+    negative numbers, or None when the call names none."""
     calls = []
     for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
                  "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
         real = getattr(np.fft, name)
 
         def counting(a, *args, _name=name, _real=real, **kwargs):
-            calls.append((_name, np.shape(a)))
+            shape = np.shape(a)
+            axes = kwargs.get("axes", (kwargs["axis"],) if "axis" in kwargs else None)
+            if axes is not None:
+                axes = tuple(ax - len(shape) if ax >= 0 else ax for ax in axes)
+            calls.append((_name, shape, axes))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counting)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quadint import cli
@@ -136,12 +137,18 @@ class TestSolve:
 
     def test_solve_runs_only_batched_real_transforms(self, tmp_path, capsys, fft_calls):
         # kernels and u0 at load, four per step, four for the residual; the
-        # report's norms reuse known spectra, and nothing is a complex fftn
+        # report's norms reuse known spectra, and nothing is a complex fftn.
+        # Each inverse is two calls: ifftn in place over the leading grid
+        # axes, then irfft over the last
         code, doc = run(capsys, "solve", str(PROBLEMS / "two_component.json"))
         assert code == 0
-        assert {name for name, _ in fft_calls} == {"rfftn", "irfftn"}
-        assert len(fft_calls) == 2 + 4 * doc["solve"]["iterations"] + 4
-        assert {shape for _, shape in fft_calls} == {(2, 32, 32), (2, 32, 17)}
+        k = doc["solve"]["iterations"]
+        names = [name for name, _, _ in fft_calls]
+        assert set(names) == {"rfftn", "ifftn", "irfft"}
+        assert names.count("rfftn") + names.count("irfft") == 2 + 4 * k + 4
+        assert names.count("ifftn") == names.count("irfft") == 2 * k + 2
+        assert {shape for _, shape, _ in fft_calls} == {(2, 32, 32), (2, 32, 17)}
+        assert {axes for name, _, axes in fft_calls if name == "ifftn"} == {(-2,)}
 
     def test_uncertified_refused_without_flag(self, tmp_path, capsys):
         doc_in = dict(CERTIFIED, kernels=[{"type": "gaussian", "alpha": 1.0}])
@@ -211,6 +218,27 @@ class TestOracle:
         code, doc = run(capsys, "oracle", path, "--size", "16")
         assert code == 0
         assert doc["oracle"]["all_passed"] is True
+
+    def test_cached_spectra_unchanged(self, tmp_path, capsys, monkeypatch):
+        # the oracle convolves with the cached kernel spectra; the in-place
+        # inverse transform must not write into them
+        from quadint import model
+        original = model.materialize
+        made = []
+
+        def recording(*args, **kwargs):
+            mat = original(*args, **kwargs)
+            made.append((mat, {name: getattr(mat, name).copy() for name in
+                               ("kernel_spectra", "u0_spectrum", "multipliers")}))
+            return mat
+
+        monkeypatch.setattr(model, "materialize", recording)
+        code, doc = run(capsys, "oracle", str(PROBLEMS / "two_component.json"))
+        assert code == 0
+        assert len(made) == 1
+        mat, cached = made[0]
+        for name, before in cached.items():
+            assert np.array_equal(getattr(mat, name), before), name
 
     def test_oversized_grid_is_input_error(self, tmp_path, capsys):
         path = write_problem(tmp_path, CERTIFIED)

@@ -9,7 +9,7 @@ from quadint.exprdsl import NonlinearitySpec, parse
 from quadint.model import (ExpressionKernel, GaussianKernel, InverseHelmholtz,
                            ProblemSpec, RationalMultiplier, ScaledIdentity,
                            TabulatedKernel, materialize, materialize_kernel,
-                           materialize_u0, validate_assumptions)
+                           materialize_u0, sample_kernel, validate_assumptions)
 from quadint.spectral import Grid
 
 from conftest import cosine_x1, h2, make_certified_problem
@@ -40,21 +40,27 @@ class TestKernels:
 
     def test_expression_matches_builtin(self):
         g = Grid(2, 32, 8.0)
+        K_a, dK_a, _ = sample_kernel(GaussianKernel(1.0), g)
+        K_b, dK_b, _ = sample_kernel(ExpressionKernel("exp(-x1^2-x2^2)"), g)
+        assert np.max(np.abs(K_a - K_b)) < 1e-14
+        assert np.max(np.abs(dK_a - dK_b)) < 1e-12
         a = materialize_kernel(GaussianKernel(1.0), g)
         b = materialize_kernel(ExpressionKernel("exp(-x1^2-x2^2)"), g)
-        assert np.max(np.abs(a.values - b.values)) < 1e-14
-        assert np.max(np.abs(a.delta - b.delta)) < 1e-12
         assert a.w21 == pytest.approx(b.w21, rel=1e-13)
 
     def test_symbolic_delta_agrees_with_spectral(self):
         g = Grid(2, 64, 8.0)
-        symbolic = materialize_kernel(GaussianKernel(1.0), g)
-        tabulated = materialize_kernel(TabulatedKernel(symbolic.values), g)
-        assert tabulated.delta_source == "spectral"
-        diff = sp.l1_norm(g, symbolic.delta - tabulated.delta)
+        K, dK_symbolic, source = sample_kernel(GaussianKernel(1.0), g)
+        assert source == "symbolic"
+        _, dK_spectral, source = sample_kernel(TabulatedKernel(K), g)
+        assert source == "spectral"
+        diff = sp.l1_norm(g, dK_symbolic - dK_spectral)
         assert diff < 1e-6
+        assert materialize_kernel(TabulatedKernel(K), g).delta_source == "spectral"
         # the report's kernel norm is spectral.tilde_w21_norm of the pair
-        assert symbolic.w21 == sp.tilde_w21_norm(g, symbolic.values, symbolic.delta)
+        symbolic = materialize_kernel(GaussianKernel(1.0), g)
+        assert np.array_equal(symbolic.values, K)
+        assert symbolic.w21 == sp.tilde_w21_norm(g, K, dK_symbolic)
 
     def test_tabulated_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError, match="shape"):

@@ -176,10 +176,15 @@ class TestTransformBudget:
         sol, _ = picard_solve(mat, report, tol=1e-10)
         assert sol.iterations >= 2
         # from the centre: forward g(u0 + v), inverse K^ g^, inverse T(u0 + v),
-        # forward of the new iterate; each call carries both components
-        assert len(fft_calls) == 4 * sol.iterations
-        assert [name for name, _ in fft_calls[:4]] == ["rfftn", "irfftn", "irfftn", "rfftn"]
-        assert all(shape[0] == mat.n for _, shape in fft_calls)
+        # forward of the new iterate; each call carries both components, and
+        # each inverse is an in-place ifftn over the leading grid axes
+        # followed by the real pass over the last axis
+        assert len(fft_calls) == 6 * sol.iterations
+        assert [name for name, _, _ in fft_calls[:6]] == \
+            ["rfftn", "ifftn", "irfft", "ifftn", "irfft", "rfftn"]
+        assert all(shape[0] == mat.n for _, shape, _ in fft_calls)
+        assert {axes for name, _, axes in fft_calls if name == "ifftn"} == {(-2,)}
+        assert {axes for name, _, axes in fft_calls if name == "irfft"} == {(-1,)}
 
     def test_residual_is_four_real_transforms(self, two_component, fft_calls):
         mat, report = two_component
@@ -187,12 +192,33 @@ class TestTransformBudget:
         u_spectrum = mat.u0_spectrum + sol.u_p_spectrum
         del fft_calls[:]
         known = residual_original_system(mat, sol.u, u_spectrum)
-        assert sorted(name for name, _ in fft_calls) == ["irfftn", "irfftn", "rfftn", "rfftn"]
+        assert sorted(name for name, _, _ in fft_calls) == \
+            ["ifftn", "ifftn", "irfft", "irfft", "rfftn", "rfftn"]
+        assert all(-1 not in axes for name, _, axes in fft_calls if name == "ifftn")
         # without the spectrum, u costs one more transform and the residual
         # is the same up to rounding of fields of size |u0|
         assert residual_original_system(mat, sol.u) == pytest.approx(
             known, rel=0, abs=1e-13 * mat.u0_norm)
-        assert len(fft_calls) == 4 + 5
+        assert len(fft_calls) == 6 + 7
+
+
+class TestCachedSpectraUnchanged:
+    """The inverse transform overwrites the spectrum it is given, so no
+    cached spectrum may reach it."""
+
+    def test_solver_paths_leave_cached_spectra_intact(self, two_component):
+        mat, report = two_component
+        cached = {name: getattr(mat, name).copy()
+                  for name in ("kernel_spectra", "u0_spectrum", "multipliers")}
+        sol, _ = picard_solve(mat, report, tol=1e-10)
+        u_p_spectrum = sol.u_p_spectrum.copy()
+        residual_original_system(mat, sol.u, mat.u0_spectrum + sol.u_p_spectrum)
+        residual_original_system(mat, sol.u)
+        apply_map_tg(mat, sol.u_p, sol.u_p_spectrum)
+        continuity_experiment(mat, report, mat.g.scaled(1.001), tol=1e-10)
+        for name, before in cached.items():
+            assert np.array_equal(getattr(mat, name), before), name
+        assert np.array_equal(sol.u_p_spectrum, u_p_spectrum)
 
 
 class TestAssembleAndResidual:
