@@ -261,7 +261,7 @@ def _eval(e: Expr, args: Sequence):
             raise ExpressionDomainError("division by zero")
         return _eval(e.left, args) / denom
     if isinstance(e, Pow):
-        return _eval(e.base, args) ** e.exponent
+        return _power(_eval(e.base, args), e.exponent)
     if isinstance(e, Call):
         val = _eval(e.arg, args)
         if e.fn == "sqrt":
@@ -353,14 +353,26 @@ def fold_pow(base: Expr, k: int) -> Expr:
     if k == 1:
         return base
     if _is_num(base):
-        return Num(base.value ** k)
+        return Num(_power(base.value, k))
     return Pow(base, k)
 
 
 def fold_call(fn: str, arg: Expr) -> Expr:
     if _is_num(arg) and not (fn == "sqrt" and arg.value < 0):
-        return Num(getattr(math, fn)(arg.value))
+        try:
+            return Num(getattr(math, fn)(arg.value))
+        except OverflowError:
+            raise ExpressionDomainError(f"{fn}({arg.value!r}) overflows a double") from None
     return Call(fn, arg)
+
+
+def _power(base, k: int):
+    """base ** k.  On a Python float, which raises where numpy arrays give
+    inf, an overflow is a domain fault."""
+    try:
+        return base ** k
+    except OverflowError:
+        raise ExpressionDomainError(f"{base!r}^{k} overflows a double") from None
 
 
 # --- differentiation --------------------------------------------------------

@@ -14,8 +14,8 @@ from itertools import product
 import numpy as np
 
 from .errors import OracleBudgetError
-from .exprdsl import Expr, NonlinearitySpec, evaluate, evaluate_arrays
-from .sampling import ball_points, random_ball_points
+from .exprdsl import NonlinearitySpec, evaluate, evaluate_arrays
+from .sampling import random_ball_points
 from .spectral import Grid
 
 
@@ -71,15 +71,6 @@ def finite_diff_gradient(g: NonlinearitySpec, z, step_scale: float = 1e-5) -> np
             out[m, j] = (evaluate(g.components[m], zp) -
                          evaluate(g.components[m], zm)) / (2.0 * h)
     return out
-
-
-def dense_sup_estimate(e: Expr, arity: int, radius: float, samples: int,
-                       seed: int = 0) -> float:
-    """Max |e| over `samples` quasi-random points of the ball of the given
-    radius in R^arity."""
-    pts = ball_points(arity, radius, samples, seed=seed)
-    cols = [pts[:, j] for j in range(arity)]
-    return float(np.max(np.abs(evaluate_arrays(e, cols))))
 
 
 def dense_c1_norm(g: NonlinearitySpec, radius: float, samples: int,

@@ -43,20 +43,34 @@ def default_tolerance(u0_norm: float) -> float:
 def apply_map_tg(mat: MaterializedProblem, v: np.ndarray,
                  v_spectrum: np.ndarray | None = None) -> np.ndarray:
     """One application of the auxiliary map at v, stacked over the
-    components.  `v_spectrum`, when known, saves the transform of v."""
-    grid = mat.grid
-    if v.shape != (mat.n,) + grid.shape:
+    components.  `v_spectrum`, when known, saves the transform of v; it is
+    left unchanged."""
+    if v.shape != (mat.n,) + mat.grid.shape:
         raise ConfigurationError("input field does not match the problem grid/components")
     if v_spectrum is None:
-        v_spectrum = spectral.forward_transform(grid, v)
-    integrand = np.empty_like(v)
-    for m, values in enumerate(mat.g.evaluate_components(list(mat.u0 + v))):
-        integrand[m] = values
-    conv = spectral.convolve(grid, mat.kernel_spectra, integrand)
-    del integrand  # free it before the next transform
-    prefactor = spectral.apply_multiplier(grid, mat.multipliers, mat.u0_spectrum + v_spectrum)
-    conv *= prefactor
-    return conv
+        prefactor = spectral.forward_transform(mat.grid, v)
+        prefactor += mat.u0_spectrum
+    else:
+        prefactor = mat.u0_spectrum + v_spectrum
+    return _map_tg(mat, v, prefactor)
+
+
+def _map_tg(mat: MaterializedProblem, v: np.ndarray,
+            prefactor_spectrum: np.ndarray) -> np.ndarray:
+    """t_g(v) given the spectrum of u0 + v, which it overwrites.  Each
+    full-grid temporary is freed before the next one is made."""
+    grid = mat.grid
+    integrand = mat.u0 + v
+    values = mat.g.evaluate_components(list(integrand))
+    for m in range(mat.n):
+        integrand[m] = values[m]  # g(u0 + v) replaces u0 + v
+    del values
+    spectrum = spectral.forward_transform(grid, integrand)
+    del integrand
+    w = spectral.apply_multiplier(grid, mat.kernel_spectra, spectrum)
+    del spectrum
+    w *= spectral.apply_multiplier(grid, mat.multipliers, prefactor_spectrum)
+    return w
 
 
 def a_posteriori_bound(sigma: float, k: int, delta_1: float) -> float:
@@ -107,7 +121,6 @@ class IterationTrace:
 class Solution:
     u_p: np.ndarray
     u_p_spectrum: np.ndarray
-    u: np.ndarray
     residual: float
     iterations: int
     certified: bool
@@ -164,8 +177,8 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
             raise ConfigurationError("field contains non-finite samples")
         trace.record(k, norm_w, delta)
         if delta <= tol:
-            return Solution(u_p=v, u_p_spectrum=v_spectrum, u=assemble_solution(mat.u0, v),
-                            residual=delta, iterations=k, certified=certified), trace
+            return Solution(u_p=v, u_p_spectrum=v_spectrum, residual=delta,
+                            iterations=k, certified=certified), trace
         if certified and norm_w > rho * (1.0 + BALL_SLACK):
             raise BallEscapeError(
                 f"iterate {k} left the certified ball: |w| = {norm_w} > rho = {rho}")
@@ -192,12 +205,20 @@ def residual_original_system(mat: MaterializedProblem, u: np.ndarray,
     |u_m - u0_m - [T_m u_m] . (K_m (*) g_m(u))| in the vector Sobolev norm.
     With v = u - u0 this is |v - t_g(v)|, so it goes through the same map
     as the iteration; the independent check of that map is oracle.py.
-    `u_spectrum`, when known, saves the transform of u."""
+    `u_spectrum`, when known, saves the transform of u; it is left
+    unchanged."""
     if u.shape != (mat.n,) + mat.grid.shape:
         raise ConfigurationError("field does not match the problem grid/components")
     v = u - mat.u0
-    v_spectrum = None if u_spectrum is None else u_spectrum - mat.u0_spectrum
-    r = v - apply_map_tg(mat, v, v_spectrum)
+    if u_spectrum is None:
+        prefactor = spectral.forward_transform(mat.grid, v)
+    else:
+        prefactor = u_spectrum - mat.u0_spectrum
+    prefactor += mat.u0_spectrum  # the spectrum of u0 + v, in v's scratch
+    r = _map_tg(mat, v, prefactor)
+    del prefactor
+    np.subtract(v, r, out=r)
+    del v
     return spectral.h2_norm(mat.grid, spectral.forward_transform(mat.grid, r))
 
 

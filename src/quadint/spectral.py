@@ -156,8 +156,10 @@ def inverse_transform(grid: Grid, F: np.ndarray) -> np.ndarray:
 def kernel_spectrum(grid: Grid, K: np.ndarray) -> np.ndarray:
     """Spectrum of a kernel sampled on the grid, ready for :func:`convolve`:
     ifftshift moves x = 0 from index n/2 to index 0, and h^d is the
-    quadrature weight of the convolution."""
-    return grid.cell_volume * forward_transform(grid, np.fft.ifftshift(K, axes=grid.axes))
+    quadrature weight of the convolution, applied in place."""
+    F = forward_transform(grid, np.fft.ifftshift(K, axes=grid.axes))
+    F *= grid.cell_volume
+    return F
 
 
 def apply_multiplier(grid: Grid, multiplier: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -189,10 +191,6 @@ def l2_norm(grid: Grid, f: np.ndarray) -> float:
 
 def l1_norm(grid: Grid, f: np.ndarray) -> float:
     return float(grid.cell_volume * np.sum(np.abs(f)))
-
-
-def sup_norm(f: np.ndarray) -> float:
-    return float(np.max(np.abs(f)))
 
 
 def h2_norms(grid: Grid, F: np.ndarray) -> np.ndarray:

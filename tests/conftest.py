@@ -3,8 +3,9 @@ import pytest
 
 import quadint.spectral as sp
 from quadint import sampling
+from quadint.sampling import ball_points as _ball_points  # unaffected by ball_point_calls
 from quadint.analysis import constants_report
-from quadint.exprdsl import NonlinearitySpec, parse
+from quadint.exprdsl import NonlinearitySpec, evaluate_arrays, parse
 from quadint.model import ExpressionKernel, InverseHelmholtz, ProblemSpec, \
     ScaledIdentity, materialize
 from quadint.spectral import Grid
@@ -13,6 +14,17 @@ from quadint.spectral import Grid
 def h2(grid, f):
     """Sobolev norm of a field, or the vector norm of stacked fields."""
     return sp.h2_norm(grid, sp.forward_transform(grid, f))
+
+
+def sup_norm(f):
+    return float(np.max(np.abs(f)))
+
+
+def dense_sup_estimate(e, arity, radius, samples, seed=0):
+    """Max |e| over `samples` quasi-random points of the ball of the given
+    radius in R^arity."""
+    pts = _ball_points(arity, radius, samples, seed=seed)
+    return sup_norm(evaluate_arrays(e, [pts[:, j] for j in range(arity)]))
 
 
 def cosine_x1(grid):

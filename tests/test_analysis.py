@@ -11,10 +11,9 @@ from quadint.analysis import (algebra_constant, ball_radius_state,
                               lattice_embedding_constant)
 from quadint.errors import ConfigurationError
 from quadint.exprdsl import NonlinearitySpec
-from quadint.oracle import dense_sup_estimate
 from quadint.spectral import Grid
 
-from conftest import h2
+from conftest import dense_sup_estimate, h2
 
 
 class TestEmbeddingConstant:

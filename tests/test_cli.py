@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,18 @@ TANH = {
     "operators": [{"type": "inverse_helmholtz"}] * 2,
     "u0": ["0.03*exp(-x1^2-x2^2)", "0.02*exp(-x1^2-x2^2)"],
     "g": ["tanh(z1*z2)", "tanh(z2*z1)"],
+}
+
+
+# the solve-3d benchmark shape at n = 32: two coupled components in 3-D
+SOLVE_3D = {
+    "grid": {"d": 3, "n": 32, "L": 8.0},
+    "components": 2,
+    "kernels": [{"type": "expression", "expr": "0.002*exp(-x1^2-x2^2-x3^2)"},
+                {"type": "expression", "expr": "0.002*exp(-2*x1^2-2*x2^2-2*x3^2)"}],
+    "operators": [{"type": "inverse_helmholtz"}, {"type": "scaled_identity", "alpha": 0.5}],
+    "u0": ["0.1*exp(-x1^2-x2^2-x3^2)", "0.05*exp(-x1^2-x2^2-x3^2)"],
+    "g": ["z1*z2", "z1^2"],
 }
 
 
@@ -287,6 +300,25 @@ class TestOracle:
         assert sup_check["dense_reference"] < sup_check["M"]
 
 
+class TestWorkingSet:
+    def test_solve_peak_stays_within_stated_field_count(self, tmp_path, capsys):
+        # README "Memory": the peak of a solve is at most PEAK_STACKED_FIELDS
+        # fields of N * n^d doubles; one more retained or duplicated
+        # full-grid array goes over it
+        from quadint.model import PEAK_STACKED_FIELDS
+        path = write_problem(tmp_path, SOLVE_3D)
+        argv = ["solve", path, "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0  # warm: first-call allocations are not the grid's
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field = 2 * 32 ** 3 * 8
+        assert peak <= PEAK_STACKED_FIELDS * field, peak / field
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("doc_in", [
         CERTIFIED,
@@ -361,6 +393,56 @@ class TestPathologicalInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: field contains non-finite samples\n"
+
+    @pytest.mark.parametrize("section, text", [
+        ("g", "z1^2*2^5000"),           # folded while differentiating at load
+        ("g", "z1^2*exp(1000)"),        # folded through math.exp
+        ("g", "0*z1^2+z1*1e300^2"),     # a float power while evaluating
+        ("u0", "0.1*exp(-x1^2-x2^2)*(10^400)"),
+    ])
+    def test_overflowing_literal_is_input_error(self, tmp_path, capsys, section, text):
+        path = write_problem(tmp_path, dict(CERTIFIED, **{section: [text]}))
+        for command in ("check", "solve"):
+            code = main([command, path])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "overflows a double" in captured.err
+            assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("z1^2*1e400", "error: evaluation produced a non-finite value\n"),
+        ("z1^2*sin(1e400)", "error: invalid problem file: math domain error\n"),
+    ])
+    def test_infinite_literal_stays_input_error(self, tmp_path, capsys, text, message):
+        path = write_problem(tmp_path, dict(CERTIFIED, g=[text]))
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == message
+
+    def test_overflowing_literal_in_a_process(self, tmp_path):
+        path = write_problem(tmp_path, dict(CERTIFIED, g=["z1^2*exp(1000)"]))
+        proc = run_python("-m", "quadint.cli", "check", path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: exp(1000.0) overflows a double\n"
+        assert "Traceback" not in proc.stderr
+
+    def test_grid_beyond_physical_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # 3-D n = 2048 is 8.6e9 points, ~69 GB per component field; the
+        # refusal comes from (d, n, N) alone, before any field is sampled
+        from quadint import model
+        monkeypatch.setattr(model, "physical_memory_bytes", lambda: 64 * 10 ** 9)
+        doc = dict(SOLVE_3D, grid={"d": 3, "n": 2048, "L": 8.0})
+        path = write_problem(tmp_path, doc)
+        for command in ("check", "solve"):
+            code = main([command, path])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: grid d=3, n=2048 with 2 component(s) ")
+            assert captured.err.endswith("more than the 64 GB of physical memory\n")
+            assert captured.err.count("\n") == 1
 
     def test_memory_error_is_input_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(path):

@@ -108,6 +108,21 @@ class TestEvaluate:
         with pytest.raises(ExpressionDomainError, match="non-finite"):
             evaluate(parse("exp(z1)", 1), (1e9,))
 
+    def test_overflowing_constant_power_is_a_domain_error(self):
+        # a float literal raised to a power overflows in Python, not numpy
+        with pytest.raises(ExpressionDomainError, match="overflows"):
+            evaluate(parse("z1*1e300^2", 1), (1.0,))
+        with pytest.raises(ExpressionDomainError, match="overflows"):
+            evaluate_arrays(parse("z1*10^400", 1), [np.ones(3)])
+
+    def test_overflowing_fold_is_a_domain_error(self):
+        with pytest.raises(ExpressionDomainError, match="overflows"):
+            dsl.fold_pow(Num(2.0), 5000)
+        with pytest.raises(ExpressionDomainError, match="overflows"):
+            dsl.fold_call("exp", Num(1000.0))
+        with pytest.raises(ExpressionDomainError, match="overflows"):
+            NonlinearitySpec.from_strings(["z1^2*2^5000"])
+
     def test_array_evaluation_broadcasts(self):
         e = parse("z1*z2", 2)
         a = np.array([1.0, 2.0, 3.0])

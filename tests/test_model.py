@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -29,9 +31,10 @@ def one_component(grid, u0, kernel=GaussianKernel(1.0), op=InverseHelmholtz()):
 class TestKernels:
     def test_gaussian_l1_is_pi(self):
         g = Grid(2, 64, 8.0)
-        mk = materialize_kernel(GaussianKernel(1.0), g)
-        assert sp.l1_norm(g, mk.values) == pytest.approx(np.pi, abs=1e-6)
+        mk, K = materialize_kernel(GaussianKernel(1.0), g)
+        assert sp.l1_norm(g, K) == pytest.approx(np.pi, abs=1e-6)
         assert mk.delta_source == "symbolic"
+        assert mk.nontrivial is True
 
     def test_zero_tabulated_kernel_rejected(self):
         g = Grid(2, 16, 4.0)
@@ -44,8 +47,8 @@ class TestKernels:
         K_b, dK_b, _ = sample_kernel(ExpressionKernel("exp(-x1^2-x2^2)"), g)
         assert np.max(np.abs(K_a - K_b)) < 1e-14
         assert np.max(np.abs(dK_a - dK_b)) < 1e-12
-        a = materialize_kernel(GaussianKernel(1.0), g)
-        b = materialize_kernel(ExpressionKernel("exp(-x1^2-x2^2)"), g)
+        a, _ = materialize_kernel(GaussianKernel(1.0), g)
+        b, _ = materialize_kernel(ExpressionKernel("exp(-x1^2-x2^2)"), g)
         assert a.w21 == pytest.approx(b.w21, rel=1e-13)
 
     def test_symbolic_delta_agrees_with_spectral(self):
@@ -56,10 +59,10 @@ class TestKernels:
         assert source == "spectral"
         diff = sp.l1_norm(g, dK_symbolic - dK_spectral)
         assert diff < 1e-6
-        assert materialize_kernel(TabulatedKernel(K), g).delta_source == "spectral"
+        assert materialize_kernel(TabulatedKernel(K), g)[0].delta_source == "spectral"
         # the report's kernel norm is spectral.tilde_w21_norm of the pair
-        symbolic = materialize_kernel(GaussianKernel(1.0), g)
-        assert np.array_equal(symbolic.values, K)
+        symbolic, samples = materialize_kernel(GaussianKernel(1.0), g)
+        assert np.array_equal(samples, K)
         assert symbolic.w21 == sp.tilde_w21_norm(g, K, dK_symbolic)
 
     def test_tabulated_shape_mismatch_rejected(self):
@@ -80,7 +83,7 @@ class TestKernels:
 
     def test_tail_fraction_recorded(self):
         g = Grid(2, 32, 2.0)  # box too small for a unit gaussian
-        mk = materialize_kernel(GaussianKernel(1.0), g)
+        mk, _ = materialize_kernel(GaussianKernel(1.0), g)
         assert mk.tail_fraction > 1e-8
 
 
@@ -230,6 +233,66 @@ class TestInitialData:
         vals[3, 4] = np.inf
         with pytest.raises(ConfigurationError, match="non-finite"):
             materialize_u0(one_component(g, vals))
+
+
+class TestCachedKernelSpectra:
+    def test_equal_to_kernel_spectrum_of_sampled_kernels(self):
+        g = Grid(3, 8, 4.0)
+        K = np.exp(-sum(x ** 2 for x in g.coords) * np.ones(g.shape))
+        problem = ProblemSpec(
+            grid=g,
+            kernels=(GaussianKernel(1.0), ExpressionKernel("(1+x1)*exp(-2*x1^2-x2^2-x3^2)"),
+                     TabulatedKernel(K)),
+            operators=(InverseHelmholtz(),) * 3,
+            g=NonlinearitySpec.from_strings(["z1^2", "z2^2", "z1*z3"]),
+            u0=(parse("exp(-x1^2-x2^2-x3^2)", 3, "x"),) * 3,
+        )
+        mat = materialize(problem)
+        sampled = np.stack([sample_kernel(k, g)[0] for k in problem.kernels])
+        assert np.array_equal(mat.kernel_spectra, sp.kernel_spectrum(g, sampled))
+        for m, k in enumerate(problem.kernels):
+            assert np.array_equal(mat.kernel_spectra[m],
+                                  sp.kernel_spectrum(g, sample_kernel(k, g)[0]))
+
+
+class TestWorkingSet:
+    def test_estimate_is_the_stated_field_count(self):
+        g = Grid(3, 2048, 8.0)
+        assert model.working_set_bytes(g, 2) == model.PEAK_STACKED_FIELDS * 2 * 2048 ** 3 * 8
+
+    def test_refused_above_physical_memory_without_allocating(self, monkeypatch):
+        monkeypatch.setattr(model, "physical_memory_bytes", lambda: 64 * 10 ** 9)
+        problem = ProblemSpec(
+            grid=Grid(3, 2048, 8.0),
+            kernels=(GaussianKernel(1.0),),
+            operators=(InverseHelmholtz(),),
+            g=NonlinearitySpec.from_strings(["z1^2"]),
+            u0=(parse("exp(-x1^2-x2^2-x3^2)", 3, "x"),),
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="physical memory"):
+                materialize(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
+    def test_limit_is_the_estimate(self, monkeypatch):
+        g = Grid(2, 16, 4.0)
+        need = model.working_set_bytes(g, 3)
+        monkeypatch.setattr(model, "physical_memory_bytes", lambda: need)
+        model.check_working_set(g, 3)
+        monkeypatch.setattr(model, "physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(ConfigurationError, match="physical memory"):
+            model.check_working_set(g, 3)
+        # where the OS does not report its memory, nothing is refused
+        monkeypatch.setattr(model, "physical_memory_bytes", lambda: None)
+        model.check_working_set(Grid(3, 2048, 8.0), 16)
+
+    def test_physical_memory_is_reported(self):
+        have = model.physical_memory_bytes()
+        assert have is None or have > 0
 
 
 class TestProblemSpec:

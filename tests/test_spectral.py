@@ -6,11 +6,11 @@ import quadint.spectral as sp
 from quadint.errors import ConfigurationError
 from quadint.exprdsl import NonlinearitySpec, parse
 from quadint.model import ExpressionKernel, InverseHelmholtz, ProblemSpec, ScaledIdentity, \
-    materialize
+    materialize, sample_kernel
 from quadint.oracle import direct_convolution
 from quadint.spectral import Grid
 
-from conftest import cosine_x1
+from conftest import cosine_x1, sup_norm
 
 
 def gaussian_field(grid, alpha=1.0, amplitude=1.0, center=None):
@@ -149,7 +149,7 @@ class TestConvolve:
         b = rng.standard_normal(g.shape)
         lhs = sp.convolve(g, sp.kernel_spectrum(g, a), b)
         rhs = sp.convolve(g, sp.kernel_spectrum(g, b), a)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12 * sp.sup_norm(lhs)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12 * sup_norm(lhs)
 
     def test_grid_mismatch_rejected(self):
         g = Grid(2, 16, 4.0)
@@ -185,7 +185,8 @@ class TestConvolve:
         f = rng.standard_normal((2,) + grid.shape)
         fast = sp.convolve(grid, mat.kernel_spectra, f)
         for m in range(2):
-            direct = direct_convolution(grid, mat.kernels[m].values, f[m])
+            K, _, _ = sample_kernel(mat.spec.kernels[m], grid)
+            direct = direct_convolution(grid, K, f[m])
             assert sp.l2_norm(grid, fast[m] - direct) <= 1e-12 * sp.l2_norm(grid, direct)
 
     def test_young_inequality(self, rng):
@@ -301,10 +302,10 @@ class TestNorms:
 
     def test_sup_norm(self, rng):
         g = Grid(2, 16, 4.0)
-        assert sp.sup_norm(np.zeros(g.shape)) == 0.0
+        assert sup_norm(np.zeros(g.shape)) == 0.0
         vals = np.zeros(g.shape)
         vals[3, 5] = -2.0
-        assert sp.sup_norm(vals) == 2.0
+        assert sup_norm(vals) == 2.0
 
     def test_w21_trivial_cases(self):
         g = Grid(2, 16, 4.0)
@@ -337,7 +338,7 @@ class TestNorms:
         for _ in range(100):
             F = low_pass * sp.forward_transform(g, rng.standard_normal(g.shape))
             low = sp.inverse_transform(g, F.copy())
-            assert sp.sup_norm(low) <= c_e * sp.h2_norm(g, F) * (1 + 1e-12)
+            assert sup_norm(low) <= c_e * sp.h2_norm(g, F) * (1 + 1e-12)
 
 
 class TestTailMass:
