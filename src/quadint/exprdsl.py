@@ -283,9 +283,13 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
 
 
 def evaluate_arrays(e: Expr, args: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate elementwise over broadcastable numpy arrays."""
+    """Evaluate elementwise over broadcastable numpy arrays.  The result
+    never shares memory with an argument (a bare variable is copied), so
+    the caller may overwrite the arguments with it."""
     with np.errstate(all="ignore"):
         out = np.asarray(_eval(e, list(args)), dtype=float)
+    if any(np.may_share_memory(out, a) for a in args):
+        out = out.copy()
     if not np.all(np.isfinite(out)):
         raise ExpressionDomainError("evaluation produced non-finite values")
     return out

@@ -22,8 +22,9 @@ from .spectral import Grid
 
 TAIL_MASS_WARN = 1e-8
 
-# Peak working set of check and solve, in stacked fields of N * n^d doubles
-# (README, "Memory"); tests/test_cli.py holds a solve to it.
+# Estimated peak working set of check and solve on a large grid, in stacked
+# fields of N * n^d doubles; an estimate for the grid-size refusal, not a
+# bound (README, "Memory").
 PEAK_STACKED_FIELDS = 11
 
 
@@ -246,7 +247,7 @@ def materialize_u0(problem: ProblemSpec, strict: bool = True) -> np.ndarray:
 
 
 def working_set_bytes(grid: Grid, components: int) -> int:
-    """Estimated peak working set of check and solve on the grid."""
+    """Estimated peak working set of check and solve on the grid, in bytes."""
     return PEAK_STACKED_FIELDS * components * grid.num_points * 8
 
 
@@ -272,15 +273,12 @@ def check_working_set(grid: Grid, components: int) -> None:
 def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProblem:
     """Sample all fields and precompute operator data: the kernel spectra,
     the multipliers and the spectrum of u0, each computed once here.  Of
-    the sampled fields only u0 is kept; each kernel is sampled, measured
-    and written into one stacked buffer, of which only the transform is
-    kept.  A grid too large for the machine is refused first.
-
-    u0, its spectrum and the multipliers are made before the kernels are
-    sampled.  The order moves no traced byte, but it decides which memory
-    the allocator keeps between phases: with glibc, a solve on 3-D n = 64
-    with two components peaks at 79.8 MiB RSS this way and at 83.8 MiB
-    with the kernels sampled first (README, "Memory")."""
+    the sampled fields only u0 is kept: the kernels are sampled and
+    measured one at a time and written, shifted, into one stacked buffer,
+    of which only the transform is kept.  A grid too large for the
+    machine is refused first.  u0, its spectrum and the multipliers are
+    made before the kernels are sampled, which keeps the process's peak
+    RSS lower with glibc (README, "Memory")."""
     grid = problem.grid
     check_working_set(grid, problem.n)
     u0 = materialize_u0(problem, strict=strict)
@@ -294,7 +292,8 @@ def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProble
     for m, spec in enumerate(problem.kernels):
         kernel, K = materialize_kernel(spec, grid, strict=strict)
         kernels.append(kernel)
-        # as in spectral.kernel_spectrum: x = 0 moves to index 0
+        # spectral.kernel_spectrum of the stacked kernels, built without
+        # stacking them first: x = 0 moves to index 0, h^d scales the transform
         shifted[m] = np.fft.ifftshift(K, axes=grid.axes)
     kernel_spectra = spectral.forward_transform(grid, shifted)
     kernel_spectra *= grid.cell_volume

@@ -41,35 +41,32 @@ def default_tolerance(u0_norm: float) -> float:
 
 
 def apply_map_tg(mat: MaterializedProblem, v: np.ndarray,
-                 v_spectrum: np.ndarray | None = None) -> np.ndarray:
+                 v_spectrum: np.ndarray | None = None, *,
+                 overwrite_spectrum: bool = False) -> np.ndarray:
     """One application of the auxiliary map at v, stacked over the
-    components.  `v_spectrum`, when known, saves the transform of v; it is
-    left unchanged."""
-    if v.shape != (mat.n,) + mat.grid.shape:
+    components.  `v_spectrum`, when known, saves the transform of v.  It
+    is left unchanged unless `overwrite_spectrum`, with which the map
+    builds u0^ + v^ in it instead of in a buffer of its own; a caller with
+    no further use for v^ saves a spectrum at the map's peak.  Each
+    full-grid temporary is freed before the next transform."""
+    grid = mat.grid
+    if v.shape != (mat.n,) + grid.shape:
         raise ConfigurationError("input field does not match the problem grid/components")
     if v_spectrum is None:
-        prefactor = spectral.forward_transform(mat.grid, v)
-        prefactor += mat.u0_spectrum
-    else:
-        prefactor = mat.u0_spectrum + v_spectrum
-    return _map_tg(mat, v, prefactor)
-
-
-def _map_tg(mat: MaterializedProblem, v: np.ndarray,
-            prefactor_spectrum: np.ndarray) -> np.ndarray:
-    """t_g(v) given the spectrum of u0 + v, which it overwrites.  Each
-    full-grid temporary is freed before the next one is made."""
-    grid = mat.grid
+        v_spectrum, overwrite_spectrum = spectral.forward_transform(grid, v), True
     integrand = mat.u0 + v
     values = mat.g.evaluate_components(list(integrand))
     for m in range(mat.n):
-        integrand[m] = values[m]  # g(u0 + v) replaces u0 + v
+        integrand[m] = values[m]  # g(u0 + v) replaces u0 + v; no value is a view of it
     del values
     spectrum = spectral.forward_transform(grid, integrand)
-    del integrand
+    del integrand  # free it before the inverse transform
     w = spectral.apply_multiplier(grid, mat.kernel_spectra, spectrum)
+    # the inverse has spent `spectrum`; u0^ + v^ goes into a spent buffer
+    prefactor = v_spectrum if overwrite_spectrum else spectrum
+    np.add(mat.u0_spectrum, v_spectrum, out=prefactor)
     del spectrum
-    w *= spectral.apply_multiplier(grid, mat.multipliers, prefactor_spectrum)
+    w *= spectral.apply_multiplier(grid, mat.multipliers, prefactor)
     return w
 
 
@@ -205,20 +202,13 @@ def residual_original_system(mat: MaterializedProblem, u: np.ndarray,
     |u_m - u0_m - [T_m u_m] . (K_m (*) g_m(u))| in the vector Sobolev norm.
     With v = u - u0 this is |v - t_g(v)|, so it goes through the same map
     as the iteration; the independent check of that map is oracle.py.
-    `u_spectrum`, when known, saves the transform of u; it is left
-    unchanged."""
+    `u_spectrum`, when known, saves the transform of u."""
     if u.shape != (mat.n,) + mat.grid.shape:
         raise ConfigurationError("field does not match the problem grid/components")
     v = u - mat.u0
-    if u_spectrum is None:
-        prefactor = spectral.forward_transform(mat.grid, v)
-    else:
-        prefactor = u_spectrum - mat.u0_spectrum
-    prefactor += mat.u0_spectrum  # the spectrum of u0 + v, in v's scratch
-    r = _map_tg(mat, v, prefactor)
-    del prefactor
-    np.subtract(v, r, out=r)
-    del v
+    v_spectrum = None if u_spectrum is None else u_spectrum - mat.u0_spectrum
+    r = v - apply_map_tg(mat, v, v_spectrum, overwrite_spectrum=True)
+    del v, v_spectrum  # free them before the norm's temporaries
     return spectral.h2_norm(mat.grid, spectral.forward_transform(mat.grid, r))
 
 

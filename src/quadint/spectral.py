@@ -156,10 +156,8 @@ def inverse_transform(grid: Grid, F: np.ndarray) -> np.ndarray:
 def kernel_spectrum(grid: Grid, K: np.ndarray) -> np.ndarray:
     """Spectrum of a kernel sampled on the grid, ready for :func:`convolve`:
     ifftshift moves x = 0 from index n/2 to index 0, and h^d is the
-    quadrature weight of the convolution, applied in place."""
-    F = forward_transform(grid, np.fft.ifftshift(K, axes=grid.axes))
-    F *= grid.cell_volume
-    return F
+    quadrature weight of the convolution."""
+    return grid.cell_volume * forward_transform(grid, np.fft.ifftshift(K, axes=grid.axes))
 
 
 def apply_multiplier(grid: Grid, multiplier: np.ndarray, F: np.ndarray) -> np.ndarray:

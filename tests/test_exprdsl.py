@@ -129,6 +129,17 @@ class TestEvaluate:
         b = np.array([4.0, 5.0, 6.0])
         assert np.allclose(evaluate_arrays(e, [a, b]), a * b)
 
+    def test_array_result_owns_its_memory(self):
+        # a bare variable evaluates to its argument; the result is a copy,
+        # so a caller may overwrite the arguments with the results
+        rows = np.arange(6.0).reshape(2, 3)
+        for text, j in (("z2", 1), ("z1", 0), ("(z2)", 1)):
+            out = evaluate_arrays(parse(text, 2), list(rows))
+            assert np.array_equal(out, rows[j])
+            assert not np.shares_memory(out, rows)
+        values = NonlinearitySpec.from_strings(["z2", "z1"]).evaluate_components(list(rows))
+        assert not any(np.shares_memory(v, rows) for v in values)
+
     def test_array_domain_fault(self):
         e = parse("1/z1", 1)
         with pytest.raises(ExpressionDomainError):

@@ -72,6 +72,30 @@ class TestApplyMap:
         # a known spectrum of v gives the same map
         assert np.array_equal(apply_map_tg(mat, v, sp.forward_transform(grid, v)), fast)
 
+    @pytest.mark.parametrize("g_texts, g", [
+        (("z1*z2", "z1"), lambda u: [u[0] * u[1], u[0]]),
+        (("z2", "z1"), lambda u: [u[1], u[0]]),
+        (("z2", "z1*z2"), lambda u: [u[1], u[0] * u[1]]),
+    ])
+    def test_bare_variable_components(self, g_texts, g):
+        # g(u0 + v) is written over u0 + v; a component that is a bare
+        # variable must still read u0 + v, not an earlier component of g
+        mat = materialize(small_problem(g_texts, n=16))
+        grid = mat.grid
+        v = sampling.random_vector_in_ball(grid, 2, 0.5, np.random.default_rng(3))
+        v_spectrum = sp.forward_transform(grid, v)
+        integrand = np.stack(g(mat.u0 + v))
+        reference = sp.convolve(grid, mat.kernel_spectra, integrand)
+        reference *= sp.apply_multiplier(grid, mat.multipliers, mat.u0_spectrum + v_spectrum)
+        assert np.array_equal(apply_map_tg(mat, v), reference)
+        assert np.array_equal(apply_map_tg(mat, v, v_spectrum), reference)
+        spent = v_spectrum.copy()
+        assert np.array_equal(apply_map_tg(mat, v, spent, overwrite_spectrum=True), reference)
+        assert not np.array_equal(spent, v_spectrum)  # it now holds T(u0 + v)'s spectrum, spent
+        u = mat.u0 + v
+        expected = sp.h2_norm(grid, sp.forward_transform(grid, (u - mat.u0) - reference))
+        assert residual_original_system(mat, u) == pytest.approx(expected, rel=1e-12)
+
     def test_grid_mismatch_rejected(self, certified):
         mat, _ = certified
         with pytest.raises(ConfigurationError):
