@@ -10,11 +10,12 @@ fixed-point map contracts a Sobolev ball, solves by iteration, and checks
 the certified rates and continuity bounds against measurements.
 """
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"
 
 from .errors import (AssumptionViolation, BallEscapeError, ConfigurationError,
                      ExpressionDomainError, ExpressionSyntaxError,
-                     NonConvergenceError, OracleBudgetError, QuadIntError)
+                     NonConvergenceError, NumericOverflowError, OracleBudgetError,
+                     QuadIntError)
 from .spectral import Grid
 from .model import (ExpressionKernel, GaussianKernel, InverseHelmholtz,
                     MaterializedProblem, ProblemSpec, RationalMultiplier,
@@ -39,5 +40,5 @@ __all__ = [
     "residual_original_system", "continuity_experiment",
     "QuadIntError", "ConfigurationError", "ExpressionSyntaxError",
     "ExpressionDomainError", "AssumptionViolation", "NonConvergenceError",
-    "BallEscapeError", "OracleBudgetError",
+    "BallEscapeError", "OracleBudgetError", "NumericOverflowError",
 ]

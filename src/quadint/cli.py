@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__, analysis, model, oracle, solver, spectral
 from .errors import (AssumptionViolation, ConfigurationError, ExpressionDomainError,
-                     ExpressionSyntaxError, NonConvergenceError, OracleBudgetError,
-                     QuadIntError)
+                     ExpressionSyntaxError, NonConvergenceError, NumericOverflowError,
+                     OracleBudgetError, QuadIntError)
 from .exprdsl import NonlinearitySpec, parse as parse_expr
 from .model import (ExpressionKernel, GaussianKernel, InverseHelmholtz,
                     MaterializedProblem, ProblemSpec, RationalMultiplier,
@@ -148,12 +148,15 @@ def _check_pipeline(problem: ProblemSpec, digest: str, seed: int
     and `assumptions` entries.  Degenerate data can make the constants
     uncomputable (e.g. a trivial kernel gives Q = 0); that is an assumption
     failure, not an input error, so it lands in the validation report and
-    the constants slot stays empty."""
+    the constants slot stays empty.  A constant beyond the range of a double
+    is an input error, raised as such."""
     mat = model.materialize(problem, strict=False)
     report = None
     failure = None
     try:
         report = analysis.constants_report(mat, seed=seed)
+    except NumericOverflowError:
+        raise
     except QuadIntError as exc:
         failure = str(exc)
     if report is not None:
@@ -229,8 +232,9 @@ def cmd_solve(args) -> int:
         "best_effort": bool(args.best_effort and not certified),
     }
     del solution  # free u_p and its spectrum before the residual's fields
+    # u and u^ serve nothing after the residual, which forms v and v^ in them
     doc["solve"]["residual_original_system"] = solver.residual_original_system(
-        mat, u, u_spectrum)
+        mat, u, u_spectrum, overwrite_input=True)
     _emit(doc, args.out)
     return EXIT_OK
 

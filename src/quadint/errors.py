@@ -22,6 +22,12 @@ class ExpressionDomainError(QuadIntError):
     or a non-finite result)."""
 
 
+class NumericOverflowError(ExpressionDomainError):
+    """A number computed from the input overflows a double: a folded
+    literal, a power of a float, or a coefficient bound.  Always an input
+    error, never a failed hypothesis."""
+
+
 class AssumptionViolation(QuadIntError):
     """A structural hypothesis on the problem data does not hold
     (trivial kernel, vanishing initial data, nonlinearity not rooted at 0,

@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ExpressionDomainError, ExpressionSyntaxError
+from .errors import ExpressionDomainError, ExpressionSyntaxError, NumericOverflowError
 
 FUNCTIONS = ("sin", "cos", "tanh", "exp", "sqrt")
 MAX_Z_ARITY = 16
@@ -366,7 +366,7 @@ def fold_call(fn: str, arg: Expr) -> Expr:
         try:
             return Num(getattr(math, fn)(arg.value))
         except OverflowError:
-            raise ExpressionDomainError(f"{fn}({arg.value!r}) overflows a double") from None
+            raise NumericOverflowError(f"{fn}({arg.value!r}) overflows a double") from None
     return Call(fn, arg)
 
 
@@ -376,7 +376,7 @@ def _power(base, k: int):
     try:
         return base ** k
     except OverflowError:
-        raise ExpressionDomainError(f"{base!r}^{k} overflows a double") from None
+        raise NumericOverflowError(f"{base!r}^{k} overflows a double") from None
 
 
 # --- differentiation --------------------------------------------------------
@@ -548,8 +548,19 @@ def as_polynomial(e: Expr, arity: int) -> dict[tuple[int, ...], float] | None:
 
 
 def polynomial_sup_bound(coeffs: dict[tuple[int, ...], float], radius: float) -> float:
-    """Rigorous sup bound on the ball |z| <= radius: sum |c| * radius^degree."""
-    return float(sum(abs(c) * radius ** sum(k) for k, c in coeffs.items()))
+    """Rigorous sup bound on the ball |z| <= radius: sum |c| * radius^degree.
+    A bound that overflows a double while every coefficient is finite
+    raises NumericOverflowError."""
+    try:
+        total = float(sum(abs(c) * radius ** sum(k) for k, c in coeffs.items()))
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total) and all(map(math.isfinite, coeffs.values())):
+        degree = max(sum(k) for k in coeffs)
+        raise NumericOverflowError(
+            f"sup bound of a degree-{degree} polynomial on the ball of radius "
+            f"{radius:.6g} overflows a double")
+    return total
 
 
 # --- nonlinearity bundle ------------------------------------------------------

@@ -25,7 +25,7 @@ TAIL_MASS_WARN = 1e-8
 # Estimated peak working set of check and solve on a large grid, in stacked
 # fields of N * n^d doubles; an estimate for the grid-size refusal, not a
 # bound (README, "Memory").
-PEAK_STACKED_FIELDS = 11
+PEAK_STACKED_FIELDS = 10
 
 
 # --- kernels -----------------------------------------------------------------

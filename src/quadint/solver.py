@@ -167,7 +167,7 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
         with np.errstate(over="ignore", invalid="ignore"):
             w = apply_map_tg(mat, v, v_spectrum)
             w_spectrum = spectral.forward_transform(grid, w)
-            delta = spectral.h2_norm(grid, w_spectrum - v_spectrum)
+            delta = spectral.h2_norm(grid, w_spectrum, v_spectrum)
             norm_w = spectral.h2_norm(grid, w_spectrum)
         # a NaN compares false with every bound below
         if not np.isfinite(norm_w) and not np.all(np.isfinite(w)):
@@ -197,18 +197,25 @@ def assemble_solution(u0: np.ndarray, u_p: np.ndarray) -> np.ndarray:
 
 
 def residual_original_system(mat: MaterializedProblem, u: np.ndarray,
-                             u_spectrum: np.ndarray | None = None) -> float:
+                             u_spectrum: np.ndarray | None = None, *,
+                             overwrite_input: bool = False) -> float:
     """Residual of the original system at u,
     |u_m - u0_m - [T_m u_m] . (K_m (*) g_m(u))| in the vector Sobolev norm.
     With v = u - u0 this is |v - t_g(v)|, so it goes through the same map
     as the iteration; the independent check of that map is oracle.py.
-    `u_spectrum`, when known, saves the transform of u."""
+    `u_spectrum`, when known, saves the transform of u.  u and u_spectrum
+    are left unchanged unless `overwrite_input`, with which v and v^ are
+    formed in them instead of in buffers of their own; a caller with no
+    further use for u and u^ saves a field and a spectrum at the map's
+    peak.  The result is the same float either way."""
     if u.shape != (mat.n,) + mat.grid.shape:
         raise ConfigurationError("field does not match the problem grid/components")
-    v = u - mat.u0
-    v_spectrum = None if u_spectrum is None else u_spectrum - mat.u0_spectrum
-    r = v - apply_map_tg(mat, v, v_spectrum, overwrite_spectrum=True)
-    del v, v_spectrum  # free them before the norm's temporaries
+    v = np.subtract(u, mat.u0, out=u if overwrite_input else None)
+    v_spectrum = None if u_spectrum is None else np.subtract(
+        u_spectrum, mat.u0_spectrum, out=u_spectrum if overwrite_input else None)
+    w = apply_map_tg(mat, v, v_spectrum, overwrite_spectrum=True)
+    r = np.subtract(v, w, out=w)
+    del v, v_spectrum  # free them before the transform of r
     return spectral.h2_norm(mat.grid, spectral.forward_transform(mat.grid, r))
 
 
@@ -273,7 +280,7 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
     sol2, _ = picard_solve(mat2, joint_report, tol=tol)
 
     # both solutions share u0, so their distance is that of the perturbations
-    measured = spectral.h2_norm(mat.grid, sol1.u_p_spectrum - sol2.u_p_spectrum)
+    measured = spectral.h2_norm(mat.grid, sol1.u_p_spectrum, sol2.u_p_spectrum)
     dist, dist_prov = c1_distance(g1, g2, report.r_state, seed=seed,
                                   sample=report.sample)
     bound = continuity_bound(report.c_a, report.Q, M_joint, report.u0_norm, dist)

@@ -194,14 +194,25 @@ def l1_norm(grid: Grid, f: np.ndarray) -> float:
 def h2_norms(grid: Grid, F: np.ndarray) -> np.ndarray:
     """Sobolev norm (|f|_L2^2 + |Lap f|_L2^2)^(1/2) of each field whose
     spectrum is F, by Parseval from the coefficients; leading axes index
-    the fields."""
-    return np.sqrt(np.sum(grid.norm_weight * (F.real ** 2 + F.imag ** 2), axis=grid.axes))
+    the fields.  One pass over the real and imaginary parts reduces the
+    last axis against the weight, so nothing of the spectrum's size is
+    allocated; the remaining grid axes are summed from that small array."""
+    w = grid.norm_weight
+    rows = np.einsum("...j,...j,...j->...", F.real, F.real, w)
+    rows += np.einsum("...j,...j,...j->...", F.imag, F.imag, w)
+    return np.sqrt(np.sum(rows, axis=grid.axes[1:]))
 
 
-def h2_norm(grid: Grid, F: np.ndarray) -> float:
+def h2_norm(grid: Grid, F: np.ndarray, G: np.ndarray | None = None) -> float:
     """Vector Sobolev norm of the stacked fields whose spectrum is F: the
-    root of the sum of the squared component norms."""
-    return float(np.sqrt(np.sum(h2_norms(grid, F) ** 2)))
+    root of the sum of the squared component norms.  Given G, of F's
+    shape, the norm of F - G, formed one component at a time."""
+    if G is None:
+        norms = h2_norms(grid, F)
+    else:
+        norms = np.array([h2_norms(grid, F[i] - G[i])
+                          for i in np.ndindex(F.shape[:F.ndim - grid.d])])
+    return float(np.sqrt(np.sum(norms ** 2)))
 
 
 def tilde_w21_norm(grid: Grid, K: np.ndarray, deltaK: np.ndarray) -> float:

@@ -314,11 +314,11 @@ class TestWorkingSet:
             tracemalloc.stop()
 
     def test_solve_peak_grows_by_the_stated_field_count(self, tmp_path, capsys):
-        # README "Memory": the peak of a solve grows by about 10.5 stacked
-        # fields of N * n^d doubles per field (measured 10.54 from n = 16 to
+        # README "Memory": the peak of a solve grows by about 9.5 stacked
+        # fields of N * n^d doubles per field (measured 9.50 from n = 16 to
         # n = 32), under the PEAK_STACKED_FIELDS the refusal counts.  The
         # growth leaves out the fixed part of the peak; one more retained
-        # or duplicated full-grid array, even of one component, goes over it
+        # or duplicated stacked field goes over it
         from quadint.model import PEAK_STACKED_FIELDS
         small, large = (self.traced_peak(tmp_path, n) for n in (16, 32))
         growth = (large - small) / (2 * (32 ** 3 - 16 ** 3) * 8)
@@ -432,6 +432,31 @@ class TestPathologicalInput:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: exp(1000.0) overflows a double\n"
+        assert "Traceback" not in proc.stderr
+
+    # u0 of amplitude 8 gives a state ball of radius ~11.8, on which the
+    # coefficient bound of z1^1100 exceeds the largest double
+    OVERFLOWING_BOUND = dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0},
+                             u0=["8*exp(-x1^2-x2^2)"], g=["z1^2+0.001*z1^1100"])
+
+    def test_overflowing_bound_is_input_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, self.OVERFLOWING_BOUND)
+        for command in ("check", "solve"):
+            code = main([command, path])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: sup bound of a degree-1100 polynomial")
+            assert captured.err.endswith("overflows a double\n")
+            assert captured.err.count("\n") == 1
+
+    def test_overflowing_bound_in_a_process(self, tmp_path):
+        path = write_problem(tmp_path, self.OVERFLOWING_BOUND)
+        proc = run_python("-m", "quadint.cli", "check", path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
     def test_grid_beyond_physical_memory_is_input_error(self, tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadint import exprdsl as dsl
-from quadint.errors import ExpressionDomainError, ExpressionSyntaxError
+from quadint.errors import ExpressionDomainError, ExpressionSyntaxError, NumericOverflowError
 from quadint.exprdsl import (Add, Call, Mul, NonlinearitySpec, Num, Pow,
                              Var, check_zero_at_origin, differentiate,
                              evaluate, evaluate_arrays, laplacian_symbolic,
@@ -289,6 +289,15 @@ class TestPolynomialClassification:
         assert dsl.polynomial_sup_bound(coeffs, 3.0) == 9.0
         coeffs = dsl.as_polynomial(parse("z1-z2^3", 2), 2)
         assert dsl.polynomial_sup_bound(coeffs, 2.0) == 2.0 + 8.0
+
+    @pytest.mark.parametrize("text, radius", [
+        ("z1^2+0.001*z1^1100", 11.8),   # the power of the radius overflows
+        ("1e300*z1^2", 1e5),            # the product with the coefficient does
+    ])
+    def test_overflowing_sup_bound_is_an_overflow_error(self, text, radius):
+        coeffs = dsl.as_polynomial(parse(text, 1), 1)
+        with pytest.raises(NumericOverflowError, match="overflows a double"):
+            dsl.polynomial_sup_bound(coeffs, radius)
 
 
 class TestNonlinearitySpec:

@@ -239,6 +239,9 @@ class TestCachedSpectraUnchanged:
         u_p_spectrum = sol.u_p_spectrum.copy()
         residual_original_system(mat, assemble_solution(mat.u0, sol.u_p), mat.u0_spectrum + sol.u_p_spectrum)
         residual_original_system(mat, assemble_solution(mat.u0, sol.u_p))
+        residual_original_system(mat, assemble_solution(mat.u0, sol.u_p),
+                                 mat.u0_spectrum + sol.u_p_spectrum, overwrite_input=True)
+        residual_original_system(mat, assemble_solution(mat.u0, sol.u_p), overwrite_input=True)
         apply_map_tg(mat, sol.u_p, sol.u_p_spectrum)
         continuity_experiment(mat, report, mat.g.scaled(1.001), tol=1e-10)
         for name, before in cached.items():
@@ -270,6 +273,33 @@ class TestAssembleAndResidual:
     def test_residual_positive_at_initial_data(self, certified):
         mat, _ = certified
         assert residual_original_system(mat, mat.u0) > 0.0
+
+    def test_residual_leaves_its_arguments_unchanged(self, two_component):
+        mat, report = two_component
+        sol, _ = picard_solve(mat, report, tol=1e-10)
+        u = assemble_solution(mat.u0, sol.u_p)
+        u_spectrum = mat.u0_spectrum + sol.u_p_spectrum
+        for args in ((u,), (u, u_spectrum), (mat.u0,), (mat.u0, mat.u0_spectrum)):
+            before = [a.copy() for a in args]
+            residual_original_system(mat, *args)
+            for a, b in zip(args, before):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("with_spectrum", [False, True])
+    def test_overwriting_residual_is_bit_identical(self, two_component, with_spectrum):
+        mat, report = two_component
+        sol, _ = picard_solve(mat, report, tol=1e-10)
+
+        def inputs():
+            u = assemble_solution(mat.u0, sol.u_p)
+            return (u, mat.u0_spectrum + sol.u_p_spectrum) if with_spectrum else (u,)
+
+        kept = residual_original_system(mat, *inputs())
+        args = inputs()
+        spent = residual_original_system(mat, *args, overwrite_input=True)
+        assert spent == kept
+        # v = u - u0 is formed in the caller's u; its spectrum is spent by the map
+        assert np.array_equal(args[0], assemble_solution(mat.u0, sol.u_p) - mat.u0)
 
     def test_residual_consistent_with_perturbative_route(self, certified):
         mat, report = certified

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -285,6 +288,63 @@ class TestNorms:
                   alternating + rng.standard_normal(grid.shape)):
             half = sp.h2_norm(grid, sp.forward_transform(grid, f))
             assert half == pytest.approx(full_lattice_h2_norm(grid, f), rel=1e-13)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    def test_h2_norms_match_exactly_rounded_sum(self, d, n, lead, rng):
+        # the one-pass reduction against math.fsum of the weighted squares,
+        # field by field; the alternating part puts mass on the Nyquist planes
+        grid = Grid(d, n, 3.0)
+        alternating = np.ones(grid.shape)
+        for x in np.indices(grid.shape):
+            alternating = alternating * (-1.0) ** x
+        f = rng.standard_normal(lead + grid.shape) + alternating
+        F = sp.forward_transform(grid, f)
+        norms = sp.h2_norms(grid, F)
+        assert norms.shape == lead
+        w = grid.norm_weight
+        for i in np.ndindex(lead):
+            terms = np.concatenate([(w * F[i].real ** 2).ravel(), (w * F[i].imag ** 2).ravel()])
+            exact = math.sqrt(math.fsum(terms))
+            assert norms[i] == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    def test_h2_distance_is_norm_of_difference(self, lead, rng):
+        grid = Grid(3, 8, 3.0)
+        F = sp.forward_transform(grid, rng.standard_normal(lead + grid.shape))
+        G = sp.forward_transform(grid, rng.standard_normal(lead + grid.shape))
+        F_before, G_before = F.copy(), G.copy()
+        assert sp.h2_norm(grid, F, G) == pytest.approx(sp.h2_norm(grid, F - G), rel=1e-14)
+        assert sp.h2_norm(grid, F, G) == sp.h2_norm(grid, G, F)
+        assert sp.h2_norm(grid, F, F) == 0.0
+        assert np.array_equal(F, F_before) and np.array_equal(G, G_before)
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_h2_norms_allocate_no_spectrum(self, rng):
+        # the solve-3d spectrum: a norm allocates a small fraction of it
+        grid = Grid(3, 64, 8.0)
+        F = sp.forward_transform(grid, rng.standard_normal((2,) + grid.shape))
+        grid.norm_weight  # the grid's cache, not the norm's allocation
+        peak = self.traced_peak(sp.h2_norms, grid, F)
+        assert peak < F.nbytes / 8, peak
+
+    def test_h2_distance_allocates_one_component(self, rng):
+        grid = Grid(3, 64, 8.0)
+        F = sp.forward_transform(grid, rng.standard_normal((2,) + grid.shape))
+        G = sp.forward_transform(grid, rng.standard_normal((2,) + grid.shape))
+        grid.norm_weight
+        peak = self.traced_peak(sp.h2_norm, grid, F, G)
+        # one component's difference, plus the reduction's small rows
+        assert peak < F[0].nbytes + F.nbytes / 8, peak
 
     def test_h2_vector(self, rng):
         g = Grid(2, 16, 4.0)
