@@ -22,10 +22,13 @@ import numpy as np
 from . import exprdsl, sampling, spectral
 from .errors import ConfigurationError
 from .exprdsl import NonlinearitySpec
-from .model import MaterializedProblem
+from .model import MaterializedProblem, ProblemSpec
 from .spectral import Grid
 
 SAMPLED_INFLATION = 1.1
+# points per component of a C1Sample: interior points, and points on the sphere
+INTERIOR_PER_COMPONENT = 4096
+BOUNDARY_PER_COMPONENT = 1024
 
 # Derivation notes embedded in reports (the constants are not pulled from a
 # table; these document how the code arrives at them).
@@ -66,6 +69,12 @@ def algebra_constant(d: int) -> float:
     return float(4.0 * np.sqrt(2.0) * embedding_constant(d))
 
 
+def problem_embedding_constant(spec: ProblemSpec) -> float:
+    """The c_e of a problem: the file's override, else embedding_constant(d)."""
+    c_e = spec.c_e_override
+    return embedding_constant(spec.grid.d) if c_e is None else float(c_e)
+
+
 def ball_radius_state(c_e: float, u0_norm: float) -> float:
     """Radius of the state-space ball on which the nonlinearity is measured:
     every pointwise value of u0 + v with |v|_H2 <= 1 lands inside it."""
@@ -77,45 +86,40 @@ def ball_radius_state(c_e: float, u0_norm: float) -> float:
 @dataclass(frozen=True)
 class C1Sample:
     """The point set of the sampled C^1 sups on the ball of radius `radius` in
-    R^n: interior_per_component * n interior points (seed `seed`) and
-    boundary_per_component * n sphere points (seed `seed + 1`).  Drawn on
+    R^n: INTERIOR_PER_COMPONENT * n interior points (seed `seed`) and
+    BOUNDARY_PER_COMPONENT * n sphere points (seed `seed + 1`).  Drawn on
     first use, then shared by every sampled estimate on the same ball."""
 
     n: int
     radius: float
     seed: int = 0
-    interior_per_component: int = 4096
-    boundary_per_component: int = 1024
 
     @cached_property
     def columns(self) -> list[np.ndarray]:
         pts = np.vstack([
             sampling.ball_points(self.n, self.radius,
-                                 self.interior_per_component * self.n, seed=self.seed),
-            sampling.ball_points(self.n, self.radius,
-                                 self.boundary_per_component * self.n,
+                                 INTERIOR_PER_COMPONENT * self.n, seed=self.seed),
+            sampling.ball_points(self.n, self.radius, BOUNDARY_PER_COMPONENT * self.n,
                                  seed=self.seed + 1, boundary=True)])
         return [pts[:, j] for j in range(self.n)]
 
 
-def _c1_norm(g: NonlinearitySpec, sample: C1Sample, radius: float
-             ) -> tuple[float, str]:
-    """Sum over components of sup|g_m| + sum_j sup|dg_m/dz_j| on the ball.
-    Rigorous coefficient bound when every piece is polynomial, otherwise a
-    quasi-random sup estimate on `sample` inflated by SAMPLED_INFLATION."""
+def _c1_norm(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
+    """Sum over components of sup|g_m| + sum_j sup|dg_m/dz_j| on the ball of
+    `sample`: a rigorous coefficient bound when every piece is polynomial,
+    otherwise a quasi-random sup on `sample` inflated by SAMPLED_INFLATION."""
     n = g.n
-    if (sample.n, sample.radius) != (n, radius):
+    if sample.n != n:
         raise ConfigurationError(
-            f"point set drawn in R^{sample.n} on radius {sample.radius}, "
-            f"estimate asks for R^{n} on radius {radius}")
+            f"point set drawn in R^{sample.n}, estimate asks for R^{n}")
     polys = [exprdsl.as_polynomial(c, n) for c in g.components]
     if all(p is not None for p in polys):
         total = 0.0
         for m, comp_poly in enumerate(polys):
-            total += exprdsl.polynomial_sup_bound(comp_poly, radius)
+            total += exprdsl.polynomial_sup_bound(comp_poly, sample.radius)
             for j in range(n):
                 grad_poly = exprdsl.as_polynomial(g.gradient[m][j], n)
-                total += exprdsl.polynomial_sup_bound(grad_poly, radius)
+                total += exprdsl.polynomial_sup_bound(grad_poly, sample.radius)
         return float(total), "rigorous-bound"
 
     # one interior and one sphere set shared by all N + N^2 sups
@@ -127,24 +131,15 @@ def _c1_norm(g: NonlinearitySpec, sample: C1Sample, radius: float
     return float(total * SAMPLED_INFLATION), "sampled-estimate"
 
 
-def estimate_M(g: NonlinearitySpec, r_state: float, seed: int = 0,
-               interior_per_component: int = 4096,
-               boundary_per_component: int = 1024,
-               sample: C1Sample | None = None) -> tuple[float, str]:
-    """C^1 bound of the nonlinearity on the state ball of radius r_state.
-    A given `sample` on the same ball replaces the seed and point counts."""
-    if sample is None:
-        sample = C1Sample(g.n, r_state, seed, interior_per_component,
-                          boundary_per_component)
-    return _c1_norm(g, sample, r_state)
+def estimate_M(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
+    """C^1 bound of the nonlinearity on the state ball of `sample`."""
+    return _c1_norm(g, sample)
 
 
-def c1_distance(g1: NonlinearitySpec, g2: NonlinearitySpec, r_state: float,
-                seed: int = 0, sample: C1Sample | None = None) -> tuple[float, str]:
-    """C^1 norm of g1 - g2 on the state ball (same policy as estimate_M)."""
-    if sample is None:
-        sample = C1Sample(g1.n, r_state, seed)
-    return _c1_norm(g1.difference(g2), sample, r_state)
+def c1_distance(g1: NonlinearitySpec, g2: NonlinearitySpec,
+                sample: C1Sample) -> tuple[float, str]:
+    """C^1 norm of g1 - g2 on the ball of `sample` (same policy as estimate_M)."""
+    return _c1_norm(g1.difference(g2), sample)
 
 
 # --- aggregate constants --------------------------------------------------------
@@ -237,20 +232,29 @@ class ConstantsReport:
     c_a: float
     lattice_c_e: float
     u0_norm: float
-    r_state: float
     M: float
     Q: float
-    sigma: float
-    rho: float
     operator_norms: tuple[float, ...]
     kernel_w21_norms: tuple[float, ...]
     certificate: ContractionCertificate
+    # the point set behind M on the state ball, for later estimates there
+    sample: C1Sample = field(compare=False, repr=False)
     provenance: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
     constants_overridden: bool = False
     warnings: tuple[str, ...] = ()
-    # the point set behind a sampled M, for later estimates on the same ball
-    sample: C1Sample | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def r_state(self) -> float:
+        return self.sample.radius
+
+    @property
+    def sigma(self) -> float:
+        return self.certificate.sigma
+
+    @property
+    def rho(self) -> float:
+        return self.certificate.rho
 
     def to_dict(self) -> dict:
         return {
@@ -288,7 +292,7 @@ def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport
     spec = mat.spec
     d = mat.grid.d
     overridden = spec.c_e_override is not None or spec.c_a_override is not None
-    c_e = float(spec.c_e_override) if spec.c_e_override is not None else embedding_constant(d)
+    c_e = problem_embedding_constant(spec)
     c_a = float(spec.c_a_override) if spec.c_a_override is not None else algebra_constant(d)
 
     lattice_c_e = lattice_embedding_constant(mat.grid)
@@ -301,14 +305,12 @@ def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport
             f"value {c_e:.6g}; the box is too small for the continuum constants "
             f"to hold on this grid")
 
-    r_state = ball_radius_state(c_e, mat.u0_norm)
-    sample = C1Sample(spec.g.n, r_state, seed)
-    M, m_prov = estimate_M(spec.g, r_state, sample=sample)
+    sample = C1Sample(spec.g.n, ball_radius_state(c_e, mat.u0_norm), seed)
+    M, m_prov = estimate_M(spec.g, sample)
     kernel_norms = tuple(k.w21 for k in mat.kernels)
     Q = compute_Q(mat.operator_norms, kernel_norms)
     rho = spec.rho if spec.rho is not None else 1.0
     cert = check_contraction_condition(c_a, M, mat.u0_norm, Q, rho)
-    sigma = cert.sigma
 
     provenance = {
         "c_e": "override" if spec.c_e_override is not None else "rigorous-bound",
@@ -329,11 +331,11 @@ def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport
 
     return ConstantsReport(
         d=d, c_e=c_e, c_a=c_a, lattice_c_e=lattice_c_e,
-        u0_norm=mat.u0_norm, r_state=r_state, M=M, Q=Q, sigma=sigma, rho=rho,
+        u0_norm=mat.u0_norm, M=M, Q=Q,
         operator_norms=mat.operator_norms, kernel_w21_norms=kernel_norms,
-        certificate=cert, provenance=provenance,
+        certificate=cert, sample=sample, provenance=provenance,
         notes={"c_e": EMBEDDING_DERIVATION, "c_a": ALGEBRA_DERIVATION},
-        constants_overridden=overridden, warnings=tuple(warnings), sample=sample,
+        constants_overridden=overridden, warnings=tuple(warnings),
     )
 
 

@@ -66,18 +66,22 @@ def _parse_operator(entry, index: int):
     raise ConfigurationError(f"operator {index + 1}: unknown type {kind!r}")
 
 
-def load_problem(path: str) -> tuple[ProblemSpec, str]:
-    """Read a JSON problem file; returns the problem and the input digest."""
+def _read_json(path: str) -> tuple[object, str]:
+    """Read a JSON file; returns the document and the digest of its bytes."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def load_problem(path: str) -> tuple[ProblemSpec, str]:
+    """Read a JSON problem file; returns the problem and the input digest."""
+    doc, digest = _read_json(path)
     return problem_from_dict(doc), digest
 
 
@@ -89,6 +93,8 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
         if n < 1:
             raise ConfigurationError("components must be >= 1")
         for key in ("kernels", "operators", "u0", "g"):
+            if not isinstance(doc[key], list):
+                raise ConfigurationError(f"section {key!r} must be a list")
             if len(doc[key]) != n:
                 raise ConfigurationError(
                     f"section {key!r} has {len(doc[key])} entries, expected {n}")
@@ -159,11 +165,9 @@ def _check_pipeline(problem: ProblemSpec, digest: str, seed: int
         raise
     except QuadIntError as exc:
         failure = str(exc)
-    if report is not None:
-        r_state = report.r_state
-    else:
-        r_state = analysis.ball_radius_state(
-            analysis.embedding_constant(problem.grid.d), mat.u0_norm)
+    # the report's state ball, which is also there when the constants failed
+    r_state = analysis.ball_radius_state(
+        analysis.problem_embedding_constant(problem), mat.u0_norm)
     validation = model.validate_assumptions(mat, ball_radius=r_state,
                                             sample_seed=seed)
     if failure is not None:
@@ -241,18 +245,12 @@ def cmd_solve(args) -> int:
 
 def cmd_continuity(args) -> int:
     problem, digest = load_problem(args.file)
-    try:
-        with open(args.g2, "rb") as fh:
-            raw2 = fh.read()
-        doc2 = json.loads(raw2.decode("utf-8"))
-        if "g" not in doc2 or len(doc2["g"]) != problem.n:
-            raise ConfigurationError(
-                "--g2 file must contain a 'g' list with the same component count")
-        g2 = NonlinearitySpec.from_strings([str(s) for s in doc2["g"]])
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {args.g2}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"malformed JSON in {args.g2}: {exc}") from exc
+    doc2, _ = _read_json(args.g2)
+    if not (isinstance(doc2, dict) and isinstance(doc2.get("g"), list)
+            and len(doc2["g"]) == problem.n):
+        raise ConfigurationError(
+            "--g2 file must contain a 'g' list with the same component count")
+    g2 = NonlinearitySpec.from_strings([str(s) for s in doc2["g"]])
 
     mat, report, validation, doc = _check_pipeline(problem, digest, args.seed)
     if not validation.ok or not report.certificate.passed:
@@ -261,8 +259,7 @@ def cmd_continuity(args) -> int:
         return EXIT_HYPOTHESIS
 
     try:
-        cont = solver.continuity_experiment(mat, report, g2, tol=args.tol,
-                                            seed=args.seed)
+        cont = solver.continuity_experiment(mat, report, g2, tol=args.tol)
     except NonConvergenceError as exc:
         doc["continuity"] = {"error": str(exc)}
         _emit(doc, args.out)
@@ -367,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the fixed-point iteration")
     common(p_solve)
     p_solve.add_argument("--tol", type=float, default=None,
-                         help="residual tolerance (default 1e-10 * max(1, |u0|))")
+                         help="residual tolerance, finite and positive "
+                              "(default 1e-10 * max(1, |u0|))")
     p_solve.add_argument("--max-iter", type=int, default=200)
     p_solve.add_argument("--trace", default=None, help="write per-step CSV here")
     p_solve.add_argument("--best-effort", action="store_true",
@@ -402,6 +400,9 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ConfigurationError(
                 f"--seed must be a non-negative integer, got {args.seed}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0.0 < tol < np.inf:
+            raise ConfigurationError(f"--tol must be finite and positive, got {tol}")
         return args.fn(args)
     except (ConfigurationError, ExpressionSyntaxError, ExpressionDomainError,
             OracleBudgetError) as exc:

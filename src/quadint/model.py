@@ -22,10 +22,11 @@ from .spectral import Grid
 
 TAIL_MASS_WARN = 1e-8
 
-# Estimated peak working set of check and solve on a large grid, in stacked
-# fields of N * n^d doubles; an estimate for the grid-size refusal, not a
-# bound (README, "Memory").
-PEAK_STACKED_FIELDS = 10
+# Estimated peak working set of check and solve on a large grid: this many
+# stacked fields of N * n^d doubles plus this many fields of n^d doubles; an
+# estimate for the grid-size refusal, not a bound (README, "Memory").
+PEAK_STACKED_FIELDS = 9
+PEAK_COMPONENT_FIELDS = 2
 
 
 # --- kernels -----------------------------------------------------------------
@@ -248,7 +249,8 @@ def materialize_u0(problem: ProblemSpec, strict: bool = True) -> np.ndarray:
 
 def working_set_bytes(grid: Grid, components: int) -> int:
     """Estimated peak working set of check and solve on the grid, in bytes."""
-    return PEAK_STACKED_FIELDS * components * grid.num_points * 8
+    fields = PEAK_STACKED_FIELDS * components + PEAK_COMPONENT_FIELDS
+    return fields * grid.num_points * 8
 
 
 def physical_memory_bytes() -> int | None:
@@ -266,8 +268,8 @@ def check_working_set(grid: Grid, components: int) -> None:
     if have is not None and need > have:
         raise ConfigurationError(
             f"grid d={grid.d}, n={grid.n} with {components} component(s) needs about "
-            f"{need / 1e9:.3g} GB ({PEAK_STACKED_FIELDS} fields of N*n^d doubles), "
-            f"more than the {have / 1e9:.3g} GB of physical memory")
+            f"{need / 1e9:.3g} GB ({PEAK_STACKED_FIELDS}N + {PEAK_COMPONENT_FIELDS} fields "
+            f"of n^d doubles), more than the {have / 1e9:.3g} GB of physical memory")
 
 
 def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProblem:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import spectral
 from .analysis import ConstantsReport, c1_distance, check_contraction_condition, \
-    compute_sigma, continuity_bound, estimate_M
+    continuity_bound, estimate_M
 from .errors import BallEscapeError, ConfigurationError, NonConvergenceError
 from .exprdsl import NonlinearitySpec
 from .model import MaterializedProblem
@@ -120,7 +120,6 @@ class Solution:
     u_p_spectrum: np.ndarray
     residual: float
     iterations: int
-    certified: bool
 
 
 def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
@@ -144,8 +143,8 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
             "problem is not certified; pass best_effort=True to iterate anyway")
     if tol is None:
         tol = default_tolerance(mat.u0_norm)
-    if tol <= 0 or max_iter < 1:
-        raise ConfigurationError("tolerance must be positive and max_iter >= 1")
+    if not 0.0 < tol < np.inf or max_iter < 1:
+        raise ConfigurationError("tolerance must be finite and positive and max_iter >= 1")
 
     grid = mat.grid
     rho = report.rho
@@ -175,7 +174,7 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
         trace.record(k, norm_w, delta)
         if delta <= tol:
             return Solution(u_p=v, u_p_spectrum=v_spectrum, residual=delta,
-                            iterations=k, certified=certified), trace
+                            iterations=k), trace
         if certified and norm_w > rho * (1.0 + BALL_SLACK):
             raise BallEscapeError(
                 f"iterate {k} left the certified ball: |w| = {norm_w} > rho = {rho}")
@@ -246,16 +245,16 @@ class ContinuityReport:
 
 
 def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
-                          g2: NonlinearitySpec, tol: float | None = None,
-                          seed: int = 0) -> ContinuityReport:
+                          g2: NonlinearitySpec, tol: float | None = None
+                          ) -> ContinuityReport:
     """Solve the problem under its own nonlinearity and under g2, then compare
     the measured solution distance with the theoretical bound.
 
     Both nonlinearities must satisfy the contraction condition with the joint
     C^1 bound M = max(M_1, M_2); sigma and the bound are formed with that M.
-    `report` must come from constants_report(mat, seed): its M is taken as
-    M_1 rather than estimated again, and its point set serves the sampled
-    estimates of M_2 and |g1 - g2|_C1.
+    `report` must come from constants_report(mat): its M is taken as M_1
+    rather than estimated again, and its point set serves the estimates of
+    M_2 and |g1 - g2|_C1.
     """
     if tol is None:
         tol = default_tolerance(mat.u0_norm)
@@ -264,7 +263,7 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
         raise ConfigurationError("the two nonlinearities have different component counts")
 
     M1, prov1 = report.M, report.provenance["M"]
-    M2, prov2 = estimate_M(g2, report.r_state, seed=seed, sample=report.sample)
+    M2, prov2 = estimate_M(g2, report.sample)
     M_joint = max(M1, M2)
     cert = check_contraction_condition(report.c_a, M_joint, report.u0_norm,
                                        report.Q, report.rho)
@@ -272,30 +271,23 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
         raise ConfigurationError(
             "contraction condition fails with the joint C1 bound; "
             "the continuity statement does not apply")
-    sigma_joint = cert.sigma
 
-    joint_report = _with_joint_M(report, M_joint, cert)
+    joint_report = replace(report, M=M_joint, certificate=cert)
     sol1, _ = picard_solve(mat, joint_report, tol=tol)
     mat2 = _with_nonlinearity(mat, g2)
     sol2, _ = picard_solve(mat2, joint_report, tol=tol)
 
     # both solutions share u0, so their distance is that of the perturbations
     measured = spectral.h2_norm(mat.grid, sol1.u_p_spectrum, sol2.u_p_spectrum)
-    dist, dist_prov = c1_distance(g1, g2, report.r_state, seed=seed,
-                                  sample=report.sample)
+    dist, dist_prov = c1_distance(g1, g2, report.sample)
     bound = continuity_bound(report.c_a, report.Q, M_joint, report.u0_norm, dist)
     passed = measured <= bound + 2.0 * tol
     return ContinuityReport(
         measured_distance=measured, bound=bound, passed=passed,
-        sigma_joint=sigma_joint, M_joint=M_joint, c1_dist=dist,
+        sigma_joint=cert.sigma, M_joint=M_joint, c1_dist=dist,
         c1_provenance=dist_prov if prov1 == prov2 == "rigorous-bound" else "sampled-estimate",
         iterations=(sol1.iterations, sol2.iterations),
     )
-
-
-def _with_joint_M(report: ConstantsReport, M_joint: float, cert) -> ConstantsReport:
-    sigma = compute_sigma(report.c_a, report.Q, M_joint, report.u0_norm)
-    return replace(report, M=M_joint, sigma=sigma, certificate=cert)
 
 
 def _with_nonlinearity(mat: MaterializedProblem, g2: NonlinearitySpec) -> MaterializedProblem:

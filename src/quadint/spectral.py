@@ -40,7 +40,8 @@ from .errors import ConfigurationError
 class Grid:
     """Uniform periodic grid on [-L, L)^d.
 
-    d must be 2 or 3, n even and at least 4, L positive.
+    d must be 2 or 3, n even and at least 4, L positive and finite, with a
+    cell volume h^d and a box volume (2L)^d that are positive finite doubles.
     """
 
     d: int
@@ -52,8 +53,16 @@ class Grid:
             raise ConfigurationError(f"dimension must be 2 or 3, got {self.d}")
         if self.n < 4 or self.n % 2 != 0:
             raise ConfigurationError(f"points per axis must be even and >= 4, got {self.n}")
-        if not self.L > 0:
-            raise ConfigurationError(f"box half-width must be positive, got {self.L}")
+        if not 0.0 < self.L < np.inf:
+            raise ConfigurationError(f"box half-width must be positive and finite, got {self.L}")
+        try:
+            volumes = (self.cell_volume, self.volume)
+        except OverflowError:  # float ** int raises where it would overflow
+            volumes = (np.inf,)
+        if not all(0.0 < v < np.inf for v in volumes):
+            raise ConfigurationError(
+                f"box half-width {self.L} gives a cell volume h^d or a box volume "
+                f"(2L)^d that a double cannot hold")
 
     @property
     def h(self) -> float:

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from quadint import analysis, sampling
-from quadint.analysis import (algebra_constant, ball_radius_state,
+from quadint.analysis import (C1Sample, algebra_constant, ball_radius_state,
                               check_contraction_condition, compute_Q,
                               compute_sigma, constants_report, continuity_bound,
                               c1_distance, embedding_constant, estimate_M,
@@ -91,19 +91,19 @@ class TestStateBall:
 class TestEstimateM:
     def test_linear_component(self):
         g = NonlinearitySpec.from_strings(["z1"])
-        M, prov = estimate_M(g, 3.0)
+        M, prov = estimate_M(g, C1Sample(1, 3.0))
         assert prov == "rigorous-bound"
         assert M == pytest.approx(3.0 + 1.0)
 
     def test_quadratic_component(self):
         g = NonlinearitySpec.from_strings(["z1^2"])
-        M, prov = estimate_M(g, 2.0)
+        M, prov = estimate_M(g, C1Sample(1, 2.0))
         assert prov == "rigorous-bound"
         assert M == pytest.approx(4.0 + 4.0)
 
     def test_sampled_estimate_close_to_dense_oracle(self):
         g = NonlinearitySpec.from_strings(["sin(z1)"])
-        M, prov = estimate_M(g, 2.0, seed=0)
+        M, prov = estimate_M(g, C1Sample(1, 2.0, seed=0))
         assert prov == "sampled-estimate"
         dense = (dense_sup_estimate(g.components[0], 1, 2.0, 10 ** 6, seed=1)
                  + dense_sup_estimate(g.gradient[0][0], 1, 2.0, 10 ** 6, seed=2))
@@ -120,36 +120,33 @@ class TestEstimateM:
         monkeypatch.setattr(sampling, "ball_points", counting)
         g = NonlinearitySpec.from_strings(
             ["tanh(z1*z2)", "sin(z2)", "z3*exp(z4)", "z4^2"])
-        _, prov = estimate_M(g, 1.0, seed=3)
+        _, prov = estimate_M(g, C1Sample(4, 1.0, seed=3))
         assert prov == "sampled-estimate"
         assert len(calls) == 2
         calls.clear()
-        _, prov = c1_distance(g, g.scaled(1.5), 1.0, seed=3)
+        _, prov = c1_distance(g, g.scaled(1.5), C1Sample(4, 1.0, seed=3))
         assert prov == "sampled-estimate"
         assert len(calls) == 2
 
     def test_shared_sample_is_drawn_once(self, ball_point_calls):
         g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
-        sample = analysis.C1Sample(2, 1.0, seed=3)
-        shared = (estimate_M(g, 1.0, sample=sample),
-                  c1_distance(g, g.scaled(1.5), 1.0, sample=sample))
+        sample = C1Sample(2, 1.0, seed=3)
+        shared = (estimate_M(g, sample), c1_distance(g, g.scaled(1.5), sample))
         assert len(ball_point_calls) == 2
-        assert shared == (estimate_M(g, 1.0, seed=3),
-                          c1_distance(g, g.scaled(1.5), 1.0, seed=3))
+        assert shared == (estimate_M(g, C1Sample(2, 1.0, seed=3)),
+                          c1_distance(g, g.scaled(1.5), C1Sample(2, 1.0, seed=3)))
 
     def test_sample_on_another_ball_is_refused(self):
         g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
         with pytest.raises(ConfigurationError):
-            estimate_M(g, 1.0, sample=analysis.C1Sample(2, 2.0))
-        with pytest.raises(ConfigurationError):
-            c1_distance(g, g, 1.0, sample=analysis.C1Sample(3, 1.0))
+            c1_distance(g, g, C1Sample(3, 1.0))
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("radius", [0.5, 1.3])
     def test_shared_set_matches_dense_oracle(self, n, radius):
         g = NonlinearitySpec.from_strings(
             [f"tanh(z{m + 1}*z{(m + 1) % n + 1})" for m in range(n)])
-        M, prov = estimate_M(g, radius, seed=0)
+        M, prov = estimate_M(g, C1Sample(n, radius, seed=0))
         assert prov == "sampled-estimate"
         exprs = [e for m in range(n) for e in (g.components[m], *g.gradient[m])]
         dense = sum(dense_sup_estimate(e, n, radius, 2 * 10 ** 5, seed=11 + k)
@@ -233,20 +230,20 @@ class TestContractionCondition:
 class TestC1Distance:
     def test_identical(self):
         g = NonlinearitySpec.from_strings(["z1^2"])
-        dist, _ = c1_distance(g, g, 1.0)
+        dist, _ = c1_distance(g, g, C1Sample(1, 1.0))
         assert dist == 0.0
 
     def test_linear_difference(self):
         g1 = NonlinearitySpec.from_strings(["z1"])
         g2 = g1.scaled(1.25)
-        dist, prov = c1_distance(g1, g2, 3.0)
+        dist, prov = c1_distance(g1, g2, C1Sample(1, 3.0))
         assert prov == "rigorous-bound"
         assert dist == pytest.approx(0.25 * (3.0 + 1.0))
 
     def test_sampled_vs_dense_oracle(self):
         g1 = NonlinearitySpec.from_strings(["sin(z1)"])
         g2 = NonlinearitySpec.from_strings(["z1"])
-        dist, prov = c1_distance(g1, g2, 0.5, seed=0)
+        dist, prov = c1_distance(g1, g2, C1Sample(1, 0.5, seed=0))
         assert prov == "sampled-estimate"
         diff = g1.difference(g2)
         dense = (dense_sup_estimate(diff.components[0], 1, 0.5, 10 ** 6, seed=1)

@@ -132,6 +132,61 @@ class TestCheck:
                    for v in doc["assumptions"]["violations"])
         assert doc["constants"] is None
 
+    def test_failed_constants_keep_the_overridden_state_ball(
+            self, tmp_path, capsys, monkeypatch):
+        # c_e = 0.05 gives a state ball of radius 0.66, on which
+        # sqrt(1 - z1^2) is defined.  A zero kernel makes the constants fail
+        # (Q = 0); the structural checks still probe g on the same ball
+        from quadint import model
+        radii = []
+        real = model.validate_assumptions
+
+        def recording(mat, ball_radius=None, sample_seed=0):
+            radii.append(ball_radius)
+            return real(mat, ball_radius=ball_radius, sample_seed=sample_seed)
+
+        monkeypatch.setattr(model, "validate_assumptions", recording)
+        base = dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0},
+                    u0=["3*exp(-x1^2-x2^2)"], g=["sqrt(1-z1^2)-1"],
+                    constants={"c_e": 0.05})
+        code, doc = run(capsys, "check", write_problem(tmp_path, base))
+        r_state = doc["constants"]["r_state"]
+        assert r_state < 1.0
+        assert not any("evaluation failed" in v for v in doc["assumptions"]["violations"])
+        zero = dict(base, kernels=[{"type": "tabulated",
+                                    "values": [[0.0] * 16 for _ in range(16)]}])
+        code, doc = run(capsys, "check", write_problem(tmp_path, zero))
+        assert code == 1
+        assert doc["constants"] is None
+        assert doc["assumptions"]["violations"] == [
+            "kernel 1 vanishes identically",
+            "constants computation failed: cumulative weight Q must be "
+            "positive and finite, got 0.0",
+        ]
+        assert radii == [r_state, r_state]
+
+    @pytest.mark.parametrize("L", [1e300, 1e-300, float("inf")])
+    def test_box_beyond_a_double_is_input_error(self, tmp_path, capsys, L):
+        # h^d or (2L)^d overflows or underflows; json writes inf as Infinity
+        path = write_problem(tmp_path, dict(CERTIFIED, grid={"d": 3, "n": 16, "L": L}))
+        for command in ("check", "solve"):
+            code = main([command, path])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: box half-width ")
+            assert captured.err.count("\n") == 1
+
+    def test_box_beyond_a_double_in_a_process(self, tmp_path):
+        for L in (1e300, 1e-300):
+            path = write_problem(tmp_path, dict(CERTIFIED, grid={"d": 2, "n": 16, "L": L}))
+            proc = run_python("-m", "quadint.cli", "check", path)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: box half-width ")
+            assert proc.stderr.count("\n") == 1
+            assert "Traceback" not in proc.stderr
+
 
 class TestSolve:
     def test_certified_solve(self, tmp_path, capsys):
@@ -224,6 +279,46 @@ class TestContinuity:
         assert doc["continuity"]["c1_provenance"] == "sampled-estimate"
         assert len(ball_point_calls) == 2
 
+    MALFORMED_G2 = {
+        "non_utf8": b"{\"g\": [\"z1\xff\"]}",
+        "json_string": b"\"g2\"",
+        "g_not_a_list": b"{\"g\": 5}",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_G2))
+    def test_malformed_g2_is_input_error(self, tmp_path, capsys, kind):
+        path = write_problem(tmp_path, CERTIFIED)
+        g2 = tmp_path / "g2.json"
+        g2.write_bytes(self.MALFORMED_G2[kind])
+        code = main(["continuity", path, "--g2", str(g2)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_malformed_g2_in_a_process(self, tmp_path):
+        g2 = tmp_path / "g2.json"
+        g2.write_bytes(self.MALFORMED_G2["non_utf8"])
+        proc = run_python("-m", "quadint.cli", "continuity",
+                          str(PROBLEMS / "gaussian_certified.json"), "--g2", str(g2))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: malformed JSON in {g2}: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        path = write_problem(tmp_path, CERTIFIED)
+        for argv in (["solve", path], ["continuity", path, "--g2", path]):
+            code = main(argv + [f"--tol={tol}"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == (f"error: --tol must be finite and positive, "
+                                    f"got {float(tol)}\n")
+
 
 class TestOracle:
     def test_default_size_passes(self, tmp_path, capsys):
@@ -302,8 +397,13 @@ class TestOracle:
 
 class TestWorkingSet:
     @staticmethod
-    def traced_peak(tmp_path, n):
-        path = write_problem(tmp_path, dict(SOLVE_3D, grid=dict(SOLVE_3D["grid"], n=n)))
+    def traced_peak(tmp_path, n, components):
+        doc = {key: value[:components] if isinstance(value, list) else value
+               for key, value in SOLVE_3D.items()}
+        doc.update(components=components, grid=dict(SOLVE_3D["grid"], n=n))
+        if components == 1:
+            doc["g"] = ["z1^2"]
+        path = write_problem(tmp_path, doc)
         argv = ["solve", path, "--out", str(tmp_path / "report.json")]
         assert main(argv) == 0  # warm: first-call allocations are not the grid's
         tracemalloc.start()
@@ -313,16 +413,20 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
 
-    def test_solve_peak_grows_by_the_stated_field_count(self, tmp_path, capsys):
-        # README "Memory": the peak of a solve grows by about 9.5 stacked
-        # fields of N * n^d doubles per field (measured 9.50 from n = 16 to
-        # n = 32), under the PEAK_STACKED_FIELDS the refusal counts.  The
-        # growth leaves out the fixed part of the peak; one more retained
-        # or duplicated stacked field goes over it
-        from quadint.model import PEAK_STACKED_FIELDS
-        small, large = (self.traced_peak(tmp_path, n) for n in (16, 32))
-        growth = (large - small) / (2 * (32 ** 3 - 16 ** 3) * 8)
-        assert growth <= PEAK_STACKED_FIELDS, growth
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_solve_peak_grows_by_the_stated_field_count(self, tmp_path, capsys,
+                                                        components):
+        # README "Memory": from n = 16 to n = 32 the peak of a solve grows by
+        # 10.4 fields of n^d doubles at N = 1 and by 19.0 at N = 2, under
+        # the working_set_bytes the refusal counts (11 and 20).  The growth
+        # leaves out the fixed part of the peak; one more retained or
+        # duplicated stacked field goes over it
+        from quadint.model import working_set_bytes
+        from quadint.spectral import Grid
+        small, large = (self.traced_peak(tmp_path, n, components) for n in (16, 32))
+        estimate = (working_set_bytes(Grid(3, 32, 8.0), components)
+                    - working_set_bytes(Grid(3, 16, 8.0), components))
+        assert large - small <= estimate, (large - small) / estimate
 
 
 class TestDeterminism:

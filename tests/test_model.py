@@ -258,7 +258,8 @@ class TestCachedKernelSpectra:
 class TestWorkingSet:
     def test_estimate_is_the_stated_field_count(self):
         g = Grid(3, 2048, 8.0)
-        assert model.working_set_bytes(g, 2) == model.PEAK_STACKED_FIELDS * 2 * 2048 ** 3 * 8
+        fields = model.PEAK_STACKED_FIELDS * 2 + model.PEAK_COMPONENT_FIELDS
+        assert model.working_set_bytes(g, 2) == fields * 2048 ** 3 * 8
 
     def test_refused_above_physical_memory_without_allocating(self, monkeypatch):
         monkeypatch.setattr(model, "physical_memory_bytes", lambda: 64 * 10 ** 9)

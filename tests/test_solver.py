@@ -108,7 +108,7 @@ class TestPicard:
     def test_certified_problem_converges(self, certified):
         mat, report = certified
         sol, trace = picard_solve(mat, report)
-        assert sol.certified
+        assert report.certificate.passed
         assert sol.residual <= solver.default_tolerance(mat.u0_norm)
         assert h2(mat.grid, sol.u_p) <= report.rho
         assert np.array_equal(sol.u_p_spectrum, sp.forward_transform(mat.grid, sol.u_p))
@@ -131,6 +131,12 @@ class TestPicard:
         assert err.value.iterations == 1
         assert err.value.last_delta > 0
 
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, certified, tol):
+        mat, report = certified
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            picard_solve(mat, report, tol=tol)
+
     def test_uncertified_requires_best_effort(self):
         mat = materialize(small_problem(kernel="5.0*exp(-x1^2-x2^2)"))
         report = constants_report(mat)
@@ -144,7 +150,7 @@ class TestPicard:
         report = constants_report(mat)
         assert not report.certificate.passed
         sol, _ = picard_solve(mat, report, best_effort=True)
-        assert not sol.certified
+        assert not report.certificate.passed
         assert sol.residual <= solver.default_tolerance(mat.u0_norm)
 
     def test_best_effort_divergence_is_reported(self):
@@ -179,7 +185,7 @@ class TestPicard:
         # of the very first iterate
         mat, report = certified
         fake_cert = dataclasses.replace(report.certificate, rho=1e-9)
-        fake = dataclasses.replace(report, rho=1e-9, certificate=fake_cert)
+        fake = dataclasses.replace(report, certificate=fake_cert)
         with pytest.raises(BallEscapeError):
             picard_solve(mat, fake)
 
