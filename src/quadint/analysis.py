@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exprdsl, sampling, spectral
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericOverflowError
 from .exprdsl import NonlinearitySpec
 from .model import MaterializedProblem, ProblemSpec
 from .spectral import Grid
@@ -150,7 +150,13 @@ def compute_Q(operator_norms, kernel_w21_norms) -> float:
     kts = np.asarray(kernel_w21_norms, dtype=float)
     if ops.shape != kts.shape:
         raise ConfigurationError("operator and kernel norm lists differ in length")
-    Q = float(np.sqrt(np.sum(ops ** 2 * kts ** 2)))
+    with np.errstate(over="ignore"):
+        Q = float(np.sqrt(np.sum(ops ** 2 * kts ** 2)))
+    if Q == np.inf:
+        raise NumericOverflowError(
+            f"the squares in the cumulative weight Q overflow a double (largest "
+            f"kernel W21~ norm {float(np.max(kts)):.3g}, largest operator norm "
+            f"{float(np.max(ops)):.3g})")
     if not 0.0 < Q < np.inf:
         raise ConfigurationError(f"cumulative weight Q must be positive and finite, got {Q}")
     return Q

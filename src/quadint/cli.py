@@ -223,20 +223,24 @@ def cmd_solve(args) -> int:
 
     if args.trace:
         trace.write_csv(args.trace)
-    # the spectra of u_p and u0 are known, so the norms need no transform
-    u_spectrum = mat.u0_spectrum + solution.u_p_spectrum
-    u = solver.assemble_solution(mat.u0, solution.u_p)
+    # the spectra are known, so the norms need no transform; u = u0 + u_p
+    # and u^ are formed in the solution's buffers, which the residual spends
+    sigma = report.sigma
+    u, u_spectrum = solution.u_p, solution.u_p_spectrum
     doc["certified"] = certified
     doc["solve"] = {
         "converged": True,
         "iterations": solution.iterations,
         "residual": float(solution.residual),
-        "solution_norm": spectral.h2_norm(mat.grid, u_spectrum),
-        "perturbation_norm": spectral.h2_norm(mat.grid, solution.u_p_spectrum),
+        "error_bound": (solver.a_posteriori_bound(sigma, 1, solution.residual)
+                        if certified and sigma < 1.0 else None),
+        "perturbation_norm": spectral.h2_norm(mat.grid, u_spectrum),
         "best_effort": bool(args.best_effort and not certified),
     }
-    del solution  # free u_p and its spectrum before the residual's fields
-    # u and u^ serve nothing after the residual, which forms v and v^ in them
+    del solution
+    u += mat.u0
+    u_spectrum += mat.u0_spectrum
+    doc["solve"]["solution_norm"] = spectral.h2_norm(mat.grid, u_spectrum)
     doc["solve"]["residual_original_system"] = solver.residual_original_system(
         mat, u, u_spectrum, overwrite_input=True)
     _emit(doc, args.out)

@@ -25,7 +25,7 @@ TAIL_MASS_WARN = 1e-8
 # Estimated peak working set of check and solve on a large grid: this many
 # stacked fields of N * n^d doubles plus this many fields of n^d doubles; an
 # estimate for the grid-size refusal, not a bound (README, "Memory").
-PEAK_STACKED_FIELDS = 9
+PEAK_STACKED_FIELDS = 7
 PEAK_COMPONENT_FIELDS = 2
 
 
@@ -199,6 +199,11 @@ class ProblemSpec:
                 "kernels, operators, u0, and g must all have the same component count")
         if self.rho is not None and not (0.0 < self.rho <= 1.0):
             raise ConfigurationError(f"ball radius must lie in (0, 1], got {self.rho}")
+        for name, value in (("c_e", self.c_e_override), ("c_a", self.c_a_override)):
+            # a constant of zero or below would pass the contraction condition
+            if value is not None and not 0.0 < value < np.inf:
+                raise ConfigurationError(
+                    f"constant override {name} must be finite and positive, got {value}")
 
     @property
     def n(self) -> int:
@@ -209,12 +214,12 @@ class ProblemSpec:
 class MaterializedProblem:
     """A problem with every field sampled and every operator norm computed.
     Fields are stacked over the components, spectra in rfftn layout (see
-    spectral)."""
+    spectral).  The multipliers are not held: the map evaluates each one
+    from its operator (multiplier_values) when it applies it."""
 
     spec: ProblemSpec
     kernels: tuple[MaterializedKernel, ...]
     kernel_spectra: np.ndarray   # (N, *spectral_shape), spectral.kernel_spectrum of each kernel
-    multipliers: np.ndarray      # (N, *spectral_shape)
     operator_norms: tuple[float, ...]
     u0: np.ndarray               # (N, *shape)
     u0_spectrum: np.ndarray      # (N, *spectral_shape)
@@ -274,19 +279,18 @@ def check_working_set(grid: Grid, components: int) -> None:
 
 def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProblem:
     """Sample all fields and precompute operator data: the kernel spectra,
-    the multipliers and the spectrum of u0, each computed once here.  Of
-    the sampled fields only u0 is kept: the kernels are sampled and
+    the operator norms and the spectrum of u0, each computed once here.
+    Of the sampled fields only u0 is kept: the kernels are sampled and
     measured one at a time and written, shifted, into one stacked buffer,
     of which only the transform is kept.  A grid too large for the
-    machine is refused first.  u0, its spectrum and the multipliers are
-    made before the kernels are sampled, which keeps the process's peak
-    RSS lower with glibc (README, "Memory")."""
+    machine is refused first.  u0 and its spectrum are made before the
+    kernels are sampled, which keeps the process's peak RSS lower with
+    glibc (README, "Memory")."""
     grid = problem.grid
     check_working_set(grid, problem.n)
     u0 = materialize_u0(problem, strict=strict)
     u0_spectrum = spectral.forward_transform(grid, u0)
-    mults = np.stack([multiplier_values(op, grid) for op in problem.operators])
-    norms = tuple(operator_norm(m) for m in mults)
+    norms = tuple(operator_norm(multiplier_values(op, grid)) for op in problem.operators)
     if strict and 0.0 in norms:
         raise AssumptionViolation("operator multiplier vanishes identically")
     kernels = []
@@ -303,7 +307,6 @@ def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProble
         spec=problem,
         kernels=tuple(kernels),
         kernel_spectra=kernel_spectra,
-        multipliers=mults,
         operator_norms=norms,
         u0=u0,
         u0_spectrum=u0_spectrum,

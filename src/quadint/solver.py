@@ -14,9 +14,11 @@ solves the original system.
 Fields are stacked real arrays of shape (N, n, ..., n) and spectra are in
 rfftn layout (see spectral).  One Picard step costs four real transforms,
 each batched over the N components: forward of g(u0 + v), inverse of the
-kernel product, inverse of T(u0 + v) from the known spectra of u0 and v,
-and forward of the new iterate, whose spectrum gives both norms and serves
-the next step.
+kernel product, inverse of T(u0 + v) from the known spectra of u0 and v
+(its last, real pass one component at a time), and forward of the new
+iterate, whose spectrum gives both norms and serves the next step.  The
+step spends v: u0 + v, g(u0 + v), the convolution and the new iterate
+are formed in its buffer, in turn.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .analysis import ConstantsReport, c1_distance, check_contraction_condition,
     continuity_bound, estimate_M
 from .errors import BallEscapeError, ConfigurationError, NonConvergenceError
 from .exprdsl import NonlinearitySpec
-from .model import MaterializedProblem
+from .model import MaterializedProblem, multiplier_values
 
 BALL_SLACK = 1e-9
 
@@ -42,31 +44,38 @@ def default_tolerance(u0_norm: float) -> float:
 
 def apply_map_tg(mat: MaterializedProblem, v: np.ndarray,
                  v_spectrum: np.ndarray | None = None, *,
-                 overwrite_spectrum: bool = False) -> np.ndarray:
+                 overwrite_input: bool = False) -> np.ndarray:
     """One application of the auxiliary map at v, stacked over the
-    components.  `v_spectrum`, when known, saves the transform of v.  It
-    is left unchanged unless `overwrite_spectrum`, with which the map
-    builds u0^ + v^ in it instead of in a buffer of its own; a caller with
-    no further use for v^ saves a spectrum at the map's peak.  Each
-    full-grid temporary is freed before the next transform."""
-    grid = mat.grid
-    if v.shape != (mat.n,) + grid.shape:
+    components.  `v_spectrum`, when known, saves the transform of v; it is
+    left unchanged.  So is v, unless `overwrite_input`, with which the map
+    forms u0 + v, then g(u0 + v), then its result in v's own buffer and
+    returns that buffer: a caller with no further use for v saves a
+    stacked field at the map's peak.  The result is the same either way."""
+    if v.shape != (mat.n,) + mat.grid.shape:
         raise ConfigurationError("input field does not match the problem grid/components")
     if v_spectrum is None:
-        v_spectrum, overwrite_spectrum = spectral.forward_transform(grid, v), True
-    integrand = mat.u0 + v
-    values = mat.g.evaluate_components(list(integrand))
+        v_spectrum = spectral.forward_transform(mat.grid, v)
+    return _map_at(mat, np.add(mat.u0, v, out=v if overwrite_input else None), v_spectrum)
+
+
+def _map_at(mat: MaterializedProblem, u: np.ndarray, v_spectrum: np.ndarray) -> np.ndarray:
+    """t_g(v) from u = u0 + v and the spectrum of v.  u is spent: the map
+    writes g(u), then the convolution, then the result into it, and
+    returns it; v_spectrum is left unchanged.  Beside u the map holds one
+    spectrum and one component of the prefactor field."""
+    grid = mat.grid
+    values = mat.g.evaluate_components(list(u))
     for m in range(mat.n):
-        integrand[m] = values[m]  # g(u0 + v) replaces u0 + v; no value is a view of it
+        u[m] = values[m]  # g(u) replaces u; no value is a view of it
     del values
-    spectrum = spectral.forward_transform(grid, integrand)
-    del integrand  # free it before the inverse transform
-    w = spectral.apply_multiplier(grid, mat.kernel_spectra, spectrum)
-    # the inverse has spent `spectrum`; u0^ + v^ goes into a spent buffer
-    prefactor = v_spectrum if overwrite_spectrum else spectrum
-    np.add(mat.u0_spectrum, v_spectrum, out=prefactor)
-    del spectrum
-    w *= spectral.apply_multiplier(grid, mat.multipliers, prefactor)
+    spectrum = spectral.forward_transform(grid, u)
+    spectrum *= mat.kernel_spectra
+    w = spectral.inverse_transform(grid, spectrum, out=u)
+    # the inverse has spent `spectrum`; the prefactor spectrum goes into it
+    np.add(mat.u0_spectrum, v_spectrum, out=spectrum)
+    for m, op in enumerate(mat.spec.operators):
+        spectrum[m] *= multiplier_values(op, grid)
+    spectral.multiply_by_inverse(grid, w, spectrum)
     return w
 
 
@@ -116,6 +125,9 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class Solution:
+    """The newest iterate w = t_g(v) as the perturbation, with its spectrum,
+    and residual = |w - v|, the step difference delta_k of the last step."""
+
     u_p: np.ndarray
     u_p_spectrum: np.ndarray
     residual: float
@@ -129,9 +141,11 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
     """Iterate the auxiliary map to its fixed point.
 
     Starts from the center of the ball (or `start`, which must lie inside it
-    on certified runs).  Convergence is judged on the residual
-    |v - t_g(v)|_H2, which the fixed-point statement controls directly; the
-    returned iterate carries exactly that residual.
+    on certified runs, and which is left unchanged).  Step k maps v to
+    w = t_g(v) and converges when delta_k = |w - v|_H2 <= tol; it returns
+    w, the newest iterate, which on a certified problem lies within
+    sigma / (1 - sigma) * delta_k of the fixed point.  Each step spends v:
+    w is formed in its buffer.
 
     Uncertified problems are refused unless best_effort is set, in which
     case divergence is a reportable outcome rather than an internal error.
@@ -152,7 +166,7 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
         v = np.zeros((mat.n,) + grid.shape)
         v_spectrum = np.zeros((mat.n,) + grid.spectral_shape, dtype=complex)
     else:
-        v = start
+        v = np.array(start, dtype=float)  # the steps spend v; start is the caller's
         v_spectrum = spectral.forward_transform(grid, v)
         if certified and spectral.h2_norm(grid, v_spectrum) > rho * (1.0 + BALL_SLACK):
             raise ConfigurationError("starting point lies outside the certified ball")
@@ -164,7 +178,7 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
     for k in range(1, max_iter + 1):
         # overflow shows up as a non-finite norm, checked below
         with np.errstate(over="ignore", invalid="ignore"):
-            w = apply_map_tg(mat, v, v_spectrum)
+            w = apply_map_tg(mat, v, v_spectrum, overwrite_input=True)
             w_spectrum = spectral.forward_transform(grid, w)
             delta = spectral.h2_norm(grid, w_spectrum, v_spectrum)
             norm_w = spectral.h2_norm(grid, w_spectrum)
@@ -172,12 +186,12 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
         if not np.isfinite(norm_w) and not np.all(np.isfinite(w)):
             raise ConfigurationError("field contains non-finite samples")
         trace.record(k, norm_w, delta)
-        if delta <= tol:
-            return Solution(u_p=v, u_p_spectrum=v_spectrum, residual=delta,
-                            iterations=k), trace
         if certified and norm_w > rho * (1.0 + BALL_SLACK):
             raise BallEscapeError(
                 f"iterate {k} left the certified ball: |w| = {norm_w} > rho = {rho}")
+        if delta <= tol:
+            return Solution(u_p=w, u_p_spectrum=w_spectrum, residual=delta,
+                            iterations=k), trace
         if not certified and norm_w > escape_limit:
             raise NonConvergenceError(
                 f"iteration diverged at step {k} (|w| = {norm_w:.3e})",
@@ -201,21 +215,24 @@ def residual_original_system(mat: MaterializedProblem, u: np.ndarray,
     """Residual of the original system at u,
     |u_m - u0_m - [T_m u_m] . (K_m (*) g_m(u))| in the vector Sobolev norm.
     With v = u - u0 this is |v - t_g(v)|, so it goes through the same map
-    as the iteration; the independent check of that map is oracle.py.
-    `u_spectrum`, when known, saves the transform of u.  u and u_spectrum
-    are left unchanged unless `overwrite_input`, with which v and v^ are
-    formed in them instead of in buffers of their own; a caller with no
-    further use for u and u^ saves a field and a spectrum at the map's
-    peak.  The result is the same float either way."""
-    if u.shape != (mat.n,) + mat.grid.shape:
+    as the iteration, taken at u itself, and is measured as |v^ - F[t_g(v)]|;
+    the independent check of that map is oracle.py.  `u_spectrum`, when
+    known, saves the transform of u.  u and u_spectrum are left unchanged
+    unless `overwrite_input`, with which the map spends u and v^ is formed
+    in u_spectrum; a caller with no further use for u and u^ saves a field
+    and a spectrum at the map's peak.  The result is the same float either
+    way."""
+    grid = mat.grid
+    if u.shape != (mat.n,) + grid.shape:
         raise ConfigurationError("field does not match the problem grid/components")
-    v = np.subtract(u, mat.u0, out=u if overwrite_input else None)
-    v_spectrum = None if u_spectrum is None else np.subtract(
-        u_spectrum, mat.u0_spectrum, out=u_spectrum if overwrite_input else None)
-    w = apply_map_tg(mat, v, v_spectrum, overwrite_spectrum=True)
-    r = np.subtract(v, w, out=w)
-    del v, v_spectrum  # free them before the transform of r
-    return spectral.h2_norm(mat.grid, spectral.forward_transform(mat.grid, r))
+    if u_spectrum is None:
+        v_spectrum = spectral.forward_transform(grid, u)
+        v_spectrum -= mat.u0_spectrum
+    else:
+        v_spectrum = np.subtract(u_spectrum, mat.u0_spectrum,
+                                 out=u_spectrum if overwrite_input else None)
+    w = _map_at(mat, u if overwrite_input else u.copy(), v_spectrum)
+    return spectral.h2_norm(grid, spectral.forward_transform(grid, w), v_spectrum)
 
 
 @dataclass(frozen=True)

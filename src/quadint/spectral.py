@@ -13,10 +13,11 @@ The columns 1..n/2-1 of the last axis also stand for their mirror images
 its axes explicitly, so leading axes batch over components.
 
 Every axis pass of a transform writes into one complex array.
-:func:`inverse_transform` and :func:`apply_multiplier` overwrite the
-spectrum they are given, so callers pass them a scratch spectrum, never a
-cached one.  Every other helper leaves its arguments unchanged;
-:func:`convolve` and :func:`laplacian` overwrite only spectra they made.
+:func:`inverse_transform`, :func:`multiply_by_inverse` and
+:func:`apply_multiplier` overwrite the spectrum they are given, so callers
+pass them a scratch spectrum, never a cached one.  Every other helper
+leaves its arguments unchanged; :func:`convolve` and :func:`laplacian`
+overwrite only spectra they made.
 
 With this convention the discrete norms approximate their continuous
 counterparts: the L2 norm carries the cell volume h^d, and the H2 norm sums
@@ -41,7 +42,8 @@ class Grid:
     """Uniform periodic grid on [-L, L)^d.
 
     d must be 2 or 3, n even and at least 4, L positive and finite, with a
-    cell volume h^d and a box volume (2L)^d that are positive finite doubles.
+    cell volume h^d, a box volume (2L)^d and a largest Sobolev weight
+    1 + |xi|^4 that are positive finite doubles.
     """
 
     d: int
@@ -56,13 +58,15 @@ class Grid:
         if not 0.0 < self.L < np.inf:
             raise ConfigurationError(f"box half-width must be positive and finite, got {self.L}")
         try:
-            volumes = (self.cell_volume, self.volume)
+            # |xi|^2 peaks at d (pi (n/2) / L)^2, where every axis is at k = n/2
+            xi_max_squared = self.d * (np.pi * (self.n / 2) / self.L) ** 2
+            limits = (self.cell_volume, self.volume, 1.0 + xi_max_squared ** 2)
         except OverflowError:  # float ** int raises where it would overflow
-            volumes = (np.inf,)
-        if not all(0.0 < v < np.inf for v in volumes):
+            limits = (np.inf,)
+        if not all(0.0 < v < np.inf for v in limits):
             raise ConfigurationError(
-                f"box half-width {self.L} gives a cell volume h^d or a box volume "
-                f"(2L)^d that a double cannot hold")
+                f"box half-width {self.L} gives a cell volume h^d, a box volume "
+                f"(2L)^d or a Sobolev weight 1 + |xi|^4 that a double cannot hold")
 
     @property
     def h(self) -> float:
@@ -153,13 +157,25 @@ def forward_transform(grid: Grid, f: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(f, axes=grid.axes, out=out)
 
 
-def inverse_transform(grid: Grid, F: np.ndarray) -> np.ndarray:
+def inverse_transform(grid: Grid, F: np.ndarray, out: np.ndarray | None = None
+                      ) -> np.ndarray:
     """Inverse of :func:`forward_transform`; overwrites F.  The complex
     passes run in place on F, then the real pass over the last axis makes
-    the field.  ifftn runs its axes last to first, so the reversed leading
-    axes give irfftn's pass order and bit-identical output."""
+    the field, in `out` when given.  ifftn runs its axes last to first, so
+    the reversed leading axes give irfftn's pass order and bit-identical
+    output."""
     np.fft.ifftn(F, axes=grid.axes[-2::-1], out=F)
-    return np.fft.irfft(F, n=grid.n, axis=-1)
+    return np.fft.irfft(F, n=grid.n, axis=-1, out=out)
+
+
+def multiply_by_inverse(grid: Grid, f: np.ndarray, F: np.ndarray) -> None:
+    """f *= inverse_transform(grid, F) for stacked f and F of matching
+    leading axes; overwrites F.  The complex passes run batched, the real
+    pass one field at a time, so the inverse never exists as a whole
+    stack; the product is bit-identical to the batched one."""
+    np.fft.ifftn(F, axes=grid.axes[-2::-1], out=F)
+    for i in np.ndindex(F.shape[:F.ndim - grid.d]):
+        f[i] *= np.fft.irfft(F[i], n=grid.n, axis=-1)
 
 
 def kernel_spectrum(grid: Grid, K: np.ndarray) -> np.ndarray:

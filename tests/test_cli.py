@@ -115,6 +115,28 @@ class TestCheck:
         assert doc["constants"]["constants_overridden"] is True
         assert any("non-certified" in w for w in doc["constants"]["warnings"])
 
+    @pytest.mark.parametrize("constants", [
+        {"c_a": -1}, {"c_e": -0.5}, {"c_a": 0}, {"c_e": "nan"}, {"c_a": "inf"}])
+    def test_constant_override_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                           constants):
+        # a negative c_a or c_e made sigma negative, and the condition passed
+        path = write_problem(tmp_path, dict(CERTIFIED, constants=constants))
+        (name, value), = constants.items()
+        for command in ("check", "solve"):
+            code = main([command, path])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == (f"error: constant override {name} must be finite "
+                                    f"and positive, got {float(value)}\n")
+
+    def test_negative_constant_override_in_a_process(self, tmp_path):
+        path = write_problem(tmp_path, dict(CERTIFIED, constants={"c_a": -1}))
+        proc = run_python("-m", "quadint.cli", "check", path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: constant override c_a must be finite and positive, got -1.0\n"
+
     def test_uncertified_problem_exits_one(self, tmp_path, capsys):
         doc_in = dict(CERTIFIED, kernels=[{"type": "gaussian", "alpha": 1.0}])
         code, doc = run(capsys, "check", write_problem(tmp_path, doc_in))
@@ -165,6 +187,30 @@ class TestCheck:
         ]
         assert radii == [r_state, r_state]
 
+    @pytest.mark.parametrize("L", [1e100, 1e150, 1e-100, 1e-150])
+    def test_box_with_nonfinite_weights_is_input_error(self, tmp_path, capsys, L):
+        # h^d and (2L)^d fit a double, but the Sobolev weight (small L) or
+        # the squared kernel norms in Q (large L) do not
+        path = write_problem(tmp_path, dict(CERTIFIED, grid={"d": 2, "n": 16, "L": L}))
+        for command in ("check", "solve"):
+            code = main([command, path])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+
+    def test_box_with_nonfinite_weights_in_a_process(self, tmp_path):
+        for L in (1e100, 1e-100):
+            path = write_problem(tmp_path, dict(CERTIFIED, grid={"d": 2, "n": 16, "L": L}))
+            proc = run_python("-m", "quadint.cli", "solve", path)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1
+            assert "Warning" not in proc.stderr
+            assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("L", [1e300, 1e-300, float("inf")])
     def test_box_beyond_a_double_is_input_error(self, tmp_path, capsys, L):
         # h^d or (2L)^d overflows or underflows; json writes inf as Infinity
@@ -206,17 +252,48 @@ class TestSolve:
     def test_solve_runs_only_batched_real_transforms(self, tmp_path, capsys, fft_calls):
         # kernels and u0 at load, four per step, four for the residual; the
         # report's norms reuse known spectra, and nothing is a complex fftn.
-        # Each inverse is two calls: ifftn in place over the leading grid
-        # axes, then irfft over the last
+        # Each inverse is an ifftn in place over the leading grid axes, then
+        # irfft over the last, which the prefactor T(u0 + v) runs once per
+        # component
         code, doc = run(capsys, "solve", str(PROBLEMS / "two_component.json"))
         assert code == 0
         k = doc["solve"]["iterations"]
         names = [name for name, _, _ in fft_calls]
         assert set(names) == {"rfftn", "ifftn", "irfft"}
-        assert names.count("rfftn") + names.count("irfft") == 2 + 4 * k + 4
-        assert names.count("ifftn") == names.count("irfft") == 2 * k + 2
-        assert {shape for _, shape, _ in fft_calls} == {(2, 32, 32), (2, 32, 17)}
+        assert names.count("rfftn") + names.count("ifftn") == 2 + 4 * k + 4
+        assert names.count("ifftn") == 2 * k + 2
+        assert names.count("irfft") == (1 + 2) * (k + 1)
+        assert {shape for _, shape, _ in fft_calls} == {(2, 32, 32), (2, 32, 17), (32, 17)}
+        assert {shape for name, shape, _ in fft_calls if name != "irfft"} == \
+            {(2, 32, 32), (2, 32, 17)}
         assert {axes for name, _, axes in fft_calls if name == "ifftn"} == {(-2,)}
+
+    @pytest.mark.parametrize("name", ["gaussian_certified.json", "two_component.json"])
+    def test_error_bound_covers_the_distance_to_the_fixed_point(self, capsys, name):
+        # criterion 05 for the returned iterate w: the a-posteriori Banach
+        # bound sigma/(1-sigma) delta_k holds against a reference solved to
+        # a far tighter tolerance, with the reference's own bound added
+        from quadint import analysis, model, solver, spectral
+        path = str(PROBLEMS / name)
+        code, doc = run(capsys, "solve", path)
+        assert code == 0
+        sigma, bound = doc["constants"]["sigma"], doc["solve"]["error_bound"]
+        assert bound == sigma / (1.0 - sigma) * doc["solve"]["residual"]
+        mat = model.materialize(cli.load_problem(path)[0])
+        report = analysis.constants_report(mat)
+        sol, _ = solver.picard_solve(mat, report)
+        assert sol.residual == doc["solve"]["residual"]
+        reference, _ = solver.picard_solve(mat, report, tol=1e-16, max_iter=60)
+        distance = spectral.h2_norm(mat.grid, sol.u_p_spectrum, reference.u_p_spectrum)
+        assert distance + sigma / (1.0 - sigma) * reference.residual <= bound
+
+    def test_no_error_bound_without_a_certificate(self, capsys):
+        code, doc = run(capsys, "solve", str(PROBLEMS / "gaussian_uncertified.json"),
+                        "--best-effort")
+        assert code == 0
+        assert doc["constants"]["sigma"] >= 1.0
+        assert doc["solve"]["converged"] is True
+        assert doc["solve"]["error_bound"] is None
 
     def test_uncertified_refused_without_flag(self, tmp_path, capsys):
         doc_in = dict(CERTIFIED, kernels=[{"type": "gaussian", "alpha": 1.0}])
@@ -337,7 +414,7 @@ class TestOracle:
         def recording(*args, **kwargs):
             mat = original(*args, **kwargs)
             made.append((mat, {name: getattr(mat, name).copy() for name in
-                               ("kernel_spectra", "u0_spectrum", "multipliers")}))
+                               ("kernel_spectra", "u0_spectrum")}))
             return mat
 
         monkeypatch.setattr(model, "materialize", recording)
@@ -417,8 +494,8 @@ class TestWorkingSet:
     def test_solve_peak_grows_by_the_stated_field_count(self, tmp_path, capsys,
                                                         components):
         # README "Memory": from n = 16 to n = 32 the peak of a solve grows by
-        # 10.4 fields of n^d doubles at N = 1 and by 19.0 at N = 2, under
-        # the working_set_bytes the refusal counts (11 and 20).  The growth
+        # 8.8 fields of n^d doubles at N = 1 and by 15.1 at N = 2, under
+        # the working_set_bytes the refusal counts (9 and 16).  The growth
         # leaves out the fixed part of the peak; one more retained or
         # duplicated stacked field goes over it
         from quadint.model import working_set_bytes

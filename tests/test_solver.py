@@ -10,7 +10,8 @@ from quadint.errors import (BallEscapeError, ConfigurationError,
                             NonConvergenceError)
 from quadint.exprdsl import NonlinearitySpec, parse
 from quadint.model import (ExpressionKernel, InverseHelmholtz, ProblemSpec,
-                           TabulatedKernel, materialize, sample_kernel)
+                           TabulatedKernel, materialize, multiplier_values,
+                           sample_kernel)
 from quadint.oracle import direct_convolution
 from quadint.solver import (IterationTrace, a_posteriori_bound, apply_map_tg,
                             assemble_solution, continuity_experiment,
@@ -86,12 +87,17 @@ class TestApplyMap:
         v_spectrum = sp.forward_transform(grid, v)
         integrand = np.stack(g(mat.u0 + v))
         reference = sp.convolve(grid, mat.kernel_spectra, integrand)
-        reference *= sp.apply_multiplier(grid, mat.multipliers, mat.u0_spectrum + v_spectrum)
+        multipliers = np.stack([multiplier_values(op, grid) for op in mat.spec.operators])
+        reference *= sp.apply_multiplier(grid, multipliers, mat.u0_spectrum + v_spectrum)
         assert np.array_equal(apply_map_tg(mat, v), reference)
         assert np.array_equal(apply_map_tg(mat, v, v_spectrum), reference)
-        spent = v_spectrum.copy()
-        assert np.array_equal(apply_map_tg(mat, v, spent, overwrite_spectrum=True), reference)
-        assert not np.array_equal(spent, v_spectrum)  # it now holds T(u0 + v)'s spectrum, spent
+        # the spending map forms u0 + v, g(u0 + v) and its result in v's
+        # buffer and leaves v^ as it is
+        spent, kept = v.copy(), v_spectrum.copy()
+        w = apply_map_tg(mat, spent, v_spectrum, overwrite_input=True)
+        assert w is spent
+        assert np.array_equal(w, reference)
+        assert np.array_equal(v_spectrum, kept)
         u = mat.u0 + v
         expected = sp.h2_norm(grid, sp.forward_transform(grid, (u - mat.u0) - reference))
         assert residual_original_system(mat, u) == pytest.approx(expected, rel=1e-12)
@@ -164,7 +170,7 @@ class TestPicard:
         # iteration checks for non-finite samples itself
         mat, report = certified
 
-        def poisoned(mat, v, v_spectrum=None):
+        def poisoned(mat, v, v_spectrum=None, *, overwrite_input=False):
             return np.full_like(v, np.nan)
 
         monkeypatch.setattr(solver, "apply_map_tg", poisoned)
@@ -172,6 +178,39 @@ class TestPicard:
             picard_solve(mat, report)
         with pytest.raises(ConfigurationError, match="non-finite"):
             picard_solve(mat, report, best_effort=True, max_iter=1)
+
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_returns_the_newest_iterate(self, two_component, with_start):
+        # the solution is w = t_g(v) of the last step, bit for bit, and its
+        # residual is |w - v|; a start array is the caller's and stays as it is
+        mat, report = two_component
+        start = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho,
+                                               np.random.default_rng(6))
+        before = start.copy()
+        sol, trace = picard_solve(mat, report, tol=1e-10,
+                                  start=start if with_start else None)
+        assert np.array_equal(start, before)
+        previous = before if with_start else zero(mat)
+        for _ in range(sol.iterations - 1):
+            previous = apply_map_tg(mat, previous)
+        assert np.array_equal(sol.u_p, apply_map_tg(mat, previous))
+        assert np.array_equal(sol.u_p_spectrum, sp.forward_transform(mat.grid, sol.u_p))
+        assert sol.residual == trace.deltas[-1] == sp.h2_norm(
+            mat.grid, sol.u_p_spectrum, sp.forward_transform(mat.grid, previous))
+
+    def test_each_step_spends_its_iterate(self, two_component, monkeypatch):
+        # w is formed in v's buffer, so no step holds v and w side by side
+        mat, report = two_component
+        real, spent = solver.apply_map_tg, []
+
+        def recording(mat, v, *args, **kwargs):
+            w = real(mat, v, *args, **kwargs)
+            spent.append(w is v)
+            return w
+
+        monkeypatch.setattr(solver, "apply_map_tg", recording)
+        sol, _ = picard_solve(mat, report, tol=1e-10)
+        assert spent == [True] * sol.iterations
 
     def test_start_outside_ball_rejected(self, certified):
         mat, report = certified
@@ -207,13 +246,19 @@ class TestTransformBudget:
         sol, _ = picard_solve(mat, report, tol=1e-10)
         assert sol.iterations >= 2
         # from the centre: forward g(u0 + v), inverse K^ g^, inverse T(u0 + v),
-        # forward of the new iterate; each call carries both components, and
-        # each inverse is an in-place ifftn over the leading grid axes
-        # followed by the real pass over the last axis
-        assert len(fft_calls) == 6 * sol.iterations
-        assert [name for name, _, _ in fft_calls[:6]] == \
-            ["rfftn", "ifftn", "irfft", "ifftn", "irfft", "rfftn"]
-        assert all(shape[0] == mat.n for _, shape, _ in fft_calls)
+        # forward of the new iterate.  Each inverse is an in-place ifftn over
+        # the leading grid axes followed by the real pass over the last axis;
+        # every call carries both components, except the real pass of
+        # T(u0 + v), which runs one component at a time
+        per_step = 5 + mat.n
+        assert len(fft_calls) == per_step * sol.iterations
+        assert [name for name, _, _ in fft_calls[:per_step]] == \
+            ["rfftn", "ifftn", "irfft", "ifftn"] + ["irfft"] * mat.n + ["rfftn"]
+        transforms = [call for call in fft_calls if call[0] != "irfft"]
+        assert len(transforms) == 4 * sol.iterations
+        assert all(shape[0] == mat.n for _, shape, _ in transforms)
+        assert {shape for name, shape, _ in fft_calls if name == "irfft"} == \
+            {(mat.n,) + mat.grid.spectral_shape, mat.grid.spectral_shape}
         assert {axes for name, _, axes in fft_calls if name == "ifftn"} == {(-2,)}
         assert {axes for name, _, axes in fft_calls if name == "irfft"} == {(-1,)}
 
@@ -223,14 +268,15 @@ class TestTransformBudget:
         u_spectrum = mat.u0_spectrum + sol.u_p_spectrum
         del fft_calls[:]
         known = residual_original_system(mat, assemble_solution(mat.u0, sol.u_p), u_spectrum)
+        # the real pass of the prefactor runs once per component
         assert sorted(name for name, _, _ in fft_calls) == \
-            ["ifftn", "ifftn", "irfft", "irfft", "rfftn", "rfftn"]
+            ["ifftn", "ifftn"] + ["irfft"] * (1 + mat.n) + ["rfftn", "rfftn"]
         assert all(-1 not in axes for name, _, axes in fft_calls if name == "ifftn")
         # without the spectrum, u costs one more transform and the residual
         # is the same up to rounding of fields of size |u0|
         assert residual_original_system(mat, assemble_solution(mat.u0, sol.u_p)) == pytest.approx(
             known, rel=0, abs=1e-13 * mat.u0_norm)
-        assert len(fft_calls) == 6 + 7
+        assert len(fft_calls) == 2 * (5 + mat.n) + 1
 
 
 class TestCachedSpectraUnchanged:
@@ -240,15 +286,21 @@ class TestCachedSpectraUnchanged:
     def test_solver_paths_leave_cached_spectra_intact(self, two_component):
         mat, report = two_component
         cached = {name: getattr(mat, name).copy()
-                  for name in ("kernel_spectra", "u0_spectrum", "multipliers")}
+                  for name in ("kernel_spectra", "u0_spectrum", "u0")}
         sol, _ = picard_solve(mat, report, tol=1e-10)
         u_p_spectrum = sol.u_p_spectrum.copy()
+        start = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho,
+                                               np.random.default_rng(4))
+        picard_solve(mat, report, tol=1e-10, start=start)
         residual_original_system(mat, assemble_solution(mat.u0, sol.u_p), mat.u0_spectrum + sol.u_p_spectrum)
         residual_original_system(mat, assemble_solution(mat.u0, sol.u_p))
         residual_original_system(mat, assemble_solution(mat.u0, sol.u_p),
                                  mat.u0_spectrum + sol.u_p_spectrum, overwrite_input=True)
         residual_original_system(mat, assemble_solution(mat.u0, sol.u_p), overwrite_input=True)
+        residual_original_system(mat, mat.u0)
         apply_map_tg(mat, sol.u_p, sol.u_p_spectrum)
+        apply_map_tg(mat, sol.u_p.copy(), sol.u_p_spectrum, overwrite_input=True)
+        apply_map_tg(mat, sol.u_p.copy(), overwrite_input=True)
         continuity_experiment(mat, report, mat.g.scaled(1.001), tol=1e-10)
         for name, before in cached.items():
             assert np.array_equal(getattr(mat, name), before), name
@@ -304,8 +356,10 @@ class TestAssembleAndResidual:
         args = inputs()
         spent = residual_original_system(mat, *args, overwrite_input=True)
         assert spent == kept
-        # v = u - u0 is formed in the caller's u; its spectrum is spent by the map
-        assert np.array_equal(args[0], assemble_solution(mat.u0, sol.u_p) - mat.u0)
+        # the map spends u; v^ = u^ - u0^ is formed in the caller's u^
+        assert not np.array_equal(args[0], assemble_solution(mat.u0, sol.u_p))
+        if with_spectrum:
+            assert np.array_equal(args[1], (mat.u0_spectrum + sol.u_p_spectrum) - mat.u0_spectrum)
 
     def test_residual_consistent_with_perturbative_route(self, certified):
         mat, report = certified
