@@ -10,7 +10,7 @@ fixed-point map contracts a Sobolev ball, solves by iteration, and checks
 the certified rates and continuity bounds against measurements.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"
 
 from .errors import (AssumptionViolation, BallEscapeError, ConfigurationError,
                      ExpressionDomainError, ExpressionSyntaxError,
@@ -24,8 +24,7 @@ from .model import (ExpressionKernel, GaussianKernel, InverseHelmholtz,
 from .exprdsl import NonlinearitySpec, parse
 from .analysis import ConstantsReport, ContractionCertificate, constants_report
 from .solver import (ContinuityReport, IterationTrace, Solution, apply_map_tg,
-                     assemble_solution, continuity_experiment, picard_solve,
-                     residual_original_system)
+                     continuity_experiment, picard_solve, residual_original_system)
 
 __all__ = [
     "__version__",
@@ -36,7 +35,7 @@ __all__ = [
     "ProblemSpec", "MaterializedProblem", "materialize", "validate_assumptions",
     "ConstantsReport", "ContractionCertificate", "constants_report",
     "Solution", "IterationTrace", "ContinuityReport",
-    "apply_map_tg", "picard_solve", "assemble_solution",
+    "apply_map_tg", "picard_solve",
     "residual_original_system", "continuity_experiment",
     "QuadIntError", "ConfigurationError", "ExpressionSyntaxError",
     "ExpressionDomainError", "AssumptionViolation", "NonConvergenceError",

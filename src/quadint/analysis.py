@@ -122,12 +122,12 @@ def _c1_norm(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
                 total += exprdsl.polynomial_sup_bound(grad_poly, sample.radius)
         return float(total), "rigorous-bound"
 
-    # one interior and one sphere set shared by all N + N^2 sups
-    cols = sample.columns
+    # one interior and one sphere set shared by all N + N^2 sups, each
+    # taken as soon as its expression is evaluated
     total = 0.0
-    for m in range(n):
-        for e in (g.components[m], *g.gradient[m]):
-            total += float(np.max(np.abs(exprdsl.evaluate_arrays(e, cols))))
+    for sup in exprdsl.evaluate_many(g.c1_expressions, sample.columns,
+                                     take=lambda _, v: float(np.max(np.abs(v)))):
+        total += sup
     return float(total * SAMPLED_INFLATION), "sampled-estimate"
 
 
@@ -212,19 +212,12 @@ def check_contraction_condition(c_a: float, M: float, u0_norm: float, Q: float,
 def continuity_bound(c_a: float, Q: float, M: float, u0_norm: float,
                      c1_dist: float) -> float:
     """Theoretical bound on the solution shift caused by replacing the
-    nonlinearity: sigma / (2 M (1 - sigma)) * (|u0| + 1) * |g1 - g2|_C1.
-
-    Cross-checked against the equivalent form c_a Q (|u0|+1)^2 |g1-g2| / (1-sigma).
-    Requires sigma < 1."""
+    nonlinearity: sigma / (2 M (1 - sigma)) * (|u0| + 1) * |g1 - g2|_C1,
+    which equals c_a Q (|u0|+1)^2 |g1-g2| / (1-sigma).  Requires sigma < 1."""
     sigma = compute_sigma(c_a, Q, M, u0_norm)
     if not sigma < 1.0:
         raise ConfigurationError(f"continuity bound needs sigma < 1, got {sigma}")
-    primary = sigma / (2.0 * M * (1.0 - sigma)) * (u0_norm + 1.0) * c1_dist
-    alternate = c_a * Q * (u0_norm + 1.0) ** 2 * c1_dist / (1.0 - sigma)
-    if not np.isclose(primary, alternate, rtol=1e-12, atol=1e-300):
-        raise AssertionError(
-            f"continuity bound identity violated: {primary} vs {alternate}")
-    return float(primary)
+    return float(sigma / (2.0 * M * (1.0 - sigma)) * (u0_norm + 1.0) * c1_dist)
 
 
 # --- full constants report -------------------------------------------------------

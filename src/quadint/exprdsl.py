@@ -12,14 +12,17 @@ functions sin, cos, tanh, exp, sqrt.  Numbers are decimals with an optional
 exponent.  '^' binds tighter than unary minus, which binds tighter than
 '*' and '/'.
 
-Expressions are immutable trees; evaluation is IEEE double arithmetic and
-works elementwise on numpy arrays.  Differentiation is exact and symbolic;
-the only rewriting ever applied is local constant folding.
+Parentheses and function calls nest at most MAX_NESTING deep.
+Expressions are immutable trees; evaluation is IEEE double arithmetic, at a
+point or elementwise on numpy arrays, and computes each distinct subtree of
+the expressions evaluated together once.  Differentiation is exact and
+symbolic; the only rewriting ever applied is local constant folding.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -31,6 +34,10 @@ from .errors import ExpressionDomainError, ExpressionSyntaxError, NumericOverflo
 FUNCTIONS = ("sin", "cos", "tanh", "exp", "sqrt")
 MAX_Z_ARITY = 16
 MAX_X_ARITY = 3
+# deepest nesting of parentheses, function calls included; the Laplacian and
+# the gradient of an expression nested this deep still evaluate within
+# Python's default recursion limit
+MAX_NESTING = 64
 
 
 # --- AST -------------------------------------------------------------------
@@ -139,6 +146,7 @@ class _Parser:
         self.arity = arity
         self.family = family
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -203,20 +211,26 @@ class _Parser:
             node = Num(-node.value) if isinstance(node, Num) else Neg(node)
         return node
 
+    def nested(self, offset: int) -> Expr:
+        """The expression inside the parenthesis opened at `offset`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionSyntaxError(
+                f"parentheses nested deeper than {MAX_NESTING} levels", offset)
+        node = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return node
+
     def atom(self) -> Expr:
         kind, text, offset = self.advance()
         if kind == "num":
             return Num(float(text))
         if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            return self.nested(offset)
         if kind == "ident":
             if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
+                return Call(text, self.nested(self.expect_op("(")[2]))
             m = _VAR_RE.match(text)
             if m is None:
                 raise ExpressionSyntaxError(f"unknown identifier {text!r}", offset)
@@ -237,62 +251,177 @@ def parse(text: str, arity: int, family: str = "z") -> Expr:
 
 
 # --- evaluation ------------------------------------------------------------
+#
+# Value numbering (Aho, Lam, Sethi & Ullman, Compilers, 2nd ed., 6.1.1): the
+# distinct subtrees of the expressions evaluated together are numbered and
+# computed once each, in the order a walk of the trees meets them, by the
+# walk's own IEEE operations, so every result is the walk's bit for bit and
+# the first fault is the walk's.  A value is dropped after its last use; a
+# float64 temporary dropped by a step of its own shape takes the step's
+# result through the ufunc's out= argument.
 
-def _eval(e: Expr, args: Sequence):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > len(args):
-            raise ExpressionDomainError(
-                f"expression uses {e.family}{e.index} but only "
-                f"{len(args)} coordinates were supplied")
-        return args[e.index - 1]
-    if isinstance(e, Neg):
-        return -_eval(e.arg, args)
-    if isinstance(e, Add):
-        return _eval(e.left, args) + _eval(e.right, args)
-    if isinstance(e, Sub):
-        return _eval(e.left, args) - _eval(e.right, args)
-    if isinstance(e, Mul):
-        return _eval(e.left, args) * _eval(e.right, args)
-    if isinstance(e, Div):
-        denom = _eval(e.right, args)
-        if np.any(denom == 0):
-            raise ExpressionDomainError("division by zero")
-        return _eval(e.left, args) / denom
-    if isinstance(e, Pow):
-        return _power(_eval(e.base, args), e.exponent)
-    if isinstance(e, Call):
-        val = _eval(e.arg, args)
-        if e.fn == "sqrt":
-            if np.any(val < 0):
+_FLOAT = np.dtype(float)
+# step kinds; a binary step carries the walk's operator and the ufunc that
+# writes the same values into a buffer
+_BINARY, _NEG, _POW, _CALL, _VAR, _NONZERO = range(6)
+_OPERATORS = {Add: (operator.add, np.add), Sub: (operator.sub, np.subtract),
+              Mul: (operator.mul, np.multiply), Div: (operator.truediv, np.true_divide)}
+
+
+def _number(exprs: Sequence[Expr]):
+    """The value number of each expression, the value of each number (a
+    literal, else None), the steps (kind, number, operand numbers,
+    attribute) in evaluation order, the last step reading each number, and
+    the numbers of arguments and results, which are never written into."""
+    numbers, seen, values, steps, last, kept = {}, {}, [], [], [], set()
+
+    def number(e) -> int:
+        vn = seen.get(id(e))  # a subtree shared as one object is walked once
+        if vn is not None:
+            return vn
+        t = type(e)
+        if t is Num:
+            key = (t, e.value, math.copysign(1.0, e.value))
+        elif t is Var:
+            key = step = (_VAR, (), (e.index, e.family))
+        elif t is Div:  # as in the walk: the denominator, its test, the numerator
+            b = number(e.right)
+            if (_NONZERO, b) not in numbers:
+                numbers[_NONZERO, b] = last[b] = len(steps)
+                steps.append((_NONZERO, None, (b,), None))
+            key = (t, number(e.left), b)
+            step = (_BINARY, key[1:], _OPERATORS[t])
+        elif t in _OPERATORS:
+            key = (t, number(e.left), number(e.right))
+            step = (_BINARY, key[1:], _OPERATORS[t])
+        elif t is Pow:
+            key = step = (_POW, (number(e.base),), e.exponent)
+        elif t is Neg:
+            key = step = (_NEG, (number(e.arg),), None)
+        elif t is Call:
+            key = step = (_CALL, (number(e.arg),), e.fn)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        vn = numbers.get(key)
+        if vn is None:
+            vn = numbers[key] = len(values)
+            values.append(e.value if t is Num else None)
+            last.append(-1)
+            if t is not Num:
+                for x in step[1]:
+                    last[x] = len(steps)
+                steps.append((step[0], vn, *step[1:]))
+                if t is Var:
+                    kept.add(vn)
+        seen[id(e)] = vn
+        return vn
+
+    roots = [number(e) for e in exprs]
+    return roots, values, steps, last, kept.union(roots)
+
+
+def _fits(buf, other=0.0) -> bool:
+    """Whether the float64 array buf can take the result of an elementwise
+    operation on buf and other."""
+    if type(buf) is not np.ndarray or buf.dtype is not _FLOAT:
+        return False
+    shape = getattr(other, "shape", ())
+    return shape in ((), buf.shape) or np.broadcast(buf, other).shape == buf.shape
+
+
+def _values(exprs: Sequence[Expr], args: Sequence):
+    """Yield the value of each expression of `exprs` at `args` (a scalar or
+    an array per variable index), in order, as soon as it and the values
+    before it are final.  No value is an argument or another value; the
+    caller must not change one before the generator is exhausted."""
+    roots, values, steps, last, kept = _number(exprs)
+    positions: dict = {}
+    for j, vn in enumerate(roots):
+        positions.setdefault(vn, []).append(j)
+    ready = {j: values[vn] for j, vn in enumerate(roots) if values[vn] is not None}
+    done = 0
+    for i, (kind, dst, operands, attribute) in enumerate(steps):
+        if kind == _BINARY:
+            a, b = operands
+            x, y = values[a], values[b]
+            if last[a] == i and a not in kept and _fits(x, y):
+                v = attribute[1](x, y, out=x)
+            elif last[b] == i and b not in kept and _fits(y, x):
+                v = attribute[1](x, y, out=y)
+            else:
+                v = attribute[0](x, y)
+            if last[b] == i:
+                values[b] = None
+        elif kind == _VAR:
+            index, family = attribute
+            if index > len(args):
+                raise ExpressionDomainError(f"expression uses {family}{index} but only "
+                                            f"{len(args)} coordinates were supplied")
+            v = args[index - 1]
+        elif kind == _NONZERO:
+            if np.any(values[operands[0]] == 0):
+                raise ExpressionDomainError("division by zero")
+            continue
+        else:
+            a = operands[0]
+            x = values[a]
+            out = x if last[a] == i and a not in kept and _fits(x) else None
+            if kind == _POW:
+                v = _power(x, attribute) if out is None else np.power(x, attribute, out=out)
+            elif kind == _NEG:
+                v = -x if out is None else np.negative(x, out=out)
+            elif attribute == "sqrt" and np.any(x < 0):
                 raise ExpressionDomainError("sqrt of a negative value")
-            return np.sqrt(val)
-        return getattr(np, e.fn)(val)
-    raise TypeError(f"not an expression node: {e!r}")
+            else:
+                fn = getattr(np, attribute)
+                v = fn(x) if out is None else fn(x, out=out)
+        if kind != _VAR and last[operands[0]] == i:
+            values[operands[0]] = None
+        values[dst] = v
+        if dst in positions:
+            for n, j in enumerate(positions[dst]):
+                ready[j] = v.copy() if (n or kind == _VAR) and isinstance(v, np.ndarray) else v
+            if last[dst] < i:
+                values[dst] = None
+            v = None
+            while done in ready:
+                yield ready.pop(done)
+                done += 1
+    for j in range(done, len(roots)):
+        yield ready.pop(j)
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:
     """Evaluate at a single point; raises ExpressionDomainError on faults."""
     with np.errstate(all="ignore"):
-        out = _eval(e, [float(p) for p in point])
+        [out] = _values([e], [float(p) for p in point])
     out = float(out)
     if not math.isfinite(out):
         raise ExpressionDomainError("evaluation produced a non-finite value")
     return out
 
 
-def evaluate_arrays(e: Expr, args: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate elementwise over broadcastable numpy arrays.  The result
-    never shares memory with an argument (a bare variable is copied), so
-    the caller may overwrite the arguments with it."""
+def evaluate_many(exprs: Sequence[Expr], args: Sequence[np.ndarray], take=None) -> list:
+    """The expressions evaluated together elementwise over broadcastable
+    numpy arrays, as float arrays in order; with `take`, take(position,
+    array) instead, called as soon as the array is final, which must leave
+    it unchanged.  No array shares memory with an argument or another, so
+    the caller may overwrite the arguments with them.  Raises
+    ExpressionDomainError on a domain fault or a non-finite value."""
+    results = []
     with np.errstate(all="ignore"):
-        out = np.asarray(_eval(e, list(args)), dtype=float)
-    if any(np.may_share_memory(out, a) for a in args):
-        out = out.copy()
-    if not np.all(np.isfinite(out)):
-        raise ExpressionDomainError("evaluation produced non-finite values")
-    return out
+        for i, value in enumerate(_values(exprs, args)):
+            value = np.asarray(value, dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise ExpressionDomainError("evaluation produced non-finite values")
+            results.append(value if take is None else take(i, value))
+            del value  # not held while the next values are computed
+    return results
+
+
+def evaluate_arrays(e: Expr, args: Sequence[np.ndarray]) -> np.ndarray:
+    """evaluate_many of the one expression e."""
+    return evaluate_many([e], args)[0]
 
 
 # --- folding constructors ---------------------------------------------------
@@ -602,8 +731,14 @@ class NonlinearitySpec:
             [fold_sub(a, b) for a, b in zip(self.components, other.components)]
         )
 
+    @property
+    def c1_expressions(self) -> tuple[Expr, ...]:
+        """The N + N^2 expressions of the C^1 norm: each component followed
+        by its partial derivatives."""
+        return tuple(e for c, grad in zip(self.components, self.gradient) for e in (c, *grad))
+
     def evaluate_components(self, args: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return [evaluate_arrays(c, args) for c in self.components]
+        return evaluate_many(self.components, args)
 
     def gradient_at(self, point: Sequence[float]) -> np.ndarray:
         return np.array(

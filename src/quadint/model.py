@@ -9,6 +9,7 @@ g: R^N -> R^N applied pointwise to the full state.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Union
@@ -16,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import exprdsl, sampling, spectral
-from .errors import AssumptionViolation, ConfigurationError
+from .errors import AssumptionViolation, ConfigurationError, NumericOverflowError
 from .exprdsl import Expr, NonlinearitySpec
 from .spectral import Grid
 
@@ -89,8 +90,13 @@ def sample_kernel(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray,
         return K, spectral.laplacian(grid, K), "spectral"
     else:
         raise ConfigurationError(f"unknown kernel spec {spec!r}")
-    K = _sample_expression(expr, grid)
-    return K, _sample_expression(exprdsl.laplacian_symbolic(expr, grid.d), grid), "symbolic"
+    # the Laplacian first: K then takes the buffer of a temporary that it is
+    # the last to read, exp(-alpha |x|^2) for a Gaussian.  evaluate_many
+    # refuses non-finite values; one over fewer than d coordinates is broadcast
+    dK, K = (v if v.shape == grid.shape else np.array(np.broadcast_to(v, grid.shape))
+             for v in exprdsl.evaluate_many(
+                 [exprdsl.laplacian_symbolic(expr, grid.d), expr], grid.coords))
+    return K, dK, "symbolic"
 
 
 def materialize_kernel(spec: KernelSpec, grid: Grid, strict: bool = True
@@ -109,12 +115,6 @@ def materialize_kernel(spec: KernelSpec, grid: Grid, strict: bool = True
         tail_fraction=spectral.tail_mass_fraction(grid, K, "l1"),
         nontrivial=nontrivial,
     ), K
-
-
-def _sample_expression(expr: Expr, grid: Grid) -> np.ndarray:
-    # evaluate_arrays refuses non-finite values
-    vals = exprdsl.evaluate_arrays(expr, grid.coords)
-    return np.array(np.broadcast_to(vals, grid.shape), dtype=float)
 
 
 def _tabulated(values, grid: Grid, what: str) -> np.ndarray:
@@ -240,13 +240,23 @@ class MaterializedProblem:
 
 
 def materialize_u0(problem: ProblemSpec, strict: bool = True) -> np.ndarray:
-    """Sample the initial data, stacked over the components.  With
+    """Sample the initial data, stacked over the components.  Data whose
+    squares overflow a double raises NumericOverflowError.  With
     strict=True, initial data that vanishes identically in every component
     raises."""
     grid = problem.grid
-    u0 = np.stack([_tabulated(entry, grid, "tabulated initial data")
-                   if isinstance(entry, np.ndarray) else _sample_expression(entry, grid)
-                   for entry in problem.u0])
+    u0 = np.empty((problem.n,) + grid.shape)
+    rows = [m for m, entry in enumerate(problem.u0) if not isinstance(entry, np.ndarray)]
+    for m, entry in enumerate(problem.u0):
+        if m not in rows:
+            u0[m] = _tabulated(entry, grid, "tabulated initial data")
+    # each expression component is broadcast into its row as soon as it is sampled
+    exprdsl.evaluate_many([problem.u0[m] for m in rows], grid.coords,
+                          take=lambda i, values: np.copyto(u0[rows[i]], values))
+    peak = max(float(np.max(u0)), -float(np.min(u0)))
+    if not math.isfinite(peak * peak):
+        raise NumericOverflowError(
+            f"initial data reaches {peak:.3g}, whose square overflows a double")
     if strict and not np.any(u0 != 0.0):
         raise AssumptionViolation("initial data vanishes identically in every component")
     return u0
@@ -283,25 +293,37 @@ def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProble
     Of the sampled fields only u0 is kept: the kernels are sampled and
     measured one at a time and written, shifted, into one stacked buffer,
     of which only the transform is kept.  A grid too large for the
-    machine is refused first.  u0 and its spectrum are made before the
-    kernels are sampled, which keeps the process's peak RSS lower with
-    glibc (README, "Memory")."""
+    machine is refused first, and initial data whose squares or H2 norm
+    overflow a double before anything else uses it.  u0 and its spectrum
+    are made before the kernels are sampled, which keeps the process's
+    peak RSS lower with glibc (README, "Memory")."""
     grid = problem.grid
     check_working_set(grid, problem.n)
     u0 = materialize_u0(problem, strict=strict)
     u0_spectrum = spectral.forward_transform(grid, u0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0_norm = spectral.h2_norm(grid, u0_spectrum)
+    if not math.isfinite(u0_norm):
+        raise NumericOverflowError("the H2 norm of the initial data overflows a double")
     norms = tuple(operator_norm(multiplier_values(op, grid)) for op in problem.operators)
     if strict and 0.0 in norms:
         raise AssumptionViolation("operator multiplier vanishes identically")
+    # the kernel spectra are allocated before any kernel is sampled, and the
+    # buffer of shifted kernels once the first is: with glibc that lowers the
+    # peak RSS, and the sampling of the first kernel stays below the peak of
+    # a Picard step (README, "Memory")
     kernels = []
-    shifted = np.empty((problem.n,) + grid.shape)
+    kernel_spectra = np.empty((problem.n,) + grid.spectral_shape, dtype=complex)
     for m, spec in enumerate(problem.kernels):
         kernel, K = materialize_kernel(spec, grid, strict=strict)
         kernels.append(kernel)
+        if m == 0:
+            shifted = np.empty((problem.n,) + grid.shape)
         # spectral.kernel_spectrum of the stacked kernels, built without
         # stacking them first: x = 0 moves to index 0, h^d scales the transform
-        shifted[m] = np.fft.ifftshift(K, axes=grid.axes)
-    kernel_spectra = spectral.forward_transform(grid, shifted)
+        spectral.shift_origin(grid, K, out=shifted[m])
+    spectral.forward_transform(grid, shifted, out=kernel_spectra)
+    del shifted
     kernel_spectra *= grid.cell_volume
     return MaterializedProblem(
         spec=problem,
@@ -310,7 +332,7 @@ def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProble
         operator_norms=norms,
         u0=u0,
         u0_spectrum=u0_spectrum,
-        u0_norm=spectral.h2_norm(grid, u0_spectrum),
+        u0_norm=u0_norm,
         u0_tail_fractions=tuple(spectral.tail_mass_fraction(grid, c, "l2") for c in u0),
     )
 

@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from .errors import OracleBudgetError
-from .exprdsl import NonlinearitySpec, evaluate, evaluate_arrays
+from .exprdsl import NonlinearitySpec, evaluate, evaluate_many
 from .sampling import random_ball_points
 from .spectral import Grid
 
@@ -80,5 +80,5 @@ def dense_c1_norm(g: NonlinearitySpec, radius: float, samples: int,
     and shared by all N + N^2 expressions."""
     pts = random_ball_points(g.n, radius, samples, seed=seed)
     cols = [pts[:, j] for j in range(g.n)]
-    return float(sum(np.max(np.abs(evaluate_arrays(e, cols)))
-                     for m in range(g.n) for e in (g.components[m], *g.gradient[m])))
+    return float(sum(evaluate_many(g.c1_expressions, cols,
+                                   take=lambda _, v: np.max(np.abs(v)))))

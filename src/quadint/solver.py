@@ -204,11 +204,6 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
         iterations=max_iter, last_delta=trace.deltas[-1], trace=trace)
 
 
-def assemble_solution(u0: np.ndarray, u_p: np.ndarray) -> np.ndarray:
-    """The solution of the original system is initial data plus perturbation."""
-    return u0 + u_p
-
-
 def residual_original_system(mat: MaterializedProblem, u: np.ndarray,
                              u_spectrum: np.ndarray | None = None, *,
                              overwrite_input: bool = False) -> float:

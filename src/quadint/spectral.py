@@ -26,6 +26,7 @@ counterparts: the L2 norm carries the cell volume h^d, and the H2 norm sums
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -150,10 +151,12 @@ class Grid:
         return (self.cell_volume / self.num_points) * self.multiplicity * self.h2_weight
 
 
-def forward_transform(grid: Grid, f: np.ndarray) -> np.ndarray:
+def forward_transform(grid: Grid, f: np.ndarray, out: np.ndarray | None = None
+                      ) -> np.ndarray:
     """Unnormalized real DFT over the grid axes; leading axes are batched.
-    Every axis pass writes into the one array returned."""
-    out = np.empty(f.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    Every axis pass writes into the one array returned, `out` when given."""
+    if out is None:
+        out = np.empty(f.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
     return np.fft.rfftn(f, axes=grid.axes, out=out)
 
 
@@ -178,11 +181,21 @@ def multiply_by_inverse(grid: Grid, f: np.ndarray, F: np.ndarray) -> None:
         f[i] *= np.fft.irfft(F[i], n=grid.n, axis=-1)
 
 
+def shift_origin(grid: Grid, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.fft.ifftshift of f over the grid axes, written into out: x = 0
+    moves from index n/2 to index 0.  n is even, so each axis swaps its
+    two halves."""
+    halves = (slice(None, grid.n // 2), slice(grid.n // 2, None))
+    for corner in itertools.product((0, 1), repeat=grid.d):
+        out[(..., *(halves[c] for c in corner))] = f[(..., *(halves[1 - c] for c in corner))]
+    return out
+
+
 def kernel_spectrum(grid: Grid, K: np.ndarray) -> np.ndarray:
     """Spectrum of a kernel sampled on the grid, ready for :func:`convolve`:
-    ifftshift moves x = 0 from index n/2 to index 0, and h^d is the
-    quadrature weight of the convolution."""
-    return grid.cell_volume * forward_transform(grid, np.fft.ifftshift(K, axes=grid.axes))
+    shift_origin moves x = 0 to index 0, and h^d is the quadrature weight
+    of the convolution."""
+    return grid.cell_volume * forward_transform(grid, shift_origin(grid, K, np.empty_like(K)))
 
 
 def apply_multiplier(grid: Grid, multiplier: np.ndarray, F: np.ndarray) -> np.ndarray:

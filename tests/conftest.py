@@ -5,7 +5,9 @@ import quadint.spectral as sp
 from quadint import sampling
 from quadint.sampling import ball_points as _ball_points  # unaffected by ball_point_calls
 from quadint.analysis import constants_report
-from quadint.exprdsl import NonlinearitySpec, evaluate_arrays, parse
+from quadint.errors import ExpressionDomainError
+from quadint.exprdsl import (Add, Call, Div, Mul, Neg, NonlinearitySpec, Num, Pow, Sub,
+                             Var, _power, evaluate_arrays, parse)
 from quadint.model import ExpressionKernel, InverseHelmholtz, ProblemSpec, \
     ScaledIdentity, materialize
 from quadint.spectral import Grid
@@ -25,6 +27,56 @@ def dense_sup_estimate(e, arity, radius, samples, seed=0):
     radius in R^arity."""
     pts = _ball_points(arity, radius, samples, seed=seed)
     return sup_norm(evaluate_arrays(e, [pts[:, j] for j in range(arity)]))
+
+
+def reference_eval(e, args):
+    """The recursive tree walk that exprdsl's value-numbered evaluator
+    replaced, kept as the reference it must match bit for bit: every
+    occurrence of a subtree is evaluated again, a quotient's denominator
+    before its numerator."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        if e.index > len(args):
+            raise ExpressionDomainError(
+                f"expression uses {e.family}{e.index} but only "
+                f"{len(args)} coordinates were supplied")
+        return args[e.index - 1]
+    if isinstance(e, Neg):
+        return -reference_eval(e.arg, args)
+    if isinstance(e, Add):
+        return reference_eval(e.left, args) + reference_eval(e.right, args)
+    if isinstance(e, Sub):
+        return reference_eval(e.left, args) - reference_eval(e.right, args)
+    if isinstance(e, Mul):
+        return reference_eval(e.left, args) * reference_eval(e.right, args)
+    if isinstance(e, Div):
+        denom = reference_eval(e.right, args)
+        if np.any(denom == 0):
+            raise ExpressionDomainError("division by zero")
+        return reference_eval(e.left, args) / denom
+    if isinstance(e, Pow):
+        return _power(reference_eval(e.base, args), e.exponent)
+    if isinstance(e, Call):
+        val = reference_eval(e.arg, args)
+        if e.fn == "sqrt":
+            if np.any(val < 0):
+                raise ExpressionDomainError("sqrt of a negative value")
+            return np.sqrt(val)
+        return getattr(np, e.fn)(val)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def reference_evaluate_arrays(e, args):
+    """evaluate_arrays as the tree walk gave it: float values, a copy where
+    the walk returned an argument, and non-finite values refused."""
+    with np.errstate(all="ignore"):
+        out = np.asarray(reference_eval(e, list(args)), dtype=float)
+    if any(np.may_share_memory(out, a) for a in args):
+        out = out.copy()
+    if not np.all(np.isfinite(out)):
+        raise ExpressionDomainError("evaluation produced non-finite values")
+    return out
 
 
 def cosine_x1(grid):

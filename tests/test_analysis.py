@@ -263,6 +263,17 @@ class TestContinuityBound:
         with pytest.raises(ConfigurationError):
             continuity_bound(1.0, 1.0, 1.0, 0.0, 0.1)
 
+    @pytest.mark.parametrize("c_a, Q, M, u0_norm, dist", [
+        (2.0, 0.04, 1.2, 0.1, 0.3), (1.34, 0.045, 1.8, 0.62, 1e-3),
+        (4.0, 1e-3, 30.0, 2.5, 7.0), (1.0, 0.25, 1.0, 0.0, 0.1), (3.0, 0.01, 1e-6, 1e3, 1e-9)])
+    def test_equals_the_form_without_M(self, c_a, Q, M, u0_norm, dist):
+        # sigma / (2 M (1 - sigma)) (|u0| + 1) = c_a Q (|u0| + 1)^2 / (1 - sigma)
+        sigma = compute_sigma(c_a, Q, M, u0_norm)
+        assert sigma < 1.0
+        alternate = c_a * Q * (u0_norm + 1.0) ** 2 * dist / (1.0 - sigma)
+        assert continuity_bound(c_a, Q, M, u0_norm, dist) == pytest.approx(
+            alternate, rel=1e-12, abs=1e-300)
+
 
 class TestConstantsReport:
     def test_provenance_and_serialization(self, certified):

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quadint import cli
+from quadint import cli, exprdsl
 from quadint.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -606,6 +607,65 @@ class TestPathologicalInput:
         path = write_problem(tmp_path, dict(CERTIFIED, g=[text]))
         assert main(["check", path]) == 2
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("amplitude, message", [
+        ("1e200", "error: initial data reaches 1e+200, whose square overflows a double\n"),
+        ("1e154", "error: the H2 norm of the initial data overflows a double\n"),
+    ])
+    def test_overflowing_initial_data_is_one_line(self, tmp_path, capsys, amplitude, message):
+        # refused before any norm or tail mass squares the samples: one
+        # stderr line, and no numpy warning on the way
+        path = write_problem(tmp_path, dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0},
+                                            u0=[f"{amplitude}*exp(-x1^2-x2^2)"]))
+        for command in ("check", "solve"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, path])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == message
+            assert [str(w.message) for w in caught] == []
+
+    def test_overflowing_initial_data_in_a_process(self, tmp_path):
+        path = write_problem(tmp_path, dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0},
+                                            u0=["1e200*exp(-x1^2-x2^2)"]))
+        proc = run_python("-m", "quadint.cli", "check", path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: initial data reaches 1e+200, whose square overflows a double\n"
+
+    @pytest.mark.parametrize("section", ["g", "kernel"])
+    def test_nesting_beyond_the_limit_names_its_offset(self, tmp_path, capsys, section):
+        depth = exprdsl.MAX_NESTING + 1
+        text = "sin(" * depth + ("z1" if section == "g" else "x1") + ")" * depth
+        doc = (dict(CERTIFIED, g=[text]) if section == "g" else
+               dict(CERTIFIED, kernels=[{"type": "expression", "expr": text}]))
+        code = main(["check", write_problem(tmp_path, doc)])
+        assert code == 2
+        # the parenthesis that opens level MAX_NESTING + 1
+        assert capsys.readouterr().err == (
+            f"error: parentheses nested deeper than {exprdsl.MAX_NESTING} levels "
+            f"(byte offset {4 * depth - 1})\n")
+
+    @pytest.mark.parametrize("section", ["g", "kernel"])
+    def test_nesting_at_the_limit_evaluates(self, tmp_path, capsys, section):
+        # the gradient of g, the Laplacian of a 3-D kernel and the sampled C1
+        # bound all walk trees as deep as the nesting; none reaches Python's
+        # recursion limit
+        depth = exprdsl.MAX_NESTING
+        doc = dict(SOLVE_3D, grid={"d": 3, "n": 8, "L": 8.0})
+        if section == "g":
+            doc["g"] = ["sin(-(" * (depth // 2) + "z1*z2" + ")^2)" * (depth // 2), "z1^2"]
+        else:
+            nest = "sin(-(" * (depth // 2) + "0.1*x1" + ")^2)" * (depth // 2)
+            doc["kernels"] = [{"type": "expression",
+                               "expr": f"0.002*exp(-x1^2-x2^2-x3^2)*{nest}"},
+                              SOLVE_3D["kernels"][1]]
+        code = main(["check", write_problem(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        assert json.loads(captured.out)["constants"]["M"] > 0.0
 
     def test_overflowing_literal_in_a_process(self, tmp_path):
         path = write_problem(tmp_path, dict(CERTIFIED, g=["z1^2*exp(1000)"]))

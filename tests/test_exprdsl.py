@@ -1,13 +1,18 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_eval, reference_evaluate_arrays
 from quadint import exprdsl as dsl
-from quadint.errors import ExpressionDomainError, ExpressionSyntaxError, NumericOverflowError
-from quadint.exprdsl import (Add, Call, Mul, NonlinearitySpec, Num, Pow,
+from quadint.errors import (ExpressionDomainError, ExpressionSyntaxError, NumericOverflowError,
+                            QuadIntError)
+from quadint.exprdsl import (Add, Call, Div, Mul, Neg, NonlinearitySpec, Num, Pow, Sub,
                              Var, check_zero_at_origin, differentiate,
-                             evaluate, evaluate_arrays, laplacian_symbolic,
+                             evaluate, evaluate_arrays, evaluate_many, laplacian_symbolic,
                              parse, to_string)
 
 
@@ -144,6 +149,141 @@ class TestEvaluate:
         e = parse("1/z1", 1)
         with pytest.raises(ExpressionDomainError):
             evaluate_arrays(e, [np.array([1.0, 0.0])])
+
+
+@st.composite
+def evaluation_cases(draw, arity=3):
+    """A few expressions over z1..z<arity> built from one pool of subtrees,
+    so that they share subtrees both as objects and as equal copies, and
+    their arguments: scalars, 1-D arrays, or broadcastable grid coordinates.
+    Half the cases also draw zeros, negative coordinates and huge values,
+    which reach every domain fault; the others mostly evaluate."""
+    faults = draw(st.booleans())
+    literals = (1.0, -2.5, 0.5, 3.0) + ((0.0, -0.0, 1e200, 1e-200) if faults else ())
+    coordinates = st.floats(0.25, 2.0)
+    if faults:
+        coordinates = coordinates | st.sampled_from((0.0, -0.0, -1.0, 1e160))
+    pool = [Var("z", i) for i in range(1, arity + 1)]
+    pool += [Num(v) for v in draw(st.lists(st.sampled_from(literals), min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(2, 16))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(("add", "sub", "mul", "div", "neg", "pow", "call", "copy")))
+        if kind == "neg":
+            node = Neg(a)
+        elif kind == "pow":
+            node = Pow(a, draw(st.integers(0, 4)))
+        elif kind == "call":
+            node = Call(draw(st.sampled_from(dsl.FUNCTIONS)), a)
+        elif kind == "copy":
+            node = copy.deepcopy(a)  # equal to a, but not the same object
+        else:
+            node = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind](a, b)
+        pool.append(node)
+    exprs = [pool[-1]] + draw(st.lists(st.sampled_from(pool), max_size=4))
+    kind = draw(st.sampled_from(("scalar", "array", "grid")))
+    if kind == "scalar":
+        return exprs, kind, [draw(coordinates) for _ in range(arity)]
+    if kind == "array":
+        size = draw(st.integers(1, 6))
+        return exprs, kind, [np.array(draw(st.lists(coordinates, min_size=size, max_size=size)))
+                             for _ in range(arity)]
+    shapes = [[n if axis == j else 1 for axis in range(arity)] for j, n in enumerate((3, 4, 2))]
+    return exprs, kind, [np.array(draw(st.lists(coordinates, min_size=max(shape),
+                                                max_size=max(shape)))).reshape(shape)
+                         for shape in shapes]
+
+
+def outcome(evaluate_set):
+    """The list of values, or the type and text of the error raised."""
+    try:
+        return evaluate_set()
+    except QuadIntError as exc:
+        return type(exc), str(exc)
+
+
+class TestValueNumberedEvaluator:
+    @settings(max_examples=400, deadline=None)
+    @given(case=evaluation_cases())
+    def test_matches_the_tree_walk_bit_for_bit(self, case):
+        # the reference evaluates the expressions in turn and stops at the
+        # first fault; the evaluator must raise that fault, or give the same
+        # bits in the same shapes
+        exprs, kind, values = case
+        expected = outcome(lambda: [reference_evaluate_arrays(e, values) for e in exprs])
+        got = outcome(lambda: evaluate_many(exprs, values))
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert isinstance(got, list) and len(got) == len(expected)
+        for out, ref in zip(got, expected):
+            assert out.dtype == float and out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()
+        arrays = [v for v in values if isinstance(v, np.ndarray)] + got
+        for out in got:
+            assert not any(np.shares_memory(out, other) for other in arrays if other is not out)
+        if kind == "scalar":
+            for e in exprs:
+                assert outcome(lambda: evaluate(e, values)) == outcome(
+                    lambda: reference_scalar(e, values))
+
+    def test_identical_and_bare_variable_roots_share_no_memory(self):
+        rows = np.arange(6.0).reshape(2, 3) + 1.0
+        e = parse("z1*z2+z1", 2)
+        exprs = [e, parse("z1*z2+z1", 2), e, parse("z2", 2), parse("z2", 2), parse("(z1)", 2)]
+        out = evaluate_many(exprs, list(rows))
+        assert [v.tobytes() for v in out] == [
+            ref.tobytes() for ref in (rows[0] * rows[1] + rows[0],) * 3 + (rows[1],) * 2 + (rows[0],)]
+        for i, v in enumerate(out):
+            assert not np.shares_memory(v, rows)
+            assert not any(np.shares_memory(v, w) for w in out[i + 1:])
+
+    def test_take_receives_each_value_in_order(self):
+        a = np.linspace(-1.0, 1.0, 7)
+        exprs = [parse(text, 1) for text in ("sin(z1)^2", "2*sin(z1)*cos(z1)", "z1", "0")]
+        seen = []
+        sums = evaluate_many(exprs, [a], take=lambda i, v: seen.append(i) or float(np.sum(v)))
+        assert seen == [0, 1, 2, 3]
+        assert sums == [float(np.sum(reference_evaluate_arrays(e, [a]))) for e in exprs]
+
+    def test_faults_come_in_the_order_of_the_walk(self):
+        # a quotient's denominator is tested before its numerator runs, and a
+        # value is checked for finiteness only after every expression before
+        # it, even when an earlier expression computed it as a subtree
+        z = [np.array([0.0, 1000.0]), np.array([0.0, 1.0])]
+        quotient = parse("sqrt(z1-1)/z2", 2)
+        inner = parse("exp(z1)", 2)
+        for exprs, message in (([quotient], "division by zero"),
+                               ([Add(inner, parse("1/z2", 2)), inner], "division by zero")):
+            with pytest.raises(ExpressionDomainError, match=message):
+                evaluate_many(exprs, z)
+            with pytest.raises(ExpressionDomainError, match=message):
+                [reference_evaluate_arrays(e, z) for e in exprs]
+        with pytest.raises(ExpressionDomainError, match="non-finite"):
+            evaluate_many([inner, Add(inner, parse("1/z2", 2))], z)
+
+    def test_each_distinct_subtree_is_evaluated_once(self, monkeypatch):
+        calls = []
+        real = np.tanh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "tanh", counting)
+        g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "tanh(z2*z1)"])
+        cols = [np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 2.0, 5)]
+        evaluate_many(g.c1_expressions, cols)
+        # each component's tanh, shared by its value and both partial derivatives
+        assert len(calls) == 2
+
+
+def reference_scalar(e, point):
+    """evaluate at a point as the tree walk gave it."""
+    with np.errstate(all="ignore"):
+        out = float(reference_eval(e, [float(p) for p in point]))
+    if not math.isfinite(out):
+        raise ExpressionDomainError("evaluation produced a non-finite value")
+    return out
 
 
 def random_expr(rng, arity, depth=3):

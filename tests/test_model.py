@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import quadint.spectral as sp
 from quadint import model
-from quadint.errors import AssumptionViolation, ConfigurationError
+from quadint.errors import AssumptionViolation, ConfigurationError, NumericOverflowError
 from quadint.exprdsl import NonlinearitySpec, parse
 from quadint.model import (ExpressionKernel, GaussianKernel, InverseHelmholtz,
                            ProblemSpec, RationalMultiplier, ScaledIdentity,
@@ -85,6 +85,23 @@ class TestKernels:
         g = Grid(2, 32, 2.0)  # box too small for a unit gaussian
         mk, _ = materialize_kernel(GaussianKernel(1.0), g)
         assert mk.tail_fraction > 1e-8
+
+    @pytest.mark.parametrize("kernel", [ExpressionKernel("0.002*exp(-x1^2-x2^2-x3^2)"),
+                                        GaussianKernel(2.0)])
+    def test_gaussian_and_its_laplacian_take_one_exp(self, monkeypatch, kernel):
+        # K and the three second derivatives of the Laplacian share exp(-a|x|^2);
+        # a walk of the two trees calls exp 7 times
+        calls = []
+        real = np.exp
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting)
+        K, dK, source = sample_kernel(kernel, Grid(3, 8, 8.0))
+        assert calls == [(8, 8, 8)]
+        assert source == "symbolic" and K.shape == dK.shape == (8, 8, 8)
 
 
 class TestOperators:
@@ -233,6 +250,29 @@ class TestInitialData:
         vals[3, 4] = np.inf
         with pytest.raises(ConfigurationError, match="non-finite"):
             materialize_u0(one_component(g, vals))
+
+    @pytest.mark.parametrize("amplitude, message", [
+        ("1e200", "whose square overflows"), ("1e154", "H2 norm of the initial data")])
+    def test_overflowing_data_refused_before_use(self, monkeypatch, amplitude, message):
+        # the squares or the norm overflow: refused before the tail mass or
+        # any kernel is computed, with no numpy warning
+        problem = one_component(Grid(2, 16, 8.0), parse(f"{amplitude}*exp(-x1^2-x2^2)", 2, "x"))
+        monkeypatch.setattr(model, "materialize_kernel", None)
+        monkeypatch.setattr(sp, "tail_mass_fraction", None)
+        with pytest.raises(NumericOverflowError, match=message):
+            with np.errstate(all="raise"):
+                materialize(problem)
+
+    def test_stacked_rows_take_each_component(self):
+        # an expression over fewer than d coordinates broadcasts over its row
+        g = Grid(2, 8, 4.0)
+        problem = ProblemSpec(
+            grid=g, kernels=(GaussianKernel(1.0),) * 3, operators=(InverseHelmholtz(),) * 3,
+            g=NonlinearitySpec.from_strings(["z1^2", "z2^2", "z3^2"]),
+            u0=(parse("x1", 2, "x"), np.full(g.shape, 2.0), parse("0.5", 2, "x")))
+        u0 = materialize_u0(problem)
+        assert np.array_equal(u0[0], np.broadcast_to(g.coords[0], g.shape))
+        assert np.all(u0[1] == 2.0) and np.all(u0[2] == 0.5)
 
 
 class TestCachedKernelSpectra:
