@@ -14,7 +14,9 @@ identical input file, seed, and tool version produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -35,6 +37,10 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
 EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
+
+# below this size glibc serves arrays from its heap and keeps freed memory
+# mapped; both thresholds are set, as one alone does worse (README, "Memory")
+HEAP_RETAIN_BYTES = 1 << 30
 
 
 # --- problem file -----------------------------------------------------------
@@ -346,6 +352,19 @@ def cmd_oracle(args) -> int:
 
 # --- entry point -----------------------------------------------------------------
 
+@functools.cache
+def retain_freed_heap() -> None:
+    """Keep freed fields and spectra mapped until the process exits, for the
+    next Picard step and operation to reuse; a no-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    for parameter in (-1, -3):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+        mallopt(parameter, HEAP_RETAIN_BYTES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadint",
@@ -394,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    retain_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

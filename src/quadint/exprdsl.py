@@ -12,7 +12,11 @@ functions sin, cos, tanh, exp, sqrt.  Numbers are decimals with an optional
 exponent.  '^' binds tighter than unary minus, which binds tighter than
 '*' and '/'.
 
-Parentheses and function calls nest at most MAX_NESTING deep.
+Parentheses and function calls nest at most MAX_NESTING deep, a tree is at
+most MAX_DEPTH nodes deep, an exponent is at most MAX_EXPONENT, and the
+polynomial expansion of an expression forms at most MAX_POLYNOMIAL_TERMS
+terms; the parser refuses anything beyond them with the byte offset of
+the token that goes too far.
 Expressions are immutable trees; evaluation is IEEE double arithmetic, at a
 point or elementwise on numpy arrays, and computes each distinct subtree of
 the expressions evaluated together once.  Differentiation is exact and
@@ -38,6 +42,16 @@ MAX_X_ARITY = 3
 # the gradient of an expression nested this deep still evaluate within
 # Python's default recursion limit
 MAX_NESTING = 64
+# deepest tree, counted in nodes from the root to a leaf: the Laplacian of a
+# tree this deep is at most ~6 times deeper (a chain of divisions), and the
+# symbolic routines and the evaluator, which recurse once per level, still
+# walk it within Python's default recursion limit
+MAX_DEPTH = 100
+MAX_EXPONENT = 10_000
+# the most monomial terms that as_polynomial may form while expanding one
+# expression, by an upper bound taken while parsing; it bounds the time the
+# coefficient bound of a polynomial g takes (README, "Problem files")
+MAX_POLYNOMIAL_TERMS = 10_000
 
 
 # --- AST -------------------------------------------------------------------
@@ -147,6 +161,38 @@ class _Parser:
         self.family = family
         self.i = 0
         self.depth = 0
+        self.sizes: dict[int, tuple[int, int, int]] = {}
+
+    def made(self, node: Expr, offset: int) -> Expr:
+        """Register a node built by the token at `offset` with its depth, a
+        bound on the monomials of its expansion, and a bound on the terms
+        as_polynomial forms to expand it; refuse it beyond the limits."""
+        if isinstance(node, (Num, Var)):
+            size = (1, 1, 0)
+        elif isinstance(node, Pow):
+            depth, t, formed = self.sizes[id(node.base)]
+            k = node.exponent
+            terms = math.comb(t + k - 1, k) if t > 1 else 1  # multisets of k terms
+            size = (depth + 1, terms, formed + k * t * terms)
+        elif isinstance(node, Neg):
+            depth, t, formed = self.sizes[id(node.arg)]
+            size = (depth + 1, t, formed + t)
+        elif isinstance(node, Call):  # not expanded, but its argument's derivative is
+            depth, _, formed = self.sizes[id(node.arg)]
+            size = (depth + 1, 1, formed)
+        else:
+            (dl, tl, fl), (dr, tr, fr) = self.sizes[id(node.left)], self.sizes[id(node.right)]
+            terms = {Mul: tl * tr, Div: tl}.get(type(node), tl + tr)
+            size = (max(dl, dr) + 1, terms,
+                    fl + fr + (tr if isinstance(node, (Add, Sub)) else terms))
+        if size[0] > MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression tree deeper than {MAX_DEPTH} levels", offset)
+        if size[2] > MAX_POLYNOMIAL_TERMS:
+            raise ExpressionSyntaxError(
+                f"polynomial expansion forms more than {MAX_POLYNOMIAL_TERMS} terms", offset)
+        self.sizes[id(node)] = size
+        return node
 
     def peek(self):
         return self.tokens[self.i]
@@ -172,27 +218,27 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
+                node = self.made(Add(node, rhs) if text == "+" else Sub(node, rhs), offset)
             else:
                 return node
 
     def term(self) -> Expr:
         node = self.factor()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.factor()
-                node = Mul(node, rhs) if text == "*" else Div(node, rhs)
+                node = self.made(Mul(node, rhs) if text == "*" else Div(node, rhs), offset)
             else:
                 return node
 
     def factor(self) -> Expr:
-        kind, text, _ = self.peek()
+        kind, text, minus = self.peek()
         negate = False
         if kind == "op" and text == "-":
             self.advance()
@@ -204,11 +250,15 @@ class _Parser:
             nkind, ntext, noffset = self.peek()
             if nkind != "num" or not re.fullmatch(r"[0-9]+", ntext):
                 raise ExpressionSyntaxError("exponent must be an unsigned integer", noffset)
+            if (len(ntext.lstrip("0")) > len(str(MAX_EXPONENT))
+                    or int(ntext) > MAX_EXPONENT):
+                raise ExpressionSyntaxError(
+                    f"exponent {ntext} is above {MAX_EXPONENT}", noffset)
             self.advance()
-            node = Pow(node, int(ntext))
+            node = self.made(Pow(node, int(ntext)), offset)
         if negate:
             # fold a negated literal into a negative literal
-            node = Num(-node.value) if isinstance(node, Num) else Neg(node)
+            node = self.made(Num(-node.value) if isinstance(node, Num) else Neg(node), minus)
         return node
 
     def nested(self, offset: int) -> Expr:
@@ -225,12 +275,12 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, offset = self.advance()
         if kind == "num":
-            return Num(float(text))
+            return self.made(Num(float(text)), offset)
         if kind == "op" and text == "(":
             return self.nested(offset)
         if kind == "ident":
             if text in FUNCTIONS:
-                return Call(text, self.nested(self.expect_op("(")[2]))
+                return self.made(Call(text, self.nested(self.expect_op("(")[2])), offset)
             m = _VAR_RE.match(text)
             if m is None:
                 raise ExpressionSyntaxError(f"unknown identifier {text!r}", offset)
@@ -241,7 +291,7 @@ class _Parser:
             if not 1 <= idx <= self.arity:
                 raise ExpressionSyntaxError(
                     f"variable index {idx} out of range 1..{self.arity}", offset)
-            return Var(family, idx)
+            return self.made(Var(family, idx), offset)
         raise ExpressionSyntaxError(f"unexpected token {text!r}", offset)
 
 

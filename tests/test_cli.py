@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import platform
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 
 from quadint import cli, exprdsl
 from quadint.cli import main
+from quadint.errors import ExpressionSyntaxError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -507,6 +510,53 @@ class TestWorkingSet:
         assert large - small <= estimate, (large - small) / estimate
 
 
+class TestHeapRetention:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    def test_warm_solve_takes_no_fresh_pages(self, tmp_path):
+        # the same solve twice in one process: the second takes its fields
+        # and spectra from the heap the first freed.  Without the retention
+        # glibc gives that heap back, and the second solve faults in ~9 times
+        # a stacked field's pages (18.4k at n = 80).  A solve takes ~10 faults
+        # whatever the grid, so the smallest n whose 1% clears them is 80
+        n = 80
+        path = write_problem(tmp_path, dict(SOLVE_3D, grid=dict(SOLVE_3D["grid"], n=n)))
+        code = (
+            "import resource, sys\n"
+            "from quadint.cli import main\n"
+            "argv = ['solve', sys.argv[1], '--tol', '1e-8', '--out', sys.argv[2]]\n"
+            "for _ in range(2):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert main(argv) == 0\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = run_python("-c", code, path, str(tmp_path / "report.json"))
+        assert proc.returncode == 0, proc.stderr
+        first, second = map(int, proc.stdout.split())
+        stacked_field_pages = 2 * n ** 3 * 8 // resource.getpagesize()
+        assert second < 0.01 * stacked_field_pages, (first, second)
+
+    @staticmethod
+    def no_library(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    @pytest.mark.parametrize("cdll", [no_library, lambda name: object()],
+                             ids=["no-library", "no-mallopt"])
+    def test_main_without_mallopt_gives_the_same_report(self, tmp_path, monkeypatch, cdll):
+        path = write_problem(tmp_path, CERTIFIED)
+        expected, got = tmp_path / "expected.json", tmp_path / "got.json"
+        assert main(["solve", path, "--out", str(expected)]) == 0
+        calls = []
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: calls.append(name) or cdll(name))
+        cli.retain_freed_heap.cache_clear()
+        try:
+            assert main(["solve", path, "--out", str(got)]) == 0
+            assert main(["solve", path, "--out", str(got)]) == 0
+        finally:
+            cli.retain_freed_heap.cache_clear()
+        assert calls == [None]  # once per process
+        assert got.read_bytes() == expected.read_bytes()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("doc_in", [
         CERTIFIED,
@@ -666,6 +716,57 @@ class TestPathologicalInput:
         captured = capsys.readouterr()
         assert code in (0, 1), captured.err
         assert json.loads(captured.out)["constants"]["M"] > 0.0
+
+    @pytest.mark.parametrize("section, head, head_depth, term", [
+        ("g", "z1^2", 2, "+0*z1"),
+        ("u0", "0.1*exp(-x1^2-x2^2)", 6, "+0*x1"),
+    ])
+    def test_flat_chain_beyond_the_depth_limit_names_its_offset(
+            self, tmp_path, capsys, section, head, head_depth, term):
+        # no parenthesis: each term deepens the tree of the sum by one level
+        text = head + term * 3000
+        code = main(["check", write_problem(tmp_path, dict(CERTIFIED, **{section: [text]}))])
+        assert code == 2
+        # the operator that builds level MAX_DEPTH + 1
+        offset = len(head) + (exprdsl.MAX_DEPTH - head_depth) * len(term)
+        assert capsys.readouterr().err == (
+            f"error: expression tree deeper than {exprdsl.MAX_DEPTH} levels "
+            f"(byte offset {offset})\n")
+
+    def test_division_chain_at_the_depth_limit_evaluates(self, tmp_path, capsys):
+        # a chain of divisions makes the deepest Laplacian, ~6 times the
+        # kernel's depth, and the evaluator numbers it recursively
+        head = "0.002*exp(-x1^2-x2^2-x3^2)"  # 7 levels
+        text = head + "/(1+x1^2)" * (exprdsl.MAX_DEPTH - 7)
+        doc = dict(SOLVE_3D, grid={"d": 3, "n": 8, "L": 8.0})
+        doc["kernels"] = [{"type": "expression", "expr": text}, SOLVE_3D["kernels"][1]]
+        code = main(["check", write_problem(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        with pytest.raises(ExpressionSyntaxError, match="deeper than"):
+            exprdsl.parse(text + "/(1+x1^2)", 3, "x")
+
+    def test_exponent_beyond_the_limit_names_its_offset(self, tmp_path, capsys):
+        text = f"z1^2+z1^{exprdsl.MAX_EXPONENT + 1}"
+        code = main(["check", write_problem(tmp_path, dict(CERTIFIED, g=[text]))])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: exponent {exprdsl.MAX_EXPONENT + 1} is above "
+            f"{exprdsl.MAX_EXPONENT} (byte offset 8)\n")
+
+    def test_polynomial_expansion_beyond_the_limit_names_its_offset(self, tmp_path, capsys):
+        # (z1 + 0.5 z1^2)^k forms up to 2k(k + 1) terms, so k = 70 is the
+        # largest power that the limit of 10 000 admits; k = 300 took 0.6 s
+        assert exprdsl.MAX_POLYNOMIAL_TERMS == 10_000
+        for k, expected in ((70, (0, 1)), (71, (2,)), (300, (2,))):
+            path = write_problem(tmp_path, dict(CERTIFIED, g=[f"(z1+0.5*z1^2)^{k}"]))
+            code = main(["check", path])
+            captured = capsys.readouterr()
+            assert code in expected, (k, captured.err)
+            if code == 2:
+                assert captured.err == (
+                    "error: polynomial expansion forms more than 10000 terms "
+                    "(byte offset 13)\n")
 
     def test_overflowing_literal_in_a_process(self, tmp_path):
         path = write_problem(tmp_path, dict(CERTIFIED, g=["z1^2*exp(1000)"]))
