@@ -104,10 +104,11 @@ class C1Sample:
         return [pts[:, j] for j in range(self.n)]
 
 
-def _c1_norm(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
-    """Sum over components of sup|g_m| + sum_j sup|dg_m/dz_j| on the ball of
-    `sample`: a rigorous coefficient bound when every piece is polynomial,
-    otherwise a quasi-random sup on `sample` inflated by SAMPLED_INFLATION."""
+def estimate_M(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
+    """C^1 bound of the nonlinearity on the state ball of `sample`: the sum
+    over components of sup|g_m| + sum_j sup|dg_m/dz_j|.  A rigorous
+    coefficient bound when every piece is polynomial, otherwise a
+    quasi-random sup on `sample` inflated by SAMPLED_INFLATION."""
     n = g.n
     if sample.n != n:
         raise ConfigurationError(
@@ -131,15 +132,10 @@ def _c1_norm(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
     return float(total * SAMPLED_INFLATION), "sampled-estimate"
 
 
-def estimate_M(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
-    """C^1 bound of the nonlinearity on the state ball of `sample`."""
-    return _c1_norm(g, sample)
-
-
 def c1_distance(g1: NonlinearitySpec, g2: NonlinearitySpec,
                 sample: C1Sample) -> tuple[float, str]:
     """C^1 norm of g1 - g2 on the ball of `sample` (same policy as estimate_M)."""
-    return _c1_norm(g1.difference(g2), sample)
+    return estimate_M(g1.difference(g2), sample)
 
 
 # --- aggregate constants --------------------------------------------------------
@@ -162,13 +158,6 @@ def compute_Q(operator_norms, kernel_w21_norms) -> float:
     return Q
 
 
-def compute_sigma(c_a: float, Q: float, M: float, u0_norm: float) -> float:
-    """Contraction factor sigma = 2 c_a Q M (|u0| + 1)."""
-    if not Q > 0:
-        raise ConfigurationError("Q must be positive")
-    return float(2.0 * c_a * Q * M * (u0_norm + 1.0))
-
-
 @dataclass(frozen=True)
 class ContractionCertificate:
     """Verdict on the contraction condition for a given ball radius."""
@@ -183,13 +172,16 @@ class ContractionCertificate:
 
 def check_contraction_condition(c_a: float, M: float, u0_norm: float, Q: float,
                                 rho: float) -> ContractionCertificate:
-    """Evaluate c_a M (|u0|+1)^2 Q <= rho/2 and derive sigma.
+    """Evaluate c_a M (|u0|+1)^2 Q <= rho/2 and derive the contraction
+    factor sigma = 2 c_a Q M (|u0| + 1); Q must be positive.
 
     The feasible interval is the set of admissible radii [2*lhs, 1]; it is
     None when empty.  On a pass with nontrivial initial data, sigma < 1 is
     implied and asserted."""
+    if not Q > 0:
+        raise ConfigurationError("Q must be positive")
     lhs = float(c_a * M * (u0_norm + 1.0) ** 2 * Q)
-    sigma = compute_sigma(c_a, Q, M, u0_norm)
+    sigma = float(2.0 * c_a * Q * M * (u0_norm + 1.0))
     feasible = (2.0 * lhs, 1.0) if 2.0 * lhs <= 1.0 else None
     passed = lhs <= rho / 2.0
     warnings = []
@@ -209,22 +201,13 @@ def check_contraction_condition(c_a: float, M: float, u0_norm: float, Q: float,
                                   warnings=tuple(warnings))
 
 
-def continuity_bound(c_a: float, Q: float, M: float, u0_norm: float,
-                     c1_dist: float) -> float:
-    """Theoretical bound on the solution shift caused by replacing the
-    nonlinearity: sigma / (2 M (1 - sigma)) * (|u0| + 1) * |g1 - g2|_C1,
-    which equals c_a Q (|u0|+1)^2 |g1-g2| / (1-sigma).  Requires sigma < 1."""
-    sigma = compute_sigma(c_a, Q, M, u0_norm)
-    if not sigma < 1.0:
-        raise ConfigurationError(f"continuity bound needs sigma < 1, got {sigma}")
-    return float(sigma / (2.0 * M * (1.0 - sigma)) * (u0_norm + 1.0) * c1_dist)
-
-
 # --- full constants report -------------------------------------------------------
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """Every certified constant, its provenance, and the verdict."""
+    """Every certified constant, its provenance, and the verdict, which the
+    report derives from its own constants: `dataclasses.replace` with a new
+    M or rho judges them afresh, and a certificate cannot be passed in."""
 
     d: int
     c_e: float
@@ -235,13 +218,18 @@ class ConstantsReport:
     Q: float
     operator_norms: tuple[float, ...]
     kernel_w21_norms: tuple[float, ...]
-    certificate: ContractionCertificate
+    rho: float
     # the point set behind M on the state ball, for later estimates there
     sample: C1Sample = field(compare=False, repr=False)
     provenance: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
     constants_overridden: bool = False
     warnings: tuple[str, ...] = ()
+    certificate: ContractionCertificate = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "certificate", check_contraction_condition(
+            self.c_a, self.M, self.u0_norm, self.Q, self.rho))
 
     @property
     def r_state(self) -> float:
@@ -251,9 +239,16 @@ class ConstantsReport:
     def sigma(self) -> float:
         return self.certificate.sigma
 
-    @property
-    def rho(self) -> float:
-        return self.certificate.rho
+    def continuity_bound(self, c1_dist: float) -> float:
+        """Theoretical bound on the solution shift caused by replacing the
+        nonlinearity by one within `c1_dist` in C^1 norm, both bounded by
+        this report's M: sigma / (2 M (1 - sigma)) * (|u0| + 1) * c1_dist,
+        which equals c_a Q (|u0|+1)^2 c1_dist / (1-sigma).  Requires
+        sigma < 1."""
+        sigma = self.sigma
+        if not sigma < 1.0:
+            raise ConfigurationError(f"continuity bound needs sigma < 1, got {sigma}")
+        return float(sigma / (2.0 * self.M * (1.0 - sigma)) * (self.u0_norm + 1.0) * c1_dist)
 
     def to_dict(self) -> dict:
         return {
@@ -308,8 +303,6 @@ def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport
     M, m_prov = estimate_M(spec.g, sample)
     kernel_norms = tuple(k.w21 for k in mat.kernels)
     Q = compute_Q(mat.operator_norms, kernel_norms)
-    rho = spec.rho if spec.rho is not None else 1.0
-    cert = check_contraction_condition(c_a, M, mat.u0_norm, Q, rho)
 
     provenance = {
         "c_e": "override" if spec.c_e_override is not None else "rigorous-bound",
@@ -332,7 +325,8 @@ def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport
         d=d, c_e=c_e, c_a=c_a, lattice_c_e=lattice_c_e,
         u0_norm=mat.u0_norm, M=M, Q=Q,
         operator_norms=mat.operator_norms, kernel_w21_norms=kernel_norms,
-        certificate=cert, sample=sample, provenance=provenance,
+        rho=spec.rho if spec.rho is not None else 1.0,
+        sample=sample, provenance=provenance,
         notes={"c_e": EMBEDDING_DERIVATION, "c_a": ALGEBRA_DERIVATION},
         constants_overridden=overridden, warnings=tuple(warnings),
     )

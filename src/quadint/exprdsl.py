@@ -161,38 +161,50 @@ class _Parser:
         self.family = family
         self.i = 0
         self.depth = 0
-        self.sizes: dict[int, tuple[int, int, int]] = {}
+        self.sizes: dict[int, tuple[int, int, int, int]] = {}
 
     def made(self, node: Expr, offset: int) -> Expr:
-        """Register a node built by the token at `offset` with its depth, a
-        bound on the monomials of its expansion, and a bound on the terms
-        as_polynomial forms to expand it; refuse it beyond the limits."""
+        """Register a node built by the token at `offset` with its depth, its
+        degree, a bound on the monomials of its expansion, and a bound on
+        the terms as_polynomial forms to expand it; refuse it beyond the
+        limits.  Terms of equal exponents combine, so an expansion of
+        degree deg has at most C(deg + arity, arity) monomials."""
         if isinstance(node, (Num, Var)):
-            size = (1, 1, 0)
+            size = (1, 0 if isinstance(node, Num) else 1, 1, 0)
         elif isinstance(node, Pow):
-            depth, t, formed = self.sizes[id(node.base)]
+            depth, deg, t, formed = self.sizes[id(node.base)]
             k = node.exponent
-            terms = math.comb(t + k - 1, k) if t > 1 else 1  # multisets of k terms
-            size = (depth + 1, terms, formed + k * t * terms)
+            multisets = math.comb(t + k - 1, k) if t > 1 else 1  # of k of the t terms
+            terms = min(multisets, self.monomials(deg * k))
+            size = (depth + 1, deg * k, terms, formed + k * t * terms)
         elif isinstance(node, Neg):
-            depth, t, formed = self.sizes[id(node.arg)]
-            size = (depth + 1, t, formed + t)
+            depth, deg, t, formed = self.sizes[id(node.arg)]
+            size = (depth + 1, deg, t, formed + t)
         elif isinstance(node, Call):  # not expanded, but its argument's derivative is
-            depth, _, formed = self.sizes[id(node.arg)]
-            size = (depth + 1, 1, formed)
+            depth, _, _, formed = self.sizes[id(node.arg)]
+            size = (depth + 1, 0, 1, formed)
         else:
-            (dl, tl, fl), (dr, tr, fr) = self.sizes[id(node.left)], self.sizes[id(node.right)]
-            terms = {Mul: tl * tr, Div: tl}.get(type(node), tl + tr)
-            size = (max(dl, dr) + 1, terms,
-                    fl + fr + (tr if isinstance(node, (Add, Sub)) else terms))
+            dl, gl, tl, fl = self.sizes[id(node.left)]
+            dr, gr, tr, fr = self.sizes[id(node.right)]
+            if isinstance(node, Mul):  # forms every pair of terms
+                deg, terms, work = gl + gr, tl * tr, tl * tr
+            elif isinstance(node, Div):
+                deg, terms, work = gl, tl, tl
+            else:
+                deg, terms, work = max(gl, gr), tl + tr, tr
+            size = (max(dl, dr) + 1, deg, min(terms, self.monomials(deg)), fl + fr + work)
         if size[0] > MAX_DEPTH:
             raise ExpressionSyntaxError(
                 f"expression tree deeper than {MAX_DEPTH} levels", offset)
-        if size[2] > MAX_POLYNOMIAL_TERMS:
+        if size[3] > MAX_POLYNOMIAL_TERMS:
             raise ExpressionSyntaxError(
                 f"polynomial expansion forms more than {MAX_POLYNOMIAL_TERMS} terms", offset)
         self.sizes[id(node)] = size
         return node
+
+    def monomials(self, degree: int) -> int:
+        """How many monomials of degree at most `degree` the variables have."""
+        return math.comb(degree + self.arity, self.arity)
 
     def peek(self):
         return self.tokens[self.i]

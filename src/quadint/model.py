@@ -395,7 +395,4 @@ def validate_assumptions(mat: MaterializedProblem,
         elif not np.isfinite(norm):
             report.violations.append(f"operator {m + 1} norm is not finite")
 
-    if spec.rho is not None and not (0.0 < spec.rho <= 1.0):
-        report.violations.append(f"ball radius {spec.rho} outside (0, 1]")
-
     return report

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral
-from .analysis import ConstantsReport, c1_distance, check_contraction_condition, \
-    continuity_bound, estimate_M
+from .analysis import ConstantsReport, c1_distance, estimate_M
 from .errors import BallEscapeError, ConfigurationError, NonConvergenceError
 from .exprdsl import NonlinearitySpec
 from .model import MaterializedProblem, multiplier_values
@@ -62,17 +61,15 @@ def _map_at(mat: MaterializedProblem, u: np.ndarray, v_spectrum: np.ndarray) -> 
     """t_g(v) from u = u0 + v and the spectrum of v.  u is spent: the map
     writes g(u), then the convolution, then the result into it, and
     returns it; v_spectrum is left unchanged.  Beside u the map holds one
-    spectrum and one component of the prefactor field."""
+    spectrum, the convolution's and then the prefactor's, and one component
+    of the prefactor field."""
     grid = mat.grid
     values = mat.g.evaluate_components(list(u))
     for m in range(mat.n):
         u[m] = values[m]  # g(u) replaces u; no value is a view of it
     del values
-    spectrum = spectral.forward_transform(grid, u)
-    spectrum *= mat.kernel_spectra
-    w = spectral.inverse_transform(grid, spectrum, out=u)
-    # the inverse has spent `spectrum`; the prefactor spectrum goes into it
-    np.add(mat.u0_spectrum, v_spectrum, out=spectrum)
+    w = spectral.convolve(grid, mat.kernel_spectra, u, out=u)
+    spectrum = np.add(mat.u0_spectrum, v_spectrum)
     for m, op in enumerate(mat.spec.operators):
         spectrum[m] *= multiplier_values(op, grid)
     spectral.multiply_by_inverse(grid, w, spectrum)
@@ -274,30 +271,27 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
     if g2.n != g1.n:
         raise ConfigurationError("the two nonlinearities have different component counts")
 
-    M1, prov1 = report.M, report.provenance["M"]
     M2, prov2 = estimate_M(g2, report.sample)
-    M_joint = max(M1, M2)
-    cert = check_contraction_condition(report.c_a, M_joint, report.u0_norm,
-                                       report.Q, report.rho)
-    if not cert.passed:
+    joint = replace(report, M=max(report.M, M2))
+    if not joint.certificate.passed:
         raise ConfigurationError(
             "contraction condition fails with the joint C1 bound; "
             "the continuity statement does not apply")
 
-    joint_report = replace(report, M=M_joint, certificate=cert)
-    sol1, _ = picard_solve(mat, joint_report, tol=tol)
+    sol1, _ = picard_solve(mat, joint, tol=tol)
     mat2 = _with_nonlinearity(mat, g2)
-    sol2, _ = picard_solve(mat2, joint_report, tol=tol)
+    sol2, _ = picard_solve(mat2, joint, tol=tol)
 
     # both solutions share u0, so their distance is that of the perturbations
     measured = spectral.h2_norm(mat.grid, sol1.u_p_spectrum, sol2.u_p_spectrum)
     dist, dist_prov = c1_distance(g1, g2, report.sample)
-    bound = continuity_bound(report.c_a, report.Q, M_joint, report.u0_norm, dist)
+    bound = joint.continuity_bound(dist)
     passed = measured <= bound + 2.0 * tol
+    rigorous = report.provenance["M"] == prov2 == "rigorous-bound"
     return ContinuityReport(
         measured_distance=measured, bound=bound, passed=passed,
-        sigma_joint=cert.sigma, M_joint=M_joint, c1_dist=dist,
-        c1_provenance=dist_prov if prov1 == prov2 == "rigorous-bound" else "sampled-estimate",
+        sigma_joint=joint.sigma, M_joint=joint.M, c1_dist=dist,
+        c1_provenance=dist_prov if rigorous else "sampled-estimate",
         iterations=(sol1.iterations, sol2.iterations),
     )
 

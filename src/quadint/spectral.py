@@ -207,13 +207,17 @@ def apply_multiplier(grid: Grid, multiplier: np.ndarray, F: np.ndarray) -> np.nd
     return inverse_transform(grid, F)
 
 
-def convolve(grid: Grid, K_hat: np.ndarray, f: np.ndarray) -> np.ndarray:
+def convolve(grid: Grid, K_hat: np.ndarray, f: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Periodic convolution (K (*) f)(x) = h^d sum_y K(x - y) f(y), with
     K_hat = kernel_spectrum(grid, K).  Stacked kernels and fields convolve
-    component by component in one transform pair."""
+    component by component in one transform pair.  The result is written
+    into `out` when given, which may be f itself."""
     if f.shape[-grid.d:] != grid.shape or K_hat.shape[-grid.d:] != grid.spectral_shape:
         raise ConfigurationError("kernel spectrum or field does not match the grid")
-    return apply_multiplier(grid, K_hat, forward_transform(grid, f))
+    F = forward_transform(grid, f)
+    F *= K_hat
+    return inverse_transform(grid, F, out=out)
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:

@@ -3,10 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 from quadint import analysis, sampling
-from quadint.analysis import (C1Sample, algebra_constant, ball_radius_state,
-                              check_contraction_condition, compute_Q,
-                              compute_sigma, constants_report, continuity_bound,
-                              c1_distance, embedding_constant, estimate_M,
+from quadint.analysis import (C1Sample, ConstantsReport, algebra_constant,
+                              ball_radius_state, check_contraction_condition,
+                              compute_Q, constants_report, c1_distance,
+                              embedding_constant, estimate_M,
                               falsify_algebra, falsify_embedding,
                               lattice_embedding_constant)
 from quadint.errors import ConfigurationError
@@ -185,11 +185,12 @@ class TestQSigma:
         assert report.Q == pytest.approx(recomposed, rel=1e-12)
 
     def test_sigma_plugin(self):
-        assert compute_sigma(1.0, 0.1, 1.0, 0.0) == pytest.approx(0.2)
+        cert = check_contraction_condition(c_a=1.0, M=1.0, u0_norm=0.0, Q=0.1, rho=1.0)
+        assert cert.sigma == pytest.approx(0.2)
 
     def test_sigma_requires_positive_q(self):
         with pytest.raises(ConfigurationError):
-            compute_sigma(1.0, 0.0, 1.0, 0.0)
+            check_contraction_condition(c_a=1.0, M=1.0, u0_norm=0.0, Q=0.0, rho=1.0)
         with pytest.raises(ConfigurationError):
             compute_Q([1.0], [0.0])
 
@@ -251,27 +252,36 @@ class TestC1Distance:
         assert dist / analysis.SAMPLED_INFLATION == pytest.approx(dense, rel=0.02)
 
 
+def report_of(c_a, Q, M, u0_norm, rho=1.0):
+    """A report that carries the given constants, with placeholders for the
+    ones its verdict does not read."""
+    return ConstantsReport(d=2, c_e=1.0, c_a=c_a, lattice_c_e=1.0, u0_norm=u0_norm,
+                           M=M, Q=Q, operator_norms=(1.0,), kernel_w21_norms=(Q,),
+                           rho=rho, sample=C1Sample(1, 1.0))
+
+
 class TestContinuityBound:
     def test_zero_distance(self):
-        assert continuity_bound(1.0, 0.25, 1.0, 0.0, 0.0) == 0.0
+        assert report_of(1.0, 0.25, 1.0, 0.0).continuity_bound(0.0) == 0.0
 
     def test_plugin(self):
         # sigma = 2*1*0.25*1*(0+1) = 0.5; bound = 0.5/(2*0.5) * 0.1 = 0.05
-        assert continuity_bound(1.0, 0.25, 1.0, 0.0, 0.1) == pytest.approx(0.05)
+        assert report_of(1.0, 0.25, 1.0, 0.0).continuity_bound(0.1) == pytest.approx(0.05)
 
     def test_requires_contraction(self):
         with pytest.raises(ConfigurationError):
-            continuity_bound(1.0, 1.0, 1.0, 0.0, 0.1)
+            report_of(1.0, 1.0, 1.0, 0.0).continuity_bound(0.1)
 
     @pytest.mark.parametrize("c_a, Q, M, u0_norm, dist", [
         (2.0, 0.04, 1.2, 0.1, 0.3), (1.34, 0.045, 1.8, 0.62, 1e-3),
         (4.0, 1e-3, 30.0, 2.5, 7.0), (1.0, 0.25, 1.0, 0.0, 0.1), (3.0, 0.01, 1e-6, 1e3, 1e-9)])
     def test_equals_the_form_without_M(self, c_a, Q, M, u0_norm, dist):
         # sigma / (2 M (1 - sigma)) (|u0| + 1) = c_a Q (|u0| + 1)^2 / (1 - sigma)
-        sigma = compute_sigma(c_a, Q, M, u0_norm)
+        report = report_of(c_a, Q, M, u0_norm)
+        sigma = report.sigma
         assert sigma < 1.0
         alternate = c_a * Q * (u0_norm + 1.0) ** 2 * dist / (1.0 - sigma)
-        assert continuity_bound(c_a, Q, M, u0_norm, dist) == pytest.approx(
+        assert report.continuity_bound(dist) == pytest.approx(
             alternate, rel=1e-12, abs=1e-300)
 
 
@@ -285,6 +295,17 @@ class TestConstantsReport:
         assert doc["sigma"] == report.sigma
         import json
         json.dumps(doc)  # must be plain JSON types
+
+    def test_certificate_follows_the_constants(self, certified):
+        import dataclasses
+        _, report = certified
+        for M in (report.M, 0.5 * report.M, 1e3 * report.M):
+            moved = dataclasses.replace(report, M=M)
+            assert moved.certificate == check_contraction_condition(
+                report.c_a, M, report.u0_norm, report.Q, report.rho)
+        assert not dataclasses.replace(report, M=1e3 * report.M).certificate.passed
+        with pytest.raises(ValueError):
+            dataclasses.replace(report, certificate=report.certificate)
 
     def test_overrides_are_flagged(self):
         import dataclasses

@@ -447,6 +447,29 @@ class TestOracle:
         assert code == 1
         assert doc["oracle"]["all_passed"] is False
 
+    def test_oracle_checks_the_convolution_of_the_map(self, tmp_path, capsys, monkeypatch):
+        # mutation pair: one convolution off by 0.1% moves the solver's map
+        # and fails the oracle, so the oracle guards the map's convolution
+        from quadint import model, solver
+        import quadint.spectral as sp
+        mat = model.materialize(cli.problem_from_dict(CERTIFIED))
+        v = np.zeros((mat.n,) + mat.grid.shape)
+        before = solver.apply_map_tg(mat, v)
+        original = sp.convolve
+
+        def scaled(grid, K_hat, f, out=None):
+            result = original(grid, K_hat, f, out=out)
+            result *= 1.001
+            return result
+
+        monkeypatch.setattr(sp, "convolve", scaled)
+        after = solver.apply_map_tg(mat, v)
+        assert np.allclose(after, 1.001 * before, rtol=1e-12, atol=0.0)
+        assert not np.allclose(after, before, rtol=1e-4, atol=0.0)
+        code, doc = run(capsys, "oracle", write_problem(tmp_path, CERTIFIED))
+        assert code == 1
+        assert doc["oracle"]["checks"][0]["passed"] is False
+
 
     def test_corrupted_kernel_spectrum_detected(self, tmp_path, capsys, monkeypatch):
         # the check runs on the spectra materialize caches for the solver

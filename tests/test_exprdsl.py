@@ -424,6 +424,13 @@ class TestPolynomialClassification:
         assert dsl.as_polynomial(parse("sin(z1)", 1), 1) is None
         assert dsl.as_polynomial(parse("1/z1", 1), 1) is None
 
+    @pytest.mark.parametrize("factors", [13, 40])
+    def test_products_whose_terms_combine_parse(self, factors):
+        # the expansion of (1+z1)^k has k + 1 monomials, not 2^k terms
+        e = parse("*".join(["(1+z1)"] * factors), 1)
+        coeffs = dsl.as_polynomial(e, 1)
+        assert coeffs == {(j,): float(math.comb(factors, j)) for j in range(factors + 1)}
+
     def test_sup_bound(self):
         coeffs = dsl.as_polynomial(parse("z1^2", 1), 1)
         assert dsl.polynomial_sup_bound(coeffs, 3.0) == 9.0

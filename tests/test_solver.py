@@ -220,12 +220,12 @@ class TestPicard:
             picard_solve(mat, report, start=start)
 
     def test_ball_escape_guard_fires_on_unsound_radius(self, certified):
-        # simulate an unsound certificate by shrinking rho below the reach
-        # of the very first iterate
+        # an unsound M, 1e-9 of the true bound, certifies a radius of 1e-9,
+        # which the very first iterate overshoots
         mat, report = certified
-        fake_cert = dataclasses.replace(report.certificate, rho=1e-9)
-        fake = dataclasses.replace(report, certificate=fake_cert)
-        with pytest.raises(BallEscapeError):
+        fake = dataclasses.replace(report, M=report.M * 1e-9, rho=1e-9)
+        assert fake.certificate.passed
+        with pytest.raises(BallEscapeError, match="iterate 1 left"):
             picard_solve(mat, fake)
 
     def test_uniqueness_from_random_starts(self, two_component):
