@@ -122,24 +122,19 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
+    pos = offset = 0  # offset: the byte offset of text[pos] in UTF-8
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            offset = len(text[: len(text) - len(stripped)].encode("utf-8"))
+            offset += len(text[pos: len(text) - len(stripped)].encode("utf-8"))
             raise ExpressionSyntaxError(f"unexpected character {stripped[0]!r}", offset)
-        start = m.start("num") if m.group("num") else (
-            m.start("ident") if m.group("ident") else m.start("op"))
-        offset = len(text[:start].encode("utf-8"))
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), offset))
-        elif m.group("ident"):
-            tokens.append(("ident", m.group("ident"), offset))
-        else:
-            tokens.append(("op", m.group("op"), offset))
+        kind, token = m.lastgroup, m.group(m.lastgroup)
+        offset += len(text[pos:m.start(kind)].encode("utf-8"))  # the whitespace
+        tokens.append((kind, token, offset))
+        offset += len(token.encode("utf-8"))  # \d matches non-ASCII digits
         pos = m.end()
     tokens.append(("end", "", len(text.encode("utf-8"))))
     return tokens
@@ -314,72 +309,55 @@ def parse(text: str, arity: int, family: str = "z") -> Expr:
 
 # --- evaluation ------------------------------------------------------------
 #
-# Value numbering (Aho, Lam, Sethi & Ullman, Compilers, 2nd ed., 6.1.1): the
-# distinct subtrees of the expressions evaluated together are numbered and
-# computed once each, in the order a walk of the trees meets them, by the
-# walk's own IEEE operations, so every result is the walk's bit for bit and
-# the first fault is the walk's.  A value is dropped after its last use; a
-# float64 temporary dropped by a step of its own shape takes the step's
-# result through the ufunc's out= argument.
+# Value numbering (Aho, Lam, Sethi & Ullman, Compilers, 2nd ed., 6.1.1): a
+# first pass numbers the distinct subtrees of the expressions evaluated
+# together and counts the reads of each number; a second pass walks the
+# expressions in turn as the tree walk does, but computes each number once
+# and keeps it until its last read.  Each value is the walk's own IEEE
+# operation, so every result is the walk's bit for bit and the first fault
+# is the walk's.  A float64 operand read for the last time takes the value
+# of the node that reads it through out=.  A nested function that calls
+# itself would be a reference cycle that outlives the call, so none is used.
 
 _FLOAT = np.dtype(float)
-# step kinds; a binary step carries the walk's operator and the ufunc that
-# writes the same values into a buffer
-_BINARY, _NEG, _POW, _CALL, _VAR, _NONZERO = range(6)
 _OPERATORS = {Add: (operator.add, np.add), Sub: (operator.sub, np.subtract),
               Mul: (operator.mul, np.multiply), Div: (operator.truediv, np.true_divide)}
 
 
-def _number(exprs: Sequence[Expr]):
-    """The value number of each expression, the value of each number (a
-    literal, else None), the steps (kind, number, operand numbers,
-    attribute) in evaluation order, the last step reading each number, and
-    the numbers of arguments and results, which are never written into."""
-    numbers, seen, values, steps, last, kept = {}, {}, [], [], [], set()
-
-    def number(e) -> int:
-        vn = seen.get(id(e))  # a subtree shared as one object is walked once
-        if vn is not None:
-            return vn
-        t = type(e)
-        if t is Num:
-            key = (t, e.value, math.copysign(1.0, e.value))
-        elif t is Var:
-            key = step = (_VAR, (), (e.index, e.family))
-        elif t is Div:  # as in the walk: the denominator, its test, the numerator
-            b = number(e.right)
-            if (_NONZERO, b) not in numbers:
-                numbers[_NONZERO, b] = last[b] = len(steps)
-                steps.append((_NONZERO, None, (b,), None))
-            key = (t, number(e.left), b)
-            step = (_BINARY, key[1:], _OPERATORS[t])
-        elif t in _OPERATORS:
-            key = (t, number(e.left), number(e.right))
-            step = (_BINARY, key[1:], _OPERATORS[t])
-        elif t is Pow:
-            key = step = (_POW, (number(e.base),), e.exponent)
-        elif t is Neg:
-            key = step = (_NEG, (number(e.arg),), None)
-        elif t is Call:
-            key = step = (_CALL, (number(e.arg),), e.fn)
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-        vn = numbers.get(key)
-        if vn is None:
-            vn = numbers[key] = len(values)
-            values.append(e.value if t is Num else None)
-            last.append(-1)
-            if t is not Num:
-                for x in step[1]:
-                    last[x] = len(steps)
-                steps.append((step[0], vn, *step[1:]))
-                if t is Var:
-                    kept.add(vn)
-        seen[id(e)] = vn
+def _numbered(e, seen: dict, nodes: list, reads: list) -> int:
+    """The value number of e: the index in `nodes` of its node (type, two
+    operand numbers or leaf fields, attribute).  `seen` maps subtrees and
+    nodes to numbers, and `reads` counts the reads of each number; a
+    variable has one more, by the caller, so it is never released."""
+    vn = seen.get(id(e))  # a subtree shared as one object is walked once
+    if vn is not None:
         return vn
-
-    roots = [number(e) for e in exprs]
-    return roots, values, steps, last, kept.union(roots)
+    t = type(e)
+    if t is Num:
+        node = (t, e.value, math.copysign(1.0, e.value), None)
+    elif t is Var:
+        node = (t, e.index, e.family, None)
+    elif t in _OPERATORS:
+        node = (t, _numbered(e.left, seen, nodes, reads),
+                _numbered(e.right, seen, nodes, reads), _OPERATORS[t])
+    elif t is Pow:
+        node = (t, _numbered(e.base, seen, nodes, reads), None, e.exponent)
+    elif t is Neg or t is Call:
+        node = (t, _numbered(e.arg, seen, nodes, reads), None,
+                getattr(np, e.fn) if t is Call else None)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    vn = seen.get(node)
+    if vn is None:
+        vn = seen[node] = len(nodes)
+        nodes.append(node)
+        reads.append(int(t is Var))
+        if t is not Num and t is not Var:
+            reads[node[1]] += 1
+            if node[2] is not None:
+                reads[node[2]] += 1
+    seen[id(e)] = vn
+    return vn
 
 
 def _fits(buf, other=0.0) -> bool:
@@ -391,66 +369,69 @@ def _fits(buf, other=0.0) -> bool:
     return shape in ((), buf.shape) or np.broadcast(buf, other).shape == buf.shape
 
 
+def _value(vn: int, nodes: list, memo: list, reads: list, kept: set, args: Sequence):
+    """The value of number vn, computed as the tree walk computes its node
+    and kept in memo until its last read, which may write it into an
+    operand read for the last time that is not in `kept`."""
+    t, a, b, attribute = nodes[vn]
+    if t is Var:  # the others are the arguments, in memo from the start
+        raise ExpressionDomainError(f"expression uses {b}{a} but only "
+                                    f"{len(args)} coordinates were supplied")
+    if t is Div:  # as in the walk: the denominator, its test, the numerator
+        y = memo[b] if memo[b] is not None else _value(b, nodes, memo, reads, kept, args)
+        if np.any(y == 0):
+            raise ExpressionDomainError("division by zero")
+    x = memo[a] if memo[a] is not None else _value(a, nodes, memo, reads, kept, args)
+    if b is not None and t is not Div:
+        y = memo[b] if memo[b] is not None else _value(b, nodes, memo, reads, kept, args)
+    reads[a] -= 1  # only now: the walk of b may read a
+    if b is not None:
+        reads[b] -= 1
+        if not reads[a] and a not in kept and _fits(x, y):
+            v = attribute[1](x, y, out=x)
+        elif not reads[b] and b not in kept and _fits(y, x):
+            v = attribute[1](x, y, out=y)
+        else:
+            v = attribute[0](x, y)
+        if not reads[b]:
+            memo[b] = None
+    else:
+        out = x if not reads[a] and a not in kept and _fits(x) else None
+        if t is Pow:
+            v = _power(x, attribute) if out is None else np.power(x, attribute, out=out)
+        elif t is Neg:
+            v = -x if out is None else np.negative(x, out=out)
+        elif attribute is np.sqrt and np.any(x < 0):
+            raise ExpressionDomainError("sqrt of a negative value")
+        else:
+            v = attribute(x) if out is None else attribute(x, out=out)
+    if not reads[a]:
+        memo[a] = None
+    memo[vn] = v
+    return v
+
+
 def _values(exprs: Sequence[Expr], args: Sequence):
     """Yield the value of each expression of `exprs` at `args` (a scalar or
-    an array per variable index), in order, as soon as it and the values
-    before it are final.  No value is an argument or another value; the
-    caller must not change one before the generator is exhausted."""
-    roots, values, steps, last, kept = _number(exprs)
-    positions: dict = {}
-    for j, vn in enumerate(roots):
-        positions.setdefault(vn, []).append(j)
-    ready = {j: values[vn] for j, vn in enumerate(roots) if values[vn] is not None}
-    done = 0
-    for i, (kind, dst, operands, attribute) in enumerate(steps):
-        if kind == _BINARY:
-            a, b = operands
-            x, y = values[a], values[b]
-            if last[a] == i and a not in kept and _fits(x, y):
-                v = attribute[1](x, y, out=x)
-            elif last[b] == i and b not in kept and _fits(y, x):
-                v = attribute[1](x, y, out=y)
-            else:
-                v = attribute[0](x, y)
-            if last[b] == i:
-                values[b] = None
-        elif kind == _VAR:
-            index, family = attribute
-            if index > len(args):
-                raise ExpressionDomainError(f"expression uses {family}{index} but only "
-                                            f"{len(args)} coordinates were supplied")
-            v = args[index - 1]
-        elif kind == _NONZERO:
-            if np.any(values[operands[0]] == 0):
-                raise ExpressionDomainError("division by zero")
-            continue
-        else:
-            a = operands[0]
-            x = values[a]
-            out = x if last[a] == i and a not in kept and _fits(x) else None
-            if kind == _POW:
-                v = _power(x, attribute) if out is None else np.power(x, attribute, out=out)
-            elif kind == _NEG:
-                v = -x if out is None else np.negative(x, out=out)
-            elif attribute == "sqrt" and np.any(x < 0):
-                raise ExpressionDomainError("sqrt of a negative value")
-            else:
-                fn = getattr(np, attribute)
-                v = fn(x) if out is None else fn(x, out=out)
-        if kind != _VAR and last[operands[0]] == i:
-            values[operands[0]] = None
-        values[dst] = v
-        if dst in positions:
-            for n, j in enumerate(positions[dst]):
-                ready[j] = v.copy() if (n or kind == _VAR) and isinstance(v, np.ndarray) else v
-            if last[dst] < i:
-                values[dst] = None
-            v = None
-            while done in ready:
-                yield ready.pop(done)
-                done += 1
-    for j in range(done, len(roots)):
-        yield ready.pop(j)
+    an array per variable index), in order, as soon as its walk ends.  No
+    value is an argument or another value, or is written into once
+    yielded; the caller must not change one before the generator ends."""
+    seen, nodes, reads = {}, [], []
+    roots = [_numbered(e, seen, nodes, reads) for e in exprs]
+    memo = [node[1] if node[0] is Num else args[node[1] - 1]
+            if node[0] is Var and node[1] <= len(args) else None for node in nodes]
+    for vn in roots:  # a result is read until it is yielded
+        reads[vn] += 1
+    yielded = set()
+    for vn in roots:
+        v = memo[vn] if memo[vn] is not None else _value(vn, nodes, memo, reads, yielded, args)
+        reads[vn] -= 1
+        if not reads[vn]:
+            memo[vn] = None
+        if isinstance(v, np.ndarray) and (vn in yielded or nodes[vn][0] is Var):
+            v = v.copy()
+        yielded.add(vn)
+        yield v
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:
@@ -638,7 +619,7 @@ def _level(e: Expr) -> int:
         return _LEVEL_ADD
     if isinstance(e, (Mul, Div)):
         return _LEVEL_MUL
-    if isinstance(e, Neg) or (isinstance(e, Num) and e.value < 0):
+    if isinstance(e, Neg) or (isinstance(e, Num) and math.copysign(1.0, e.value) < 0):
         return _LEVEL_NEG
     if isinstance(e, Pow):
         return _LEVEL_POW

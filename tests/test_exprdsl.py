@@ -1,5 +1,7 @@
 import copy
+import gc
 import math
+import time
 
 import numpy as np
 import pytest
@@ -57,12 +59,26 @@ class TestParse:
         assert evaluate(parse(".5", 1), (0.0,)) == 0.5
 
     def test_syntax_error_carries_offset(self):
-        with pytest.raises(ExpressionSyntaxError) as err:
-            parse("z1 + $", 1)
-        assert err.value.offset == 5
-        with pytest.raises(ExpressionSyntaxError) as err:
-            parse("z1 + ", 1)
-        assert err.value.offset == 5
+        # offsets count UTF-8 bytes: an em space is whitespace of 3 bytes, an
+        # Arabic-Indic three a digit of 2
+        for text, offset in (("z1 + $", 5), ("z1 + ", 5), ("\u2003z1 + $", 8),
+                             ("z1+\u0663$", 5), ("z1 +\u00e9", 4), ("\u2003(z1", 6)):
+            with pytest.raises(ExpressionSyntaxError) as err:
+                parse(text, 1)
+            assert err.value.offset == offset
+
+    def test_long_input_is_refused_in_linear_time(self):
+        # a flat sum of 1 MB is refused at the depth cap, as a short one is;
+        # the tokenizer, which reads all of it first, must not take quadratic time
+        text = "z1" + "+z1" * 350_000
+        with pytest.raises(ExpressionSyntaxError) as short:
+            parse(text[:1000], 1)
+        start = time.perf_counter()
+        with pytest.raises(ExpressionSyntaxError) as long:
+            parse(text, 1)
+        assert time.perf_counter() - start < 10.0
+        assert str(long.value) == str(short.value) == (
+            "expression tree deeper than 100 levels (byte offset 299)")
 
     def test_unknown_identifier(self):
         with pytest.raises(ExpressionSyntaxError, match="unknown identifier"):
@@ -156,6 +172,8 @@ def evaluation_cases(draw, arity=3):
     """A few expressions over z1..z<arity> built from one pool of subtrees,
     so that they share subtrees both as objects and as equal copies, and
     their arguments: scalars, 1-D arrays, or broadcastable grid coordinates.
+    The expressions are the last pool node and others from the pool, in
+    any order, so a later expression may read an earlier one as a subtree.
     Half the cases also draw zeros, negative coordinates and huge values,
     which reach every domain fault; the others mostly evaluate."""
     faults = draw(st.booleans())
@@ -179,7 +197,8 @@ def evaluation_cases(draw, arity=3):
         else:
             node = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind](a, b)
         pool.append(node)
-    exprs = [pool[-1]] + draw(st.lists(st.sampled_from(pool), max_size=4))
+    exprs = draw(st.permutations([pool[-1]] + draw(st.lists(st.sampled_from(pool),
+                                                            max_size=4))))
     kind = draw(st.sampled_from(("scalar", "array", "grid")))
     if kind == "scalar":
         return exprs, kind, [draw(coordinates) for _ in range(arity)]
@@ -236,6 +255,34 @@ class TestValueNumberedEvaluator:
         for i, v in enumerate(out):
             assert not np.shares_memory(v, rows)
             assert not any(np.shares_memory(v, w) for w in out[i + 1:])
+
+    def test_a_value_read_again_is_not_overwritten(self):
+        # exp(z1) is yielded and then read by the product for the last time;
+        # the root reads z1+z1 after the walk of its other operand reads it
+        a = np.linspace(-1.0, 1.0, 5)
+        twice = Add(Var("z", 1), Var("z", 1))
+        exprs = [parse("exp(z1)", 1), parse("exp(z1)*2.0", 1), Add(twice, Add(Var("z", 1), twice))]
+        assert [v.tobytes() for v in evaluate_many(exprs, [a])] == [
+            reference_evaluate_arrays(e, [a]).tobytes() for e in exprs]
+
+    def test_evaluation_leaves_no_cyclic_garbage(self):
+        # the memo, the operands and the arguments are freed when a call
+        # returns or raises, not when the cyclic collector next runs
+        z = [np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 2.0, 5)]
+        exprs = [parse(text, 2) for text in ("tanh(z1*z2)", "z1/z2+tanh(z1*z2)", "z2")]
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate(exprs[1], [0.5, 0.25])
+            evaluate_many(exprs, z)
+            evaluate_many(exprs, z, take=lambda i, v: float(np.sum(v)))
+            try:
+                evaluate_many([parse("1/z1", 1)], [np.zeros(3)])
+            except ExpressionDomainError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_take_receives_each_value_in_order(self):
         a = np.linspace(-1.0, 1.0, 7)
@@ -403,6 +450,24 @@ class TestPrinting:
         for _ in range(200):
             tree = random_expr(rng, 3, depth=4)
             assert parse(to_string(tree), 3) == tree
+
+    def test_negative_zero_prints_with_its_sign(self):
+        # -0.0 binds as a negated literal, like any negative one; Num(0.0)
+        # equals Num(-0.0), so the printed forms are compared
+        assert to_string(parse("(-0.0)^2", 1)) == "(-0.0)^2"
+        assert to_string(parse(to_string(Pow(Num(-0.0), 2)), 1)) == "(-0.0)^2"
+        assert to_string(Neg(Num(-0.0))) == "-(-0.0)"
+        assert to_string(parse("-(-0.0)", 1)) == "0.0"
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=evaluation_cases())
+    def test_printed_trees_parse_to_a_fixed_point(self, case):
+        # a negated literal parses as a literal, so the first round trip may
+        # change the tree; the tree it gives must then survive one unchanged
+        for tree in case[0]:
+            once = parse(to_string(tree), 3)
+            twice = parse(to_string(once), 3)
+            assert twice == once and to_string(twice) == to_string(once)
 
     def test_round_trip_derivatives(self):
         rng = np.random.default_rng(11)
