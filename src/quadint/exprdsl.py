@@ -9,8 +9,8 @@ Grammar (whitespace-insensitive)::
 
 Identifiers: variables z1..z16 (state space) or x1..x3 (spatial), and the
 functions sin, cos, tanh, exp, sqrt.  Numbers are decimals with an optional
-exponent.  '^' binds tighter than unary minus, which binds tighter than
-'*' and '/'.
+exponent, written in the ASCII digits [0-9].  '^' binds tighter than unary
+minus, which binds tighter than '*' and '/'.
 
 Parentheses and function calls nest at most MAX_NESTING deep, a tree is at
 most MAX_DEPTH nodes deep, an exponent is at most MAX_EXPONENT, and the
@@ -114,14 +114,15 @@ Expr = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
 # --- tokenizer -------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z]+\d*)"
+    r"\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z]+[0-9]*)"
     r"|(?P<op>[-+*/^()]))"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
+def _tokens(text: str):
+    """The tokens of text, each as (kind, token, byte offset in UTF-8), then
+    ("end", "", length); a character that starts no token raises."""
     pos = offset = 0  # offset: the byte offset of text[pos] in UTF-8
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -133,11 +134,26 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ExpressionSyntaxError(f"unexpected character {stripped[0]!r}", offset)
         kind, token = m.lastgroup, m.group(m.lastgroup)
         offset += len(text[pos:m.start(kind)].encode("utf-8"))  # the whitespace
-        tokens.append((kind, token, offset))
-        offset += len(token.encode("utf-8"))  # \d matches non-ASCII digits
+        yield kind, token, offset
+        offset += len(token)  # tokens are ASCII
         pos = m.end()
-    tokens.append(("end", "", len(text.encode("utf-8"))))
-    return tokens
+    yield "end", "", offset + len(text[pos:].encode("utf-8"))
+
+
+# up to 1024 tokens in one match: a text is checked in few matches, each
+# with a bounded backtracking state
+_TOKEN_RUN_RE = re.compile(f"(?:{_TOKEN_RE.pattern}){{0,1024}}")
+
+
+def _check_characters(text: str) -> None:
+    """Raise the error of _tokens if a character of text starts no token,
+    without holding its tokens."""
+    pos = 0
+    while (end := _TOKEN_RUN_RE.match(text, pos).end()) > pos:
+        pos = end
+    if text[pos:].strip():
+        for _ in _tokens(text):
+            pass
 
 
 _VAR_RE = re.compile(r"^([zx])([0-9]+)$")
@@ -151,10 +167,13 @@ class _Parser:
         if not 1 <= arity <= limit:
             raise ExpressionSyntaxError(
                 f"arity {arity} out of range for family {family!r} (max {limit})", 0)
-        self.tokens = _tokenize(text)
+        # a lexer error anywhere comes before any parse error; then the parser
+        # pulls one token at a time, so it holds none past its refusal
+        _check_characters(text)
+        self.tokens = _tokens(text)
+        self.token = next(self.tokens)
         self.arity = arity
         self.family = family
-        self.i = 0
         self.depth = 0
         self.sizes: dict[int, tuple[int, int, int, int]] = {}
 
@@ -202,11 +221,11 @@ class _Parser:
         return math.comb(degree + self.arity, self.arity)
 
     def peek(self):
-        return self.tokens[self.i]
+        return self.token
 
     def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
+        tok = self.token
+        self.token = next(self.tokens, tok)  # the end token stays
         return tok
 
     def expect_op(self, symbol: str):

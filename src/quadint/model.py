@@ -177,6 +177,17 @@ def operator_norm(multiplier: np.ndarray) -> float:
     return float(np.max(np.abs(multiplier)))
 
 
+def equal_groups(specs) -> list[list[int]]:
+    """The indices of kernel or operator specs grouped by dataclass
+    equality, in the order of each group's first index; materialize and
+    the map do the work of a group once.  A tabulated kernel holds an
+    array and forms a group of its own."""
+    groups: dict = {}
+    for m, spec in enumerate(specs):
+        groups.setdefault(m if isinstance(spec, TabulatedKernel) else spec, []).append(m)
+    return list(groups.values())
+
+
 # --- problem -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -214,8 +225,8 @@ class ProblemSpec:
 class MaterializedProblem:
     """A problem with every field sampled and every operator norm computed.
     Fields are stacked over the components, spectra in rfftn layout (see
-    spectral).  The multipliers are not held: the map evaluates each one
-    from its operator (multiplier_values) when it applies it."""
+    spectral).  The multipliers are not held: the map evaluates each
+    distinct one from its operator (multiplier_values) when it applies it."""
 
     spec: ProblemSpec
     kernels: tuple[MaterializedKernel, ...]
@@ -289,10 +300,11 @@ def check_working_set(grid: Grid, components: int) -> None:
 
 def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProblem:
     """Sample all fields and precompute operator data: the kernel spectra,
-    the operator norms and the spectrum of u0, each computed once here.
-    Of the sampled fields only u0 is kept: the kernels are sampled and
-    measured one at a time and written, shifted, into one stacked buffer,
-    of which only the transform is kept.  A grid too large for the
+    the operator norms and the spectrum of u0, each computed once here:
+    once per group of equal specs (equal_groups), whose members share the
+    result.  Of the sampled fields only u0 is kept: the kernels are sampled
+    and measured one at a time and written, shifted, into one stacked
+    buffer, of which only the transform is kept.  A grid too large for the
     machine is refused first, and initial data whose squares or H2 norm
     overflow a double before anything else uses it.  u0 and its spectrum
     are made before the kernels are sampled, which keeps the process's
@@ -305,31 +317,45 @@ def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProble
         u0_norm = spectral.h2_norm(grid, u0_spectrum)
     if not math.isfinite(u0_norm):
         raise NumericOverflowError("the H2 norm of the initial data overflows a double")
-    norms = tuple(operator_norm(multiplier_values(op, grid)) for op in problem.operators)
+    norms = [0.0] * problem.n
+    for rows in equal_groups(problem.operators):
+        norm = operator_norm(multiplier_values(problem.operators[rows[0]], grid))
+        for m in rows:
+            norms[m] = norm
     if strict and 0.0 in norms:
         raise AssumptionViolation("operator multiplier vanishes identically")
     # the kernel spectra are allocated before any kernel is sampled, and the
     # buffer of shifted kernels once the first is: with glibc that lowers the
     # peak RSS, and the sampling of the first kernel stays below the peak of
     # a Picard step (README, "Memory")
-    kernels = []
+    groups = equal_groups(problem.kernels)
+    kernels: list = [None] * problem.n
     kernel_spectra = np.empty((problem.n,) + grid.spectral_shape, dtype=complex)
-    for m, spec in enumerate(problem.kernels):
-        kernel, K = materialize_kernel(spec, grid, strict=strict)
-        kernels.append(kernel)
-        if m == 0:
-            shifted = np.empty((problem.n,) + grid.shape)
+    for i, rows in enumerate(groups):
+        kernel, K = materialize_kernel(problem.kernels[rows[0]], grid, strict=strict)
+        for m in rows:
+            kernels[m] = kernel
+        if i == 0:
+            shifted = np.empty((len(groups),) + grid.shape)
         # spectral.kernel_spectrum of the stacked kernels, built without
         # stacking them first: x = 0 moves to index 0, h^d scales the transform
-        spectral.shift_origin(grid, K, out=shifted[m])
-    spectral.forward_transform(grid, shifted, out=kernel_spectra)
+        spectral.shift_origin(grid, K, out=shifted[i])
+    distinct = kernel_spectra[:len(groups)]
+    spectral.forward_transform(grid, shifted, out=distinct)
     del shifted
-    kernel_spectra *= grid.cell_volume
+    distinct *= grid.cell_volume
+    # row i goes to the rows of group i, which all lie at or after i; the
+    # groups are taken last to first, so a row is read before it is written.
+    # A row of a batched transform is bit-identical to its lone transform.
+    for i, rows in reversed(list(enumerate(groups))):
+        for m in rows:
+            if m != i:
+                kernel_spectra[m] = kernel_spectra[i]
     return MaterializedProblem(
         spec=problem,
         kernels=tuple(kernels),
         kernel_spectra=kernel_spectra,
-        operator_norms=norms,
+        operator_norms=tuple(norms),
         u0=u0,
         u0_spectrum=u0_spectrum,
         u0_norm=u0_norm,

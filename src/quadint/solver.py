@@ -32,7 +32,7 @@ from . import spectral
 from .analysis import ConstantsReport, c1_distance, estimate_M
 from .errors import BallEscapeError, ConfigurationError, NonConvergenceError
 from .exprdsl import NonlinearitySpec
-from .model import MaterializedProblem, multiplier_values
+from .model import MaterializedProblem, equal_groups, multiplier_values
 
 BALL_SLACK = 1e-9
 
@@ -70,8 +70,12 @@ def _map_at(mat: MaterializedProblem, u: np.ndarray, v_spectrum: np.ndarray) -> 
     del values
     w = spectral.convolve(grid, mat.kernel_spectra, u, out=u)
     spectrum = np.add(mat.u0_spectrum, v_spectrum)
-    for m, op in enumerate(mat.spec.operators):
-        spectrum[m] *= multiplier_values(op, grid)
+    operators = mat.spec.operators
+    for rows in equal_groups(operators):  # each multiplier once, one at a time
+        multiplier = multiplier_values(operators[rows[0]], grid)
+        for m in rows:
+            spectrum[m] *= multiplier
+    del multiplier  # not held through the inverse, the map's peak
     spectral.multiply_by_inverse(grid, w, spectrum)
     return w
 

@@ -769,6 +769,12 @@ class TestPathologicalInput:
         with pytest.raises(ExpressionSyntaxError, match="deeper than"):
             exprdsl.parse(text + "/(1+x1^2)", 3, "x")
 
+    def test_non_ascii_digit_is_an_input_error(self, tmp_path, capsys):
+        code = main(["check", write_problem(tmp_path, dict(CERTIFIED, g=["\u0663*z1"]))])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unexpected character '\u0663' (byte offset 0)\n")
+
     def test_exponent_beyond_the_limit_names_its_offset(self, tmp_path, capsys):
         text = f"z1^2+z1^{exprdsl.MAX_EXPONENT + 1}"
         code = main(["check", write_problem(tmp_path, dict(CERTIFIED, g=[text]))])

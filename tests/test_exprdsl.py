@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,10 +60,11 @@ class TestParse:
         assert evaluate(parse(".5", 1), (0.0,)) == 0.5
 
     def test_syntax_error_carries_offset(self):
-        # offsets count UTF-8 bytes: an em space is whitespace of 3 bytes, an
-        # Arabic-Indic three a digit of 2
+        # offsets count UTF-8 bytes: an em space is whitespace of 3 bytes, a
+        # no-break space whitespace of 2; an Arabic-Indic three is no digit
         for text, offset in (("z1 + $", 5), ("z1 + ", 5), ("\u2003z1 + $", 8),
-                             ("z1+\u0663$", 5), ("z1 +\u00e9", 4), ("\u2003(z1", 6)):
+                             ("z1+\u00a0$", 5), ("z1+\u0663$", 3), ("z1 +\u00e9", 4),
+                             ("\u2003(z1", 6)):
             with pytest.raises(ExpressionSyntaxError) as err:
                 parse(text, 1)
             assert err.value.offset == offset
@@ -79,6 +81,30 @@ class TestParse:
         assert time.perf_counter() - start < 10.0
         assert str(long.value) == str(short.value) == (
             "expression tree deeper than 100 levels (byte offset 299)")
+
+    def test_non_ascii_digits_are_refused(self):
+        # numbers and variable indices are written in [0-9] only
+        for text, offset in (("\u0663*z1", 0), ("z1^\u0663", 3), ("z\u0661", 1),
+                             ("1.\u0665", 2), ("2e\u0663", 2)):
+            with pytest.raises(ExpressionSyntaxError, match="unexpected character") as err:
+                parse(text, 1)
+            assert err.value.offset == offset, text
+
+    def test_refused_long_input_holds_no_token_stream(self):
+        # the 1 MB flat sum is refused at byte offset 299; the tokens after
+        # that point are checked for lexer errors but never held
+        text = "z1" + "+z1" * 350_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExpressionSyntaxError, match="byte offset 299"):
+                parse(text, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20, peak
+        # a lexer error at the end still comes before the parse error
+        with pytest.raises(ExpressionSyntaxError, match=r"unexpected character '\$'"):
+            parse(text + "$", 1)
 
     def test_unknown_identifier(self):
         with pytest.raises(ExpressionSyntaxError, match="unknown identifier"):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -293,6 +294,84 @@ class TestCachedKernelSpectra:
         for m, k in enumerate(problem.kernels):
             assert np.array_equal(mat.kernel_spectra[m],
                                   sp.kernel_spectrum(g, sample_kernel(k, g)[0]))
+
+
+class TestRepeatedSpecs:
+    # the constants-tanh benchmark shape: one kernel and one operator for
+    # all six components
+    @staticmethod
+    def six_equal(g=Grid(2, 32, 8.0)):
+        return ProblemSpec(
+            grid=g, kernels=(ExpressionKernel("2e-4*exp(-x1^2-x2^2)"),) * 6,
+            operators=(InverseHelmholtz(),) * 6,
+            g=NonlinearitySpec.from_strings([f"tanh(z{m + 1}*z{m % 6 + 1})" for m in range(6)]),
+            u0=(parse("0.03*exp(-x1^2-x2^2)", 2, "x"),) * 6)
+
+    @staticmethod
+    def counting(monkeypatch, module, name):
+        calls = []
+        inner = getattr(module, name)
+
+        def counted(spec, grid):
+            calls.append(spec)
+            return inner(spec, grid)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_repeated_kernels_give_the_spectra_of_sampled_kernels(self):
+        g = Grid(3, 8, 4.0)
+        K = np.exp(-sum(x ** 2 for x in g.coords) * np.ones(g.shape))
+        gauss, expr = GaussianKernel(1.0), ExpressionKernel("(1+x1)*exp(-2*x1^2-x2^2-x3^2)")
+        kernels = (expr, gauss, TabulatedKernel(K), gauss, expr, TabulatedKernel(K.copy()),
+                   GaussianKernel(2.0), expr)
+        problem = ProblemSpec(
+            grid=g, kernels=kernels, operators=(InverseHelmholtz(),) * len(kernels),
+            g=NonlinearitySpec.from_strings([f"z{m + 1}^2" for m in range(len(kernels))]),
+            u0=(parse("exp(-x1^2-x2^2-x3^2)", 3, "x"),) * len(kernels))
+        mat = materialize(problem)
+        for m, k in enumerate(kernels):
+            assert np.array_equal(mat.kernel_spectra[m],
+                                  sp.kernel_spectrum(g, sample_kernel(k, g)[0]))
+            assert mat.kernels[m] == materialize_kernel(k, g)[0]
+        assert mat.kernels[4] is mat.kernels[0] and mat.kernels[3] is mat.kernels[1]
+
+    def test_sample_kernel_runs_once_per_distinct_spec(self, monkeypatch):
+        calls = self.counting(monkeypatch, model, "sample_kernel")
+        materialize(self.six_equal())
+        assert calls == [ExpressionKernel("2e-4*exp(-x1^2-x2^2)")]
+        # tabulated kernels hold arrays and are sampled each time, even the same one
+        g = Grid(2, 16, 8.0)
+        tab = TabulatedKernel(np.exp(-(g.coords[0] ** 2 + g.coords[1] ** 2)))
+        kernels = (GaussianKernel(1.0), tab, GaussianKernel(1.0), tab, GaussianKernel(0.5))
+        calls.clear()
+        materialize(ProblemSpec(
+            grid=g, kernels=kernels, operators=(InverseHelmholtz(),) * 5,
+            g=NonlinearitySpec.from_strings([f"z{m + 1}^2" for m in range(5)]),
+            u0=(parse("exp(-x1^2-x2^2)", 2, "x"),) * 5))
+        assert calls == [GaussianKernel(1.0), tab, tab, GaussianKernel(0.5)]
+
+    def test_operator_norms_once_per_distinct_spec(self, monkeypatch):
+        ops = (InverseHelmholtz(), ScaledIdentity(0.5), InverseHelmholtz(),
+               RationalMultiplier(p=(1.0,), q=(1.0, 1.0)), ScaledIdentity(0.5), InverseHelmholtz())
+        calls = self.counting(monkeypatch, model, "multiplier_values")
+        mat = materialize(dataclasses.replace(self.six_equal(), operators=ops))
+        assert calls == [InverseHelmholtz(), ScaledIdentity(0.5), ops[3]]
+        assert mat.operator_norms == (1.0, 0.5, 1.0, 1.0, 0.5, 1.0)
+
+    def test_repeated_vanishing_kernel_raises_where_it_first_appears(self, monkeypatch):
+        vanishing = ExpressionKernel("0*x1")
+        problem = dataclasses.replace(
+            self.six_equal(Grid(2, 16, 8.0)),
+            kernels=(GaussianKernel(1.0), vanishing, GaussianKernel(1.0), vanishing,
+                     GaussianKernel(2.0), vanishing))
+        calls = self.counting(monkeypatch, model, "sample_kernel")
+        with pytest.raises(AssumptionViolation, match="kernel vanishes identically on the grid"):
+            materialize(problem)
+        assert calls == [GaussianKernel(1.0), vanishing]
+        report = validate_assumptions(materialize(problem, strict=False))
+        assert [v for v in report.violations if v.startswith("kernel")] == [
+            "kernel 2 vanishes identically", "kernel 4 vanishes identically",
+            "kernel 6 vanishes identically"]
 
 
 class TestWorkingSet:

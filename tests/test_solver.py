@@ -10,8 +10,8 @@ from quadint.errors import (BallEscapeError, ConfigurationError,
                             NonConvergenceError)
 from quadint.exprdsl import NonlinearitySpec, parse
 from quadint.model import (ExpressionKernel, InverseHelmholtz, ProblemSpec,
-                           TabulatedKernel, materialize, multiplier_values,
-                           sample_kernel)
+                           ScaledIdentity, TabulatedKernel, materialize,
+                           multiplier_values, sample_kernel)
 from quadint.oracle import direct_convolution
 from quadint.solver import (IterationTrace, a_posteriori_bound, apply_map_tg,
                             continuity_experiment, picard_solve,
@@ -101,6 +101,25 @@ class TestApplyMap:
         u = mat.u0 + v
         expected = sp.h2_norm(grid, sp.forward_transform(grid, (u - mat.u0) - reference))
         assert residual_original_system(mat, u) == pytest.approx(expected, rel=1e-12)
+
+    def test_each_distinct_multiplier_evaluated_once(self, monkeypatch):
+        # one evaluation per distinct operator per application, and the same
+        # map as with each component's own multiplier
+        ops = (InverseHelmholtz(), ScaledIdentity(0.5), InverseHelmholtz(), ScaledIdentity(0.5))
+        mat = materialize(dataclasses.replace(
+            small_problem(("z1*z2", "z2*z3", "z3*z4", "z4*z1")), operators=ops))
+        grid = mat.grid
+        v = sampling.random_vector_in_ball(grid, 4, 0.5, np.random.default_rng(7))
+        v_spectrum = sp.forward_transform(grid, v)
+        reference = sp.convolve(grid, mat.kernel_spectra, np.stack(
+            mat.g.evaluate_components(list(mat.u0 + v))))
+        multipliers = np.stack([multiplier_values(op, grid) for op in ops])
+        reference *= sp.apply_multiplier(grid, multipliers, mat.u0_spectrum + v_spectrum)
+        calls = []
+        monkeypatch.setattr(solver, "multiplier_values",
+                            lambda op, g: calls.append(op) or multiplier_values(op, g))
+        assert np.array_equal(apply_map_tg(mat, v, v_spectrum), reference)
+        assert calls == [InverseHelmholtz(), ScaledIdentity(0.5)]
 
     def test_grid_mismatch_rejected(self, certified):
         mat, _ = certified
