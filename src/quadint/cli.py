@@ -287,10 +287,9 @@ def cmd_continuity(args) -> int:
 def cmd_oracle(args) -> int:
     problem, digest = load_problem(args.file)
     d = problem.grid.d
-    size = args.size if args.size is not None else (16 if d == 2 else 8)
-    budget = oracle.DEFAULT_BUDGET
+    size = args.size if args.size is not None else oracle.MAX_POINTS[d]
     small = Grid(d=d, n=size, L=problem.grid.L)
-    budget.check(small)
+    oracle.check_budget(small)
 
     if any(isinstance(e, np.ndarray) for e in problem.u0) or any(
             isinstance(k, TabulatedKernel) for k in problem.kernels):
@@ -309,7 +308,7 @@ def cmd_oracle(args) -> int:
         f = mat.u0[m] if np.any(mat.u0[m] != 0.0) else mat.u0[0]
         fast = spectral.convolve(small, mat.kernel_spectra[m], f)
         K, _, _ = model.sample_kernel(reduced.kernels[m], small)
-        direct = oracle.direct_convolution(small, K, f, budget)
+        direct = oracle.direct_convolution(small, K, f)
         scale = max(spectral.l2_norm(small, direct), 1e-300)
         err = spectral.l2_norm(small, fast - direct) / scale
         passed = err <= 1e-10
@@ -364,6 +363,7 @@ def retain_freed_heap() -> None:
         mallopt(parameter, HEAP_RETAIN_BYTES)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadint",

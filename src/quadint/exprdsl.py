@@ -14,9 +14,9 @@ minus, which binds tighter than '*' and '/'.
 
 Parentheses and function calls nest at most MAX_NESTING deep, a tree is at
 most MAX_DEPTH nodes deep, an exponent is at most MAX_EXPONENT, and the
-polynomial expansion of an expression forms at most MAX_POLYNOMIAL_TERMS
-terms; the parser refuses anything beyond them with the byte offset of
-the token that goes too far.
+polynomial expansion of an expression over z forms at most
+MAX_POLYNOMIAL_TERMS terms; the parser refuses anything beyond them with
+the byte offset of the token that goes too far.
 Expressions are immutable trees; evaluation is IEEE double arithmetic, at a
 point or elementwise on numpy arrays, and computes each distinct subtree of
 the expressions evaluated together once.  Differentiation is exact and
@@ -182,8 +182,12 @@ class _Parser:
         degree, a bound on the monomials of its expansion, and a bound on
         the terms as_polynomial forms to expand it; refuse it beyond the
         limits.  Terms of equal exponents combine, so an expansion of
-        degree deg has at most C(deg + arity, arity) monomials."""
-        if isinstance(node, (Num, Var)):
+        degree deg has at most C(deg + arity, arity) monomials.  Only g is
+        ever expanded, so an expression over x carries its depth alone."""
+        if self.family == "x":
+            size = (1 + max((self.sizes[id(v)][0] for v in vars(node).values()
+                             if isinstance(v, Expr)), default=0), 0, 1, 0)
+        elif isinstance(node, (Num, Var)):
             size = (1, 0 if isinstance(node, Num) else 1, 1, 0)
         elif isinstance(node, Pow):
             depth, deg, t, formed = self.sizes[id(node.base)]

@@ -302,13 +302,11 @@ def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProble
     """Sample all fields and precompute operator data: the kernel spectra,
     the operator norms and the spectrum of u0, each computed once here:
     once per group of equal specs (equal_groups), whose members share the
-    result.  Of the sampled fields only u0 is kept: the kernels are sampled
-    and measured one at a time and written, shifted, into one stacked
-    buffer, of which only the transform is kept.  A grid too large for the
-    machine is refused first, and initial data whose squares or H2 norm
-    overflow a double before anything else uses it.  u0 and its spectrum
-    are made before the kernels are sampled, which keeps the process's
-    peak RSS lower with glibc (README, "Memory")."""
+    result.  Of the sampled fields only u0 is kept: each kernel is sampled,
+    measured and transformed in turn, and dropped once its spectrum is
+    written.  A grid too large for the machine is refused first, and
+    initial data whose squares or H2 norm overflow a double before anything
+    else uses it."""
     grid = problem.grid
     check_working_set(grid, problem.n)
     u0 = materialize_u0(problem, strict=strict)
@@ -324,33 +322,14 @@ def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProble
             norms[m] = norm
     if strict and 0.0 in norms:
         raise AssumptionViolation("operator multiplier vanishes identically")
-    # the kernel spectra are allocated before any kernel is sampled, and the
-    # buffer of shifted kernels once the first is: with glibc that lowers the
-    # peak RSS, and the sampling of the first kernel stays below the peak of
-    # a Picard step (README, "Memory")
-    groups = equal_groups(problem.kernels)
     kernels: list = [None] * problem.n
     kernel_spectra = np.empty((problem.n,) + grid.spectral_shape, dtype=complex)
-    for i, rows in enumerate(groups):
+    for rows in equal_groups(problem.kernels):
         kernel, K = materialize_kernel(problem.kernels[rows[0]], grid, strict=strict)
+        kernel_spectra[rows] = spectral.kernel_spectrum(grid, K)
+        del K
         for m in rows:
             kernels[m] = kernel
-        if i == 0:
-            shifted = np.empty((len(groups),) + grid.shape)
-        # spectral.kernel_spectrum of the stacked kernels, built without
-        # stacking them first: x = 0 moves to index 0, h^d scales the transform
-        spectral.shift_origin(grid, K, out=shifted[i])
-    distinct = kernel_spectra[:len(groups)]
-    spectral.forward_transform(grid, shifted, out=distinct)
-    del shifted
-    distinct *= grid.cell_volume
-    # row i goes to the rows of group i, which all lie at or after i; the
-    # groups are taken last to first, so a row is read before it is written.
-    # A row of a batched transform is bit-identical to its lone transform.
-    for i, rows in reversed(list(enumerate(groups))):
-        for m in rows:
-            if m != i:
-                kernel_spectra[m] = kernel_spectra[i]
     return MaterializedProblem(
         spec=problem,
         kernels=tuple(kernels),

@@ -8,7 +8,6 @@ size-budgeted; they exist for correctness, not speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -19,26 +18,21 @@ from .sampling import random_ball_points
 from .spectral import Grid
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Largest grids the O(n^2d) paths will accept."""
-
-    max_points_2d: int = 16
-    max_points_3d: int = 8
-
-    def check(self, grid: Grid) -> None:
-        limit = self.max_points_2d if grid.d == 2 else self.max_points_3d
-        if grid.n > limit:
-            raise OracleBudgetError(
-                f"direct path limited to {limit} points per axis in d={grid.d}, "
-                f"got {grid.n}")
+# largest grids, in points per axis by dimension, the O(n^2d) paths accept
+MAX_POINTS = {2: 16, 3: 8}
+# central-difference step, relative to max(1, |z|)
+FD_STEP_SCALE = 1e-5
 
 
-DEFAULT_BUDGET = OracleBudget()
+def check_budget(grid: Grid) -> None:
+    """Refuse a grid larger than MAX_POINTS allows in its dimension."""
+    limit = MAX_POINTS[grid.d]
+    if grid.n > limit:
+        raise OracleBudgetError(
+            f"direct path limited to {limit} points per axis in d={grid.d}, got {grid.n}")
 
 
-def direct_convolution(grid: Grid, K: np.ndarray, f: np.ndarray,
-                       budget: OracleBudget = DEFAULT_BUDGET) -> np.ndarray:
+def direct_convolution(grid: Grid, K: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Literal periodic quadrature sum_y K(x - y) f(y) h^d of two fields
     sampled on the grid.
 
@@ -47,7 +41,7 @@ def direct_convolution(grid: Grid, K: np.ndarray, f: np.ndarray,
     """
     if K.shape != grid.shape or f.shape != grid.shape:
         raise OracleBudgetError("kernel and field must both be sampled on the grid")
-    budget.check(grid)
+    check_budget(grid)
     n = grid.n
     out = np.zeros(grid.shape)
     idx = np.indices(grid.shape)
@@ -57,10 +51,10 @@ def direct_convolution(grid: Grid, K: np.ndarray, f: np.ndarray,
     return out * grid.cell_volume
 
 
-def finite_diff_gradient(g: NonlinearitySpec, z, step_scale: float = 1e-5) -> np.ndarray:
+def finite_diff_gradient(g: NonlinearitySpec, z) -> np.ndarray:
     """Central-difference Jacobian of the nonlinearity at the point z."""
     z = np.asarray(z, dtype=float)
-    h = step_scale * max(1.0, float(np.linalg.norm(z)))
+    h = FD_STEP_SCALE * max(1.0, float(np.linalg.norm(z)))
     n = g.n
     out = np.zeros((n, n))
     for j in range(n):

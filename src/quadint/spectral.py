@@ -2,8 +2,9 @@
 
 Everything operates on a uniform grid over the box [-L, L)^d (d = 2 or 3)
 with n points per axis and spacing h = 2L/n; x = 0 sits at sample index n/2
-on every axis.  A field is a real ndarray whose last d axes are the grid;
-N components are stacked on a leading axis, shape (N, n, ..., n).
+on every axis, in kernels too, until :func:`kernel_spectrum` moves it to
+index 0 (np.fft.ifftshift).  A field is a real ndarray whose last d axes are
+the grid; N components are stacked on a leading axis, shape (N, n, ..., n).
 
 Spectra are numpy's unnormalized real transform over the last d axes, in
 rfftn layout: the frequencies k in [-n/2, n/2) on the leading grid axes
@@ -26,7 +27,6 @@ counterparts: the L2 norm carries the cell volume h^d, and the H2 norm sums
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +36,8 @@ import numpy as np
 import numpy.fft  # noqa: F401
 
 from .errors import ConfigurationError
+
+TAIL_SHELL = 0.1  # the outer fraction of the box, per axis, for tail_mass_fraction
 
 
 @dataclass(frozen=True)
@@ -181,21 +183,13 @@ def multiply_by_inverse(grid: Grid, f: np.ndarray, F: np.ndarray) -> None:
         f[i] *= np.fft.irfft(F[i], n=grid.n, axis=-1)
 
 
-def shift_origin(grid: Grid, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.fft.ifftshift of f over the grid axes, written into out: x = 0
-    moves from index n/2 to index 0.  n is even, so each axis swaps its
-    two halves."""
-    halves = (slice(None, grid.n // 2), slice(grid.n // 2, None))
-    for corner in itertools.product((0, 1), repeat=grid.d):
-        out[(..., *(halves[c] for c in corner))] = f[(..., *(halves[1 - c] for c in corner))]
-    return out
-
-
 def kernel_spectrum(grid: Grid, K: np.ndarray) -> np.ndarray:
     """Spectrum of a kernel sampled on the grid, ready for :func:`convolve`:
-    shift_origin moves x = 0 to index 0, and h^d is the quadrature weight
-    of the convolution."""
-    return grid.cell_volume * forward_transform(grid, shift_origin(grid, K, np.empty_like(K)))
+    ifftshift moves x = 0 to index 0, and h^d is the quadrature weight of
+    the convolution."""
+    F = forward_transform(grid, np.fft.ifftshift(K, axes=grid.axes))
+    F *= grid.cell_volume
+    return F
 
 
 def apply_multiplier(grid: Grid, multiplier: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -263,12 +257,12 @@ def tilde_w21_norm(grid: Grid, K: np.ndarray, deltaK: np.ndarray) -> float:
     return float(np.hypot(l1_norm(grid, K), l1_norm(grid, deltaK)))
 
 
-def tail_mass_fraction(grid: Grid, f: np.ndarray, kind: str = "l1",
-                       shell: float = 0.1) -> float:
+def tail_mass_fraction(grid: Grid, f: np.ndarray, kind: str = "l1") -> float:
     """Fraction of the field's mass (L1 for kernels, L2 for data fields)
-    sitting in the outer `shell` fraction of the box, per axis in sup norm.
-    Quantifies how much of the function the box truncation is clipping."""
-    cutoff = (1.0 - shell) * grid.L
+    sitting in the outer TAIL_SHELL fraction of the box, per axis in sup
+    norm.  Quantifies how much of the function the box truncation is
+    clipping."""
+    cutoff = (1.0 - TAIL_SHELL) * grid.L
     outer = np.zeros(grid.shape, dtype=bool)
     for a in grid.coords:
         outer = outer | (np.abs(a) >= cutoff)

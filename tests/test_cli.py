@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quadint
 from quadint import cli, exprdsl
 from quadint.cli import main
 from quadint.errors import ExpressionSyntaxError
@@ -254,22 +255,24 @@ class TestSolve:
             assert ratio <= sigma + 1e-9
 
     def test_solve_runs_only_batched_real_transforms(self, tmp_path, capsys, fft_calls):
-        # kernels and u0 at load, four per step, four for the residual; the
-        # report's norms reuse known spectra, and nothing is a complex fftn.
-        # Each inverse is an ifftn in place over the leading grid axes, then
-        # irfft over the last, which the prefactor T(u0 + v) runs once per
-        # component
+        # u0 and each distinct kernel at load, four per step, four for the
+        # residual; the report's norms reuse known spectra, and nothing is a
+        # complex fftn.  Each inverse is an ifftn in place over the leading
+        # grid axes, then irfft over the last, which the prefactor T(u0 + v)
+        # runs once per component
+        distinct = 2  # the file's two kernels differ
         code, doc = run(capsys, "solve", str(PROBLEMS / "two_component.json"))
         assert code == 0
         k = doc["solve"]["iterations"]
         names = [name for name, _, _ in fft_calls]
         assert set(names) == {"rfftn", "ifftn", "irfft"}
-        assert names.count("rfftn") + names.count("ifftn") == 2 + 4 * k + 4
+        assert names.count("rfftn") + names.count("ifftn") == 1 + distinct + 4 * k + 4
         assert names.count("ifftn") == 2 * k + 2
         assert names.count("irfft") == (1 + 2) * (k + 1)
-        assert {shape for _, shape, _ in fft_calls} == {(2, 32, 32), (2, 32, 17), (32, 17)}
+        assert {shape for _, shape, _ in fft_calls} == \
+            {(2, 32, 32), (32, 32), (2, 32, 17), (32, 17)}
         assert {shape for name, shape, _ in fft_calls if name != "irfft"} == \
-            {(2, 32, 32), (2, 32, 17)}
+            {(2, 32, 32), (32, 32), (2, 32, 17)}
         assert {axes for name, _, axes in fft_calls if name == "ifftn"} == {(-2,)}
 
     @pytest.mark.parametrize("name", ["gaussian_certified.json", "two_component.json"])
@@ -501,13 +504,16 @@ class TestOracle:
 
 class TestWorkingSet:
     @staticmethod
-    def traced_peak(tmp_path, n, components):
+    def solve_3d(tmp_path, n, components):
         doc = {key: value[:components] if isinstance(value, list) else value
                for key, value in SOLVE_3D.items()}
         doc.update(components=components, grid=dict(SOLVE_3D["grid"], n=n))
         if components == 1:
             doc["g"] = ["z1^2"]
-        path = write_problem(tmp_path, doc)
+        return write_problem(tmp_path, doc)
+
+    def traced_peak(self, tmp_path, n, components):
+        path = self.solve_3d(tmp_path, n, components)
         argv = ["solve", path, "--out", str(tmp_path / "report.json")]
         assert main(argv) == 0  # warm: first-call allocations are not the grid's
         tracemalloc.start()
@@ -531,6 +537,28 @@ class TestWorkingSet:
         estimate = (working_set_bytes(Grid(3, 32, 8.0), components)
                     - working_set_bytes(Grid(3, 16, 8.0), components))
         assert large - small <= estimate, (large - small) / estimate
+
+    @pytest.mark.parametrize("components, n", [(1, 64), (2, 32)])
+    def test_materialize_peaks_below_a_picard_step(self, tmp_path, components, n):
+        # README "Memory": materialize samples, measures and transforms one
+        # kernel at a time, so with u0 and the spectra it keeps it holds less
+        # than one Picard step holds on top of them.  At N = 1 the two peaks
+        # lie within 1%: sampling a kernel takes a fixed ~85 kB beyond its
+        # fields, which at n = 32 puts materialize 0.5% above the step and
+        # at n = 64 weighs 8 times less against a field
+        from quadint import analysis, model, solver
+        problem, _ = cli.load_problem(self.solve_3d(tmp_path, n, components))
+        tracemalloc.start()
+        try:
+            mat = model.materialize(problem)
+            materialize_peak = tracemalloc.get_traced_memory()[1]
+            report = analysis.constants_report(mat)
+            tracemalloc.reset_peak()
+            solver.picard_solve(mat, report, tol=1e300, max_iter=1)
+            step_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert materialize_peak < step_peak, materialize_peak / step_peak
 
 
 class TestHeapRetention:
@@ -578,6 +606,23 @@ class TestHeapRetention:
             cli.retain_freed_heap.cache_clear()
         assert calls == [None]  # once per process
         assert got.read_bytes() == expected.read_bytes()
+
+
+class TestParser:
+    def test_main_builds_one_parser_per_process(self, tmp_path, capsys):
+        path = write_problem(tmp_path, CERTIFIED)
+        cli.build_parser.cache_clear()
+        assert main(["check", path]) == 0
+        assert main(["check", path, "--seed", "1"]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+        capsys.readouterr()
+        # the shared parser still refuses a usage error and answers --version
+        assert main(["check"]) == 2
+        assert "the following arguments are required: file" in capsys.readouterr().err
+        for _ in range(2):
+            assert main(["--version"]) == 0
+            assert capsys.readouterr().out == f"quadint {quadint.__version__}\n"
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestDeterminism:
@@ -796,6 +841,20 @@ class TestPathologicalInput:
                 assert captured.err == (
                     "error: polynomial expansion forms more than 10000 terms "
                     "(byte offset 13)\n")
+
+    def test_polynomial_cap_leaves_spatial_expressions_alone(self, tmp_path, capsys):
+        # as_polynomial expands g alone, so the cap refuses a power over z
+        # but lets the same power over x through to the sampling of u0;
+        # the depth and nesting caps still hold for x (tests above)
+        text = "1e-7*(1+x1+x2)^20*exp(-x1^2-x2^2)"
+        path = write_problem(tmp_path, dict(CERTIFIED, u0=[text]))
+        code = main(["check", path])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        with pytest.raises(ExpressionSyntaxError) as err:
+            exprdsl.parse(text.replace("x", "z"), 2)
+        assert str(err.value) == (
+            "polynomial expansion forms more than 10000 terms (byte offset 14)")
 
     def test_overflowing_literal_in_a_process(self, tmp_path):
         path = write_problem(tmp_path, dict(CERTIFIED, g=["z1^2*exp(1000)"]))

@@ -4,8 +4,7 @@ import pytest
 import quadint.spectral as sp
 from quadint.errors import OracleBudgetError
 from quadint.exprdsl import NonlinearitySpec, Num, parse
-from quadint.oracle import (OracleBudget, dense_c1_norm, direct_convolution,
-                            finite_diff_gradient)
+from quadint.oracle import dense_c1_norm, direct_convolution, finite_diff_gradient
 from quadint.spectral import Grid
 
 from conftest import dense_sup_estimate
@@ -39,7 +38,6 @@ class TestDirectConvolution:
         z3 = np.zeros(g3.shape)
         with pytest.raises(OracleBudgetError):
             direct_convolution(g3, z3, z3)
-        direct_convolution(g3, z3, z3, OracleBudget(max_points_3d=16))
         # fields sampled on another grid are refused
         with pytest.raises(OracleBudgetError):
             direct_convolution(Grid(2, 8, 4.0), z, z)

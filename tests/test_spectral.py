@@ -57,15 +57,6 @@ class TestGrid:
 
 
 class TestTransform:
-    @pytest.mark.parametrize("lead", [(), (3,)])
-    @pytest.mark.parametrize("d, n", [(2, 4), (2, 6), (3, 4), (3, 8)])
-    def test_shift_origin_is_ifftshift(self, rng, d, n, lead):
-        g = Grid(d, n, 4.0)
-        f = rng.standard_normal(lead + g.shape)
-        out = np.full_like(f, np.nan)
-        assert sp.shift_origin(g, f, out) is out
-        assert np.array_equal(out, np.fft.ifftshift(f, axes=g.axes))
-
     def test_constant_field_is_dc_only(self):
         g = Grid(2, 16, 4.0)
         c = 2.5
