@@ -107,8 +107,9 @@ class C1Sample:
 def estimate_M(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
     """C^1 bound of the nonlinearity on the state ball of `sample`: the sum
     over components of sup|g_m| + sum_j sup|dg_m/dz_j|.  A rigorous
-    coefficient bound when every piece is polynomial, otherwise a
-    quasi-random sup on `sample` inflated by SAMPLED_INFLATION."""
+    coefficient bound when every component expands (exprdsl.as_polynomial),
+    its partials taken from its coefficients; otherwise a quasi-random sup
+    on `sample` inflated by SAMPLED_INFLATION."""
     n = g.n
     if sample.n != n:
         raise ConfigurationError(
@@ -116,11 +117,11 @@ def estimate_M(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
     polys = [exprdsl.as_polynomial(c, n) for c in g.components]
     if all(p is not None for p in polys):
         total = 0.0
-        for m, comp_poly in enumerate(polys):
-            total += exprdsl.polynomial_sup_bound(comp_poly, sample.radius)
-            for j in range(n):
-                grad_poly = exprdsl.as_polynomial(g.gradient[m][j], n)
-                total += exprdsl.polynomial_sup_bound(grad_poly, sample.radius)
+        for poly in polys:  # the component, then its partials by z1..zN
+            total += exprdsl.polynomial_sup_bound(poly, sample.radius)
+            for j in range(1, n + 1):
+                total += exprdsl.polynomial_sup_bound(
+                    exprdsl.polynomial_derivative(poly, j), sample.radius)
         return float(total), "rigorous-bound"
 
     # one interior and one sphere set shared by all N + N^2 sups, each
@@ -130,12 +131,6 @@ def estimate_M(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
                                      take=lambda _, v: float(np.max(np.abs(v)))):
         total += sup
     return float(total * SAMPLED_INFLATION), "sampled-estimate"
-
-
-def c1_distance(g1: NonlinearitySpec, g2: NonlinearitySpec,
-                sample: C1Sample) -> tuple[float, str]:
-    """C^1 norm of g1 - g2 on the ball of `sample` (same policy as estimate_M)."""
-    return estimate_M(g1.difference(g2), sample)
 
 
 # --- aggregate constants --------------------------------------------------------

@@ -13,10 +13,10 @@ exponent, written in the ASCII digits [0-9].  '^' binds tighter than unary
 minus, which binds tighter than '*' and '/'.
 
 Parentheses and function calls nest at most MAX_NESTING deep, a tree is at
-most MAX_DEPTH nodes deep, an exponent is at most MAX_EXPONENT, and the
-polynomial expansion of an expression over z forms at most
-MAX_POLYNOMIAL_TERMS terms; the parser refuses anything beyond them with
-the byte offset of the token that goes too far.
+most MAX_DEPTH nodes deep, and an exponent is at most MAX_EXPONENT; the
+parser refuses anything beyond them with the byte offset of the token that
+goes too far.  A polynomial expansion (as_polynomial) counts the terms its
+products form and gives up past MAX_POLYNOMIAL_TERMS.
 Expressions are immutable trees; evaluation is IEEE double arithmetic, at a
 point or elementwise on numpy arrays, and computes each distinct subtree of
 the expressions evaluated together once.  Differentiation is exact and
@@ -48,9 +48,9 @@ MAX_NESTING = 64
 # walk it within Python's default recursion limit
 MAX_DEPTH = 100
 MAX_EXPONENT = 10_000
-# the most monomial terms that as_polynomial may form while expanding one
-# expression, by an upper bound taken while parsing; it bounds the time the
-# coefficient bound of a polynomial g takes (README, "Problem files")
+# the most terms the products of as_polynomial may form while expanding one
+# expression, counted as they are formed; it bounds the time the coefficient
+# bound of a polynomial g takes (README, "Problem files")
 MAX_POLYNOMIAL_TERMS = 10_000
 
 
@@ -175,54 +175,18 @@ class _Parser:
         self.arity = arity
         self.family = family
         self.depth = 0
-        self.sizes: dict[int, tuple[int, int, int, int]] = {}
+        self.depths: dict[int, int] = {}
 
     def made(self, node: Expr, offset: int) -> Expr:
-        """Register a node built by the token at `offset` with its depth, its
-        degree, a bound on the monomials of its expansion, and a bound on
-        the terms as_polynomial forms to expand it; refuse it beyond the
-        limits.  Terms of equal exponents combine, so an expansion of
-        degree deg has at most C(deg + arity, arity) monomials.  Only g is
-        ever expanded, so an expression over x carries its depth alone."""
-        if self.family == "x":
-            size = (1 + max((self.sizes[id(v)][0] for v in vars(node).values()
-                             if isinstance(v, Expr)), default=0), 0, 1, 0)
-        elif isinstance(node, (Num, Var)):
-            size = (1, 0 if isinstance(node, Num) else 1, 1, 0)
-        elif isinstance(node, Pow):
-            depth, deg, t, formed = self.sizes[id(node.base)]
-            k = node.exponent
-            multisets = math.comb(t + k - 1, k) if t > 1 else 1  # of k of the t terms
-            terms = min(multisets, self.monomials(deg * k))
-            size = (depth + 1, deg * k, terms, formed + k * t * terms)
-        elif isinstance(node, Neg):
-            depth, deg, t, formed = self.sizes[id(node.arg)]
-            size = (depth + 1, deg, t, formed + t)
-        elif isinstance(node, Call):  # not expanded, but its argument's derivative is
-            depth, _, _, formed = self.sizes[id(node.arg)]
-            size = (depth + 1, 0, 1, formed)
-        else:
-            dl, gl, tl, fl = self.sizes[id(node.left)]
-            dr, gr, tr, fr = self.sizes[id(node.right)]
-            if isinstance(node, Mul):  # forms every pair of terms
-                deg, terms, work = gl + gr, tl * tr, tl * tr
-            elif isinstance(node, Div):
-                deg, terms, work = gl, tl, tl
-            else:
-                deg, terms, work = max(gl, gr), tl + tr, tr
-            size = (max(dl, dr) + 1, deg, min(terms, self.monomials(deg)), fl + fr + work)
-        if size[0] > MAX_DEPTH:
+        """Register a node built by the token at `offset` with its depth;
+        refuse it beyond MAX_DEPTH."""
+        depth = 1 + max((self.depths[id(v)] for v in vars(node).values()
+                         if isinstance(v, Expr)), default=0)
+        if depth > MAX_DEPTH:
             raise ExpressionSyntaxError(
                 f"expression tree deeper than {MAX_DEPTH} levels", offset)
-        if size[3] > MAX_POLYNOMIAL_TERMS:
-            raise ExpressionSyntaxError(
-                f"polynomial expansion forms more than {MAX_POLYNOMIAL_TERMS} terms", offset)
-        self.sizes[id(node)] = size
+        self.depths[id(node)] = depth
         return node
-
-    def monomials(self, degree: int) -> int:
-        """How many monomials of degree at most `degree` the variables have."""
-        return math.comb(degree + self.arity, self.arity)
 
     def peek(self):
         return self.token
@@ -686,9 +650,11 @@ def to_string(e: Expr) -> str:
 
 def as_polynomial(e: Expr, arity: int) -> dict[tuple[int, ...], float] | None:
     """Monomial coefficients {exponent tuple: coefficient} when the tree is
-    polynomial (arithmetic, integer powers, division only by constants);
-    None otherwise."""
+    polynomial (arithmetic, integer powers, division only by constants) and
+    its products form at most MAX_POLYNOMIAL_TERMS terms in all; None
+    otherwise.  The count is checked before each product is formed."""
     zero = (0,) * arity
+    formed = 0
 
     def merge(a, b, sign=1.0):
         out = dict(a)
@@ -697,6 +663,10 @@ def as_polynomial(e: Expr, arity: int) -> dict[tuple[int, ...], float] | None:
         return out
 
     def product(a, b):
+        nonlocal formed
+        formed += len(a) * len(b)
+        if formed > MAX_POLYNOMIAL_TERMS:
+            return None
         out: dict[tuple[int, ...], float] = {}
         for ka, va in a.items():
             for kb, vb in b.items():
@@ -714,16 +684,14 @@ def as_polynomial(e: Expr, arity: int) -> dict[tuple[int, ...], float] | None:
         if isinstance(node, Neg):
             inner = rec(node.arg)
             return None if inner is None else {k: -v for k, v in inner.items()}
-        if isinstance(node, (Add, Sub)):
-            a, b = rec(node.left), rec(node.right)
-            if a is None or b is None:
+        if isinstance(node, (Add, Sub, Mul)):
+            a = rec(node.left)
+            b = None if a is None else rec(node.right)
+            if b is None:
                 return None
+            if isinstance(node, Mul):
+                return product(a, b)
             return merge(a, b, 1.0 if isinstance(node, Add) else -1.0)
-        if isinstance(node, Mul):
-            a, b = rec(node.left), rec(node.right)
-            if a is None or b is None:
-                return None
-            return product(a, b)
         if isinstance(node, Div):
             a = rec(node.left)
             if a is None or not isinstance(node.right, Num) or node.right.value == 0.0:
@@ -736,10 +704,20 @@ def as_polynomial(e: Expr, arity: int) -> dict[tuple[int, ...], float] | None:
             out = {zero: 1.0}
             for _ in range(node.exponent):
                 out = product(out, base)
+                if out is None:
+                    return None
             return out
         return None
 
     return rec(e)
+
+
+def polynomial_derivative(coeffs: dict[tuple[int, ...], float],
+                          index: int) -> dict[tuple[int, ...], float]:
+    """The coefficients of the partial derivative by the 1-based variable
+    `index`: c * k_j at the exponent tuple k lowered by one in place j."""
+    j = index - 1
+    return {k[:j] + (k[j] - 1,) + k[j + 1:]: c * k[j] for k, c in coeffs.items() if k[j]}
 
 
 def polynomial_sup_bound(coeffs: dict[tuple[int, ...], float], radius: float) -> float:
@@ -803,9 +781,6 @@ class NonlinearitySpec:
         by its partial derivatives."""
         return tuple(e for c, grad in zip(self.components, self.gradient) for e in (c, *grad))
 
-    def evaluate_components(self, args: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return evaluate_many(self.components, args)
-
     def gradient_at(self, point: Sequence[float]) -> np.ndarray:
         return np.array(
             [[evaluate(self.gradient[m][j], point) for j in range(self.n)]
@@ -813,7 +788,7 @@ class NonlinearitySpec:
         )
 
 
-def check_zero_at_origin(g: NonlinearitySpec, tol: float = 1e-14) -> bool:
-    """Every component must vanish at z = 0 (up to `tol`)."""
+def check_zero_at_origin(g: NonlinearitySpec) -> bool:
+    """Every component must vanish at z = 0 (up to 1e-14)."""
     origin = [0.0] * g.n
-    return all(abs(evaluate(c, origin)) <= tol for c in g.components)
+    return all(abs(evaluate(c, origin)) <= 1e-14 for c in g.components)

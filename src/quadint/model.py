@@ -388,7 +388,7 @@ def validate_assumptions(mat: MaterializedProblem,
     pts = sampling.random_ball_points(spec.n, r, 256, seed=sample_seed)
     cols = [pts[:, j] for j in range(spec.n)]
     try:
-        values = spec.g.evaluate_components(cols)
+        values = exprdsl.evaluate_many(spec.g.components, cols)
         if all(np.max(np.abs(v)) <= 1e-14 for v in values):
             report.violations.append("nonlinearity vanishes identically on the state ball")
     except Exception as exc:  # domain fault inside the probed ball

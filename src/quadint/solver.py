@@ -29,9 +29,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral
-from .analysis import ConstantsReport, c1_distance, estimate_M
+from .analysis import ConstantsReport, estimate_M
 from .errors import BallEscapeError, ConfigurationError, NonConvergenceError
-from .exprdsl import NonlinearitySpec
+from .exprdsl import NonlinearitySpec, evaluate_many
 from .model import MaterializedProblem, equal_groups, multiplier_values
 
 BALL_SLACK = 1e-9
@@ -64,7 +64,7 @@ def _map_at(mat: MaterializedProblem, u: np.ndarray, v_spectrum: np.ndarray) -> 
     spectrum, the convolution's and then the prefactor's, and one component
     of the prefactor field."""
     grid = mat.grid
-    values = mat.g.evaluate_components(list(u))
+    values = evaluate_many(mat.g.components, list(u))
     for m in range(mat.n):
         u[m] = values[m]  # g(u) replaces u; no value is a view of it
     del values
@@ -283,12 +283,12 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
             "the continuity statement does not apply")
 
     sol1, _ = picard_solve(mat, joint, tol=tol)
-    mat2 = _with_nonlinearity(mat, g2)
+    mat2 = replace(mat, spec=replace(mat.spec, g=g2))
     sol2, _ = picard_solve(mat2, joint, tol=tol)
 
     # both solutions share u0, so their distance is that of the perturbations
     measured = spectral.h2_norm(mat.grid, sol1.u_p_spectrum, sol2.u_p_spectrum)
-    dist, dist_prov = c1_distance(g1, g2, report.sample)
+    dist, dist_prov = estimate_M(g1.difference(g2), report.sample)
     bound = joint.continuity_bound(dist)
     passed = measured <= bound + 2.0 * tol
     rigorous = report.provenance["M"] == prov2 == "rigorous-bound"
@@ -298,7 +298,3 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
         c1_provenance=dist_prov if rigorous else "sampled-estimate",
         iterations=(sol1.iterations, sol2.iterations),
     )
-
-
-def _with_nonlinearity(mat: MaterializedProblem, g2: NonlinearitySpec) -> MaterializedProblem:
-    return replace(mat, spec=replace(mat.spec, g=g2))

@@ -153,12 +153,10 @@ class Grid:
         return (self.cell_volume / self.num_points) * self.multiplicity * self.h2_weight
 
 
-def forward_transform(grid: Grid, f: np.ndarray, out: np.ndarray | None = None
-                      ) -> np.ndarray:
+def forward_transform(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Unnormalized real DFT over the grid axes; leading axes are batched.
-    Every axis pass writes into the one array returned, `out` when given."""
-    if out is None:
-        out = np.empty(f.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    Every axis pass writes into the one array returned."""
+    out = np.empty(f.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
     return np.fft.rfftn(f, axes=grid.axes, out=out)
 
 

@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from quadint import analysis, sampling
+from quadint import analysis, exprdsl, sampling
 from quadint.analysis import (C1Sample, ConstantsReport, algebra_constant,
                               ball_radius_state, check_contraction_condition,
-                              compute_Q, constants_report, c1_distance,
+                              compute_Q, constants_report,
                               embedding_constant, estimate_M,
                               falsify_algebra, falsify_embedding,
                               lattice_embedding_constant)
 from quadint.errors import ConfigurationError
-from quadint.exprdsl import NonlinearitySpec
+from quadint.exprdsl import Add, Div, Mul, Neg, NonlinearitySpec, Num, Pow, Sub, Var
 from quadint.spectral import Grid
 
 from conftest import dense_sup_estimate, h2
@@ -88,6 +92,37 @@ class TestStateBall:
             report.c_e * (report.u0_norm + 1.0), rel=1e-12)
 
 
+# literals of the random polynomials below: where terms cancel, the
+# rounding of the two routes to M differs by more ulps the more they
+# cancel, and full-precision random literals reach 16 ulps
+LITERALS = (0.5, 1.0, -2.5, 3.0, 0.1, -0.3)
+
+
+@st.composite
+def polynomial_nonlinearities(draw, depth=5):
+    """A polynomial g of 1 to 3 components over as many variables, each a
+    tree at most `depth` deep of sums, differences, products, negations,
+    powers up to 3 and divisions by a literal."""
+    n = draw(st.integers(1, 3))
+
+    def tree(level):
+        if level == 0 or draw(st.integers(0, 9)) < 3:
+            if draw(st.booleans()):
+                return Var("z", draw(st.integers(1, n)))
+            return Num(draw(st.sampled_from(LITERALS)))
+        kind = draw(st.sampled_from(("add", "sub", "mul", "neg", "pow", "div")))
+        a = tree(level - 1)
+        if kind == "neg":
+            return Neg(a)
+        if kind == "pow":
+            return Pow(a, draw(st.integers(0, 3)))
+        if kind == "div":
+            return Div(a, Num(draw(st.sampled_from(LITERALS))))
+        return {"add": Add, "sub": Sub, "mul": Mul}[kind](a, tree(level - 1))
+
+    return NonlinearitySpec.from_exprs([tree(depth) for _ in range(n)])
+
+
 class TestEstimateM:
     def test_linear_component(self):
         g = NonlinearitySpec.from_strings(["z1"])
@@ -100,6 +135,41 @@ class TestEstimateM:
         M, prov = estimate_M(g, C1Sample(1, 2.0))
         assert prov == "rigorous-bound"
         assert M == pytest.approx(4.0 + 4.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=polynomial_nonlinearities(), radius=st.sampled_from((0.3, 1.0, 2.5)))
+    def test_matches_the_expanded_gradient_within_4_ulps(self, g, radius):
+        # the reference expands each symbolic partial derivative, as M was
+        # formed before the partials were taken from the coefficients; the
+        # two round differently, and the sums run in the same order
+        reference = 0.0
+        for e in g.c1_expressions:
+            reference += exprdsl.polynomial_sup_bound(exprdsl.as_polynomial(e, g.n), radius)
+        M, prov = estimate_M(g, C1Sample(g.n, radius))
+        assert prov == "rigorous-bound"
+        assert abs(M - reference) <= 4 * math.ulp(reference)
+
+    def test_expands_each_component_once(self, monkeypatch):
+        calls = []
+        real = exprdsl.as_polynomial
+
+        def counting(e, arity):
+            calls.append(e)
+            return real(e, arity)
+
+        monkeypatch.setattr(exprdsl, "as_polynomial", counting)
+        g = NonlinearitySpec.from_strings(["z1*z2", "(z1+0.5*z3^2)^3", "z2^2-z3"])
+        _, prov = estimate_M(g, C1Sample(3, 1.0))
+        assert prov == "rigorous-bound"
+        assert calls == list(g.components)
+
+    def test_top_powers_of_sixteen_components_stay_rigorous(self):
+        # each component forms MAX_EXPONENT terms, the budget exactly
+        g = NonlinearitySpec.from_strings(
+            [f"z{m}^{exprdsl.MAX_EXPONENT}" for m in range(1, 17)])
+        M, prov = estimate_M(g, C1Sample(16, 1.0))
+        assert prov == "rigorous-bound"
+        assert M == 16 * (1.0 + exprdsl.MAX_EXPONENT)
 
     def test_sampled_estimate_close_to_dense_oracle(self):
         g = NonlinearitySpec.from_strings(["sin(z1)"])
@@ -124,22 +194,23 @@ class TestEstimateM:
         assert prov == "sampled-estimate"
         assert len(calls) == 2
         calls.clear()
-        _, prov = c1_distance(g, g.scaled(1.5), C1Sample(4, 1.0, seed=3))
+        _, prov = estimate_M(g.difference(g.scaled(1.5)), C1Sample(4, 1.0, seed=3))
         assert prov == "sampled-estimate"
         assert len(calls) == 2
 
     def test_shared_sample_is_drawn_once(self, ball_point_calls):
         g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
         sample = C1Sample(2, 1.0, seed=3)
-        shared = (estimate_M(g, sample), c1_distance(g, g.scaled(1.5), sample))
+        diff = g.difference(g.scaled(1.5))
+        shared = (estimate_M(g, sample), estimate_M(diff, sample))
         assert len(ball_point_calls) == 2
         assert shared == (estimate_M(g, C1Sample(2, 1.0, seed=3)),
-                          c1_distance(g, g.scaled(1.5), C1Sample(2, 1.0, seed=3)))
+                          estimate_M(diff, C1Sample(2, 1.0, seed=3)))
 
     def test_sample_on_another_ball_is_refused(self):
         g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
         with pytest.raises(ConfigurationError):
-            c1_distance(g, g, C1Sample(3, 1.0))
+            estimate_M(g.difference(g), C1Sample(3, 1.0))
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("radius", [0.5, 1.3])
@@ -231,22 +302,22 @@ class TestContractionCondition:
 class TestC1Distance:
     def test_identical(self):
         g = NonlinearitySpec.from_strings(["z1^2"])
-        dist, _ = c1_distance(g, g, C1Sample(1, 1.0))
+        dist, _ = estimate_M(g.difference(g), C1Sample(1, 1.0))
         assert dist == 0.0
 
     def test_linear_difference(self):
         g1 = NonlinearitySpec.from_strings(["z1"])
         g2 = g1.scaled(1.25)
-        dist, prov = c1_distance(g1, g2, C1Sample(1, 3.0))
+        dist, prov = estimate_M(g1.difference(g2), C1Sample(1, 3.0))
         assert prov == "rigorous-bound"
         assert dist == pytest.approx(0.25 * (3.0 + 1.0))
 
     def test_sampled_vs_dense_oracle(self):
         g1 = NonlinearitySpec.from_strings(["sin(z1)"])
         g2 = NonlinearitySpec.from_strings(["z1"])
-        dist, prov = c1_distance(g1, g2, C1Sample(1, 0.5, seed=0))
-        assert prov == "sampled-estimate"
         diff = g1.difference(g2)
+        dist, prov = estimate_M(diff, C1Sample(1, 0.5, seed=0))
+        assert prov == "sampled-estimate"
         dense = (dense_sup_estimate(diff.components[0], 1, 0.5, 10 ** 6, seed=1)
                  + dense_sup_estimate(diff.gradient[0][0], 1, 0.5, 10 ** 6, seed=2))
         assert dist / analysis.SAMPLED_INFLATION == pytest.approx(dense, rel=0.02)

@@ -184,7 +184,8 @@ class TestEvaluate:
             out = evaluate_arrays(parse(text, 2), list(rows))
             assert np.array_equal(out, rows[j])
             assert not np.shares_memory(out, rows)
-        values = NonlinearitySpec.from_strings(["z2", "z1"]).evaluate_components(list(rows))
+        values = evaluate_many(NonlinearitySpec.from_strings(["z2", "z1"]).components,
+                               list(rows))
         assert not any(np.shares_memory(v, rows) for v in values)
 
     def test_array_domain_fault(self):
@@ -521,6 +522,22 @@ class TestPolynomialClassification:
         e = parse("*".join(["(1+z1)"] * factors), 1)
         coeffs = dsl.as_polynomial(e, 1)
         assert coeffs == {(j,): float(math.comb(factors, j)) for j in range(factors + 1)}
+
+    def test_expansion_stops_past_the_term_budget(self):
+        # the products of (z1 + 0.5 z1^2)^k form k(k + 1) terms and those of
+        # z1^k form k; the count is checked before each product is formed
+        assert dsl.MAX_POLYNOMIAL_TERMS == 10_000
+        assert len(dsl.as_polynomial(parse("(z1+0.5*z1^2)^99", 1), 1)) == 100
+        assert dsl.as_polynomial(parse("(z1+0.5*z1^2)^100", 1), 1) is None
+        assert dsl.as_polynomial(parse("z1^10000", 1), 1) == {(10_000,): 1.0}
+        assert dsl.as_polynomial(parse("z1^10000*z1", 1), 1) is None
+        assert dsl.as_polynomial(parse("sin(z1)+z1^10000*z1", 1), 1) is None
+
+    def test_derivative_from_coefficients(self):
+        coeffs = dsl.as_polynomial(parse("3*z1^2*z2+z2-0.5*z1", 2), 2)
+        assert dsl.polynomial_derivative(coeffs, 1) == {(1, 1): 6.0, (0, 0): -0.5}
+        assert dsl.polynomial_derivative(coeffs, 2) == {(2, 0): 3.0, (0, 0): 1.0}
+        assert dsl.polynomial_derivative({(0, 0): 2.0}, 1) == {}
 
     def test_sup_bound(self):
         coeffs = dsl.as_polynomial(parse("z1^2", 1), 1)

@@ -8,7 +8,7 @@ from quadint import sampling, solver
 from quadint.analysis import constants_report
 from quadint.errors import (BallEscapeError, ConfigurationError,
                             NonConvergenceError)
-from quadint.exprdsl import NonlinearitySpec, parse
+from quadint.exprdsl import NonlinearitySpec, evaluate_many, parse
 from quadint.model import (ExpressionKernel, InverseHelmholtz, ProblemSpec,
                            ScaledIdentity, TabulatedKernel, materialize,
                            multiplier_values, sample_kernel)
@@ -112,7 +112,7 @@ class TestApplyMap:
         v = sampling.random_vector_in_ball(grid, 4, 0.5, np.random.default_rng(7))
         v_spectrum = sp.forward_transform(grid, v)
         reference = sp.convolve(grid, mat.kernel_spectra, np.stack(
-            mat.g.evaluate_components(list(mat.u0 + v))))
+            evaluate_many(mat.g.components, list(mat.u0 + v))))
         multipliers = np.stack([multiplier_values(op, grid) for op in ops])
         reference *= sp.apply_multiplier(grid, multipliers, mat.u0_spectrum + v_spectrum)
         calls = []
