@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import exprdsl, sampling, spectral
+from . import exprdsl, sampling
 from .errors import ConfigurationError, NumericOverflowError
 from .exprdsl import NonlinearitySpec
 from .model import MaterializedProblem, ProblemSpec
@@ -325,53 +325,4 @@ def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport
         notes={"c_e": EMBEDDING_DERIVATION, "c_a": ALGEBRA_DERIVATION},
         constants_overridden=overridden, warnings=tuple(warnings),
     )
-
-
-# --- randomized falsification ----------------------------------------------------
-
-def falsify_embedding(grid: Grid, count: int, seed: int = 0) -> tuple[int, float]:
-    """Try to violate sup|f| <= c_e |f|_H2 on random band-limited fields.
-    Returns (violations, max observed ratio / c_e)."""
-    c_e = embedding_constant(grid.d)
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
-    for band, slope in _spectral_shapes(grid):
-        batch = -(-count // 6)  # ceil so the suite size is at least `count`
-        fields = sampling.band_limited_batch(grid, batch, rng, band, slope)
-        sups = np.max(np.abs(fields), axis=tuple(range(1, grid.d + 1)))
-        h2 = spectral.h2_norms(grid, spectral.forward_transform(grid, fields))
-        keep = h2 > 0
-        ratios = sups[keep] / (c_e * h2[keep])
-        violations += int(np.sum(ratios > 1.0))
-        if ratios.size:
-            worst = max(worst, float(np.max(ratios)))
-    return violations, worst
-
-
-def falsify_algebra(grid: Grid, count: int, seed: int = 0) -> tuple[int, float]:
-    """Try to violate |fg|_H2 <= c_a |f|_H2 |g|_H2 on random pairs."""
-    c_a = algebra_constant(grid.d)
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
-    for band, slope in _spectral_shapes(grid):
-        batch = -(-count // 6)  # ceil so the suite size is at least `count`
-        f = sampling.band_limited_batch(grid, batch, rng, band, slope)
-        g = sampling.band_limited_batch(grid, batch, rng, band, slope)
-        prod = f * g
-        hf, hg, hp = (spectral.h2_norms(grid, spectral.forward_transform(grid, arr))
-                      for arr in (f, g, prod))
-        keep = (hf > 0) & (hg > 0)
-        ratios = hp[keep] / (c_a * hf[keep] * hg[keep])
-        violations += int(np.sum(ratios > 1.0))
-        if ratios.size:
-            worst = max(worst, float(np.max(ratios)))
-    return violations, worst
-
-
-def _spectral_shapes(grid: Grid):
-    full = grid.n // 2
-    return [(grid.n // 8, 0.0), (grid.n // 8, 2.0), (grid.n // 4, 1.0),
-            (grid.n // 4, 3.0), (full, 0.0), (full, 2.0)]
 

@@ -449,11 +449,6 @@ def evaluate_many(exprs: Sequence[Expr], args: Sequence[np.ndarray], take=None) 
     return results
 
 
-def evaluate_arrays(e: Expr, args: Sequence[np.ndarray]) -> np.ndarray:
-    """evaluate_many of the one expression e."""
-    return evaluate_many([e], args)[0]
-
-
 # --- folding constructors ---------------------------------------------------
 
 def _is_num(e: Expr, v: float | None = None) -> bool:
@@ -526,6 +521,9 @@ def fold_call(fn: str, arg: Expr) -> Expr:
             return Num(getattr(math, fn)(arg.value))
         except OverflowError:
             raise NumericOverflowError(f"{fn}({arg.value!r}) overflows a double") from None
+        except ValueError:  # math's domain error: sin(inf), cos(inf)
+            raise ExpressionDomainError(
+                f"{fn}({arg.value!r}) is outside the domain of {fn}") from None
     return Call(fn, arg)
 
 
@@ -594,56 +592,6 @@ def laplacian_symbolic(e: Expr, d: int) -> Expr:
     for i in range(1, d + 1):
         acc = fold_add(acc, differentiate(differentiate(e, i, "x"), i, "x"))
     return acc
-
-
-# --- printing ---------------------------------------------------------------
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(e, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(e, Neg) or (isinstance(e, Num) and math.copysign(1.0, e.value) < 0):
-        return _LEVEL_NEG
-    if isinstance(e, Pow):
-        return _LEVEL_POW
-    return _LEVEL_ATOM
-
-
-def _render(e: Expr) -> str:
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"{e.family}{e.index}"
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _LEVEL_POW)
-    if isinstance(e, Add):
-        return _wrap(e.left, _LEVEL_ADD) + "+" + _wrap(e.right, _LEVEL_MUL)
-    if isinstance(e, Sub):
-        return _wrap(e.left, _LEVEL_ADD) + "-" + _wrap(e.right, _LEVEL_MUL)
-    if isinstance(e, Mul):
-        return _wrap(e.left, _LEVEL_MUL) + "*" + _wrap(e.right, _LEVEL_NEG)
-    if isinstance(e, Div):
-        return _wrap(e.left, _LEVEL_MUL) + "/" + _wrap(e.right, _LEVEL_NEG)
-    if isinstance(e, Pow):
-        return _wrap(e.base, _LEVEL_ATOM) + "^" + str(e.exponent)
-    if isinstance(e, Call):
-        return f"{e.fn}({_render(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _wrap(e: Expr, min_level: int) -> str:
-    s = _render(e)
-    return s if _level(e) >= min_level else f"({s})"
-
-
-def to_string(e: Expr) -> str:
-    """Canonical text form; parsing it back yields a structurally
-    identical tree."""
-    return _render(e)
 
 
 # --- polynomial classification ----------------------------------------------
@@ -762,11 +710,6 @@ class NonlinearitySpec:
     def from_strings(cls, texts: Sequence[str]) -> "NonlinearitySpec":
         n = len(texts)
         return cls.from_exprs([parse(t, n, "z") for t in texts])
-
-    def scaled(self, factor: float) -> "NonlinearitySpec":
-        return NonlinearitySpec.from_exprs(
-            [fold_mul(Num(float(factor)), c) for c in self.components]
-        )
 
     def difference(self, other: "NonlinearitySpec") -> "NonlinearitySpec":
         if other.n != self.n:

@@ -1,38 +1,8 @@
-"""Seeded random fields, and pseudo- and quasi-random point sets, used by
-the falsification suites, the solver probes, the structural checks and the
+"""Pseudo- and quasi-random point sets on balls of R^n, used by the
+structural check of the nonlinearity, the brute-force oracle and the
 sampled sup estimates."""
 
-from __future__ import annotations
-
 import numpy as np
-
-from . import spectral
-from .spectral import Grid
-
-
-def band_limited_batch(grid: Grid, count: int, rng: np.random.Generator,
-                       band: int | None = None, slope: float = 2.0) -> np.ndarray:
-    """`count` real fields with spectrum restricted to |k_i| <= band and a
-    (1 + |xi|^2)^(-slope/2) falloff.  Returns shape (count, n, ..., n)."""
-    if band is None:
-        band = grid.n // 4
-    noise = rng.standard_normal((count,) + grid.shape)
-    mask = np.ones(grid.spectral_shape, dtype=bool)
-    for k in grid.wavenumbers:
-        mask = mask & (np.abs(k) <= band)
-    weight = mask * (1.0 + grid.xi_squared) ** (-slope / 2.0)
-    return spectral.inverse_transform(grid, spectral.forward_transform(grid, noise) * weight)
-
-
-def random_vector_in_ball(grid: Grid, n: int, rho: float,
-                          rng: np.random.Generator) -> np.ndarray:
-    """A random band-limited field with n stacked components, scaled to a
-    uniform radius in the Sobolev ball of radius rho."""
-    v = band_limited_batch(grid, n, rng)
-    norm = spectral.h2_norm(grid, spectral.forward_transform(grid, v))
-    if norm == 0.0:
-        return np.zeros_like(v)
-    return v * (rho * rng.uniform(0.0, 1.0) / norm)
 
 
 def random_ball_points(n: int, radius: float, count: int, seed=0) -> np.ndarray:

@@ -14,11 +14,10 @@ The columns 1..n/2-1 of the last axis also stand for their mirror images
 its axes explicitly, so leading axes batch over components.
 
 Every axis pass of a transform writes into one complex array.
-:func:`inverse_transform`, :func:`multiply_by_inverse` and
-:func:`apply_multiplier` overwrite the spectrum they are given, so callers
-pass them a scratch spectrum, never a cached one.  Every other helper
-leaves its arguments unchanged; :func:`convolve` and :func:`laplacian`
-overwrite only spectra they made.
+:func:`inverse_transform` and :func:`multiply_by_inverse` overwrite the
+spectrum they are given, so callers pass them a scratch spectrum, never a
+cached one.  Every other helper leaves its arguments unchanged;
+:func:`convolve` and :func:`laplacian` overwrite only spectra they made.
 
 With this convention the discrete norms approximate their continuous
 counterparts: the L2 norm carries the cell volume h^d, and the H2 norm sums
@@ -190,15 +189,6 @@ def kernel_spectrum(grid: Grid, K: np.ndarray) -> np.ndarray:
     return F
 
 
-def apply_multiplier(grid: Grid, multiplier: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The field with spectrum multiplier * F: a Fourier multiplier applied
-    to a field given by its spectrum F.  F is scaled and transformed in
-    place, which saves spectra of memory; callers pass a spectrum they do
-    not keep."""
-    F *= multiplier
-    return inverse_transform(grid, F)
-
-
 def convolve(grid: Grid, K_hat: np.ndarray, f: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
     """Periodic convolution (K (*) f)(x) = h^d sum_y K(x - y) f(y), with
@@ -214,7 +204,9 @@ def convolve(grid: Grid, K_hat: np.ndarray, f: np.ndarray,
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Spectral Laplacian: multiplier -|xi|^2."""
-    return apply_multiplier(grid, -grid.xi_squared, forward_transform(grid, f))
+    F = forward_transform(grid, f)
+    F *= -grid.xi_squared
+    return inverse_transform(grid, F)
 
 
 def l2_norm(grid: Grid, f: np.ndarray) -> float:

@@ -7,10 +7,11 @@ from quadint.sampling import ball_points as _ball_points  # unaffected by ball_p
 from quadint.analysis import constants_report
 from quadint.errors import ExpressionDomainError
 from quadint.exprdsl import (Add, Call, Div, Mul, Neg, NonlinearitySpec, Num, Pow, Sub,
-                             Var, _power, evaluate_arrays, parse)
+                             Var, _power, parse)
 from quadint.model import ExpressionKernel, InverseHelmholtz, ProblemSpec, \
     ScaledIdentity, materialize
 from quadint.spectral import Grid
+from support import evaluate_arrays
 
 
 def h2(grid, f):

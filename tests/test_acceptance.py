@@ -10,15 +10,15 @@ import numpy as np
 
 import quadint.spectral as sp
 from quadint import sampling, solver
-from quadint.analysis import falsify_algebra, falsify_embedding
 from quadint.cli import main
 from quadint.errors import AssumptionViolation
-from quadint.exprdsl import NonlinearitySpec, evaluate_arrays
+from quadint.exprdsl import NonlinearitySpec
 from quadint.model import TabulatedKernel, materialize
 from quadint.oracle import direct_convolution, finite_diff_gradient
 from quadint.solver import apply_map_tg, picard_solve, residual_original_system
 from quadint.spectral import Grid
 
+import support
 from conftest import h2, make_certified_problem
 from test_exprdsl import random_expr
 
@@ -59,8 +59,8 @@ def test_criterion_02_contraction(certified):
     rng = np.random.default_rng(202)
     violations = 0
     for _ in range(100):
-        v1 = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
-        v2 = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
+        v1 = support.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
+        v2 = support.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
         lhs = h2(mat.grid, apply_map_tg(mat, v1) - apply_map_tg(mat, v2))
         if lhs > report.sigma * h2(mat.grid, v1 - v2) + 1e-9:
             violations += 1
@@ -76,7 +76,7 @@ def test_criterion_03_self_map(certified):
     rng = np.random.default_rng(303)
     violations = 0
     for _ in range(100):
-        v = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
+        v = support.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
         if h2(mat.grid, apply_map_tg(mat, v)) > report.rho:
             violations += 1
     report_line(3, "self-map", violations == 0)
@@ -92,7 +92,7 @@ def test_criterion_04_fixed_point_and_uniqueness(certified):
     rng = np.random.default_rng(404)
     max_spread = 0.0
     for _ in range(10):
-        start = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
+        start = support.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
         restarted, _ = picard_solve(mat, report, tol=1e-10, max_iter=60,
                                     start=start)
         max_spread = max(max_spread, h2(mat.grid, restarted.u_p - sol.u_p))
@@ -105,7 +105,7 @@ def test_criterion_04_fixed_point_and_uniqueness(certified):
 def test_criterion_05_geometric_rate(certified):
     mat, report = certified
     rng = np.random.default_rng(505)
-    start = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
+    start = support.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
 
     iterates = [start]
     v = start
@@ -143,7 +143,7 @@ def test_criterion_06_continuity_bound(certified):
     measured_per_eps = []
     all_within = True
     for eps in (1e-1, 1e-2, 1e-3):
-        out = solver.continuity_experiment(mat, report, mat.g.scaled(1.0 + eps),
+        out = solver.continuity_experiment(mat, report, support.scaled(mat.g, 1.0 + eps),
                                            tol=1e-12)
         all_within &= out.measured_distance <= out.bound
         measured_per_eps.append(out.measured_distance / eps)
@@ -156,12 +156,12 @@ def test_criterion_06_continuity_bound(certified):
 def test_criterion_07_constant_soundness(certified):
     mat, report = certified
     grid = Grid(2, 32, 8.0)
-    emb_viol, _ = falsify_embedding(grid, 10_000, seed=700)
-    alg_viol, _ = falsify_algebra(grid, 10_000, seed=701)
+    emb_viol, _ = support.falsify_embedding(grid, 10_000, seed=700)
+    alg_viol, _ = support.falsify_algebra(grid, 10_000, seed=701)
 
     # mean-value and Lipschitz bounds with the computed M on the state ball
     pts = sampling.ball_points(mat.n, report.r_state, 10_000, seed=702)
-    g_vals = np.abs(evaluate_arrays(mat.g.components[0], [pts[:, 0]]))
+    g_vals = np.abs(support.evaluate_arrays(mat.g.components[0], [pts[:, 0]]))
     mean_value_ok = bool(np.all(g_vals <= report.M * np.abs(pts[:, 0]) * (1 + 1e-12)))
     a = sampling.ball_points(mat.n, report.r_state, 10_000, seed=703)[:, 0]
     b = sampling.ball_points(mat.n, report.r_state, 10_000, seed=704)[:, 0]

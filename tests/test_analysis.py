@@ -11,13 +11,14 @@ from quadint.analysis import (C1Sample, ConstantsReport, algebra_constant,
                               ball_radius_state, check_contraction_condition,
                               compute_Q, constants_report,
                               embedding_constant, estimate_M,
-                              falsify_algebra, falsify_embedding,
                               lattice_embedding_constant)
 from quadint.errors import ConfigurationError
 from quadint.exprdsl import Add, Div, Mul, Neg, NonlinearitySpec, Num, Pow, Sub, Var
 from quadint.spectral import Grid
 
+import support
 from conftest import dense_sup_estimate, h2
+from support import falsify_algebra, falsify_embedding
 
 
 class TestEmbeddingConstant:
@@ -194,14 +195,14 @@ class TestEstimateM:
         assert prov == "sampled-estimate"
         assert len(calls) == 2
         calls.clear()
-        _, prov = estimate_M(g.difference(g.scaled(1.5)), C1Sample(4, 1.0, seed=3))
+        _, prov = estimate_M(g.difference(support.scaled(g, 1.5)), C1Sample(4, 1.0, seed=3))
         assert prov == "sampled-estimate"
         assert len(calls) == 2
 
     def test_shared_sample_is_drawn_once(self, ball_point_calls):
         g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
         sample = C1Sample(2, 1.0, seed=3)
-        diff = g.difference(g.scaled(1.5))
+        diff = g.difference(support.scaled(g, 1.5))
         shared = (estimate_M(g, sample), estimate_M(diff, sample))
         assert len(ball_point_calls) == 2
         assert shared == (estimate_M(g, C1Sample(2, 1.0, seed=3)),
@@ -307,7 +308,7 @@ class TestC1Distance:
 
     def test_linear_difference(self):
         g1 = NonlinearitySpec.from_strings(["z1"])
-        g2 = g1.scaled(1.25)
+        g2 = support.scaled(g1, 1.25)
         dist, prov = estimate_M(g1.difference(g2), C1Sample(1, 3.0))
         assert prov == "rigorous-bound"
         assert dist == pytest.approx(0.25 * (3.0 + 1.0))

@@ -719,12 +719,29 @@ class TestPathologicalInput:
 
     @pytest.mark.parametrize("text, message", [
         ("z1^2*1e400", "error: evaluation produced a non-finite value\n"),
-        ("z1^2*sin(1e400)", "error: invalid problem file: math domain error\n"),
+        ("z1^2*sin(1e400)", "error: cos(inf) is outside the domain of cos\n"),
     ])
     def test_infinite_literal_stays_input_error(self, tmp_path, capsys, text, message):
         path = write_problem(tmp_path, dict(CERTIFIED, g=[text]))
         assert main(["check", path]) == 2
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("where", ["kernel", "g2"])
+    def test_literal_outside_a_math_domain_is_input_error(self, tmp_path, capsys, where):
+        # cos(inf) is folded while differentiating: the kernel's Laplacian
+        # in materialize, the --g2 gradient after the problem file is read
+        if where == "kernel":
+            kernel = {"type": "expression", "expr": "sin(1e400)*exp(-x1^2-x2^2)"}
+            argv = ["check", write_problem(tmp_path, dict(CERTIFIED, kernels=[kernel]))]
+        else:
+            argv = ["continuity", write_problem(tmp_path, CERTIFIED),
+                    "--g2", write_problem(tmp_path, {"g": ["z1^2*sin(1e400)"]}, "g2.json")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("amplitude, message", [
         ("1e200", "error: initial data reaches 1e+200, whose square overflows a double\n"),

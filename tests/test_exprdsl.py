@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from conftest import reference_eval, reference_evaluate_arrays
+from support import evaluate_arrays, to_string
 from quadint import exprdsl as dsl
 from quadint.errors import (ExpressionDomainError, ExpressionSyntaxError, NumericOverflowError,
                             QuadIntError)
 from quadint.exprdsl import (Add, Call, Div, Mul, Neg, NonlinearitySpec, Num, Pow, Sub,
                              Var, check_zero_at_origin, differentiate,
-                             evaluate, evaluate_arrays, evaluate_many, laplacian_symbolic,
-                             parse, to_string)
+                             evaluate, evaluate_many, laplacian_symbolic, parse)
 
 
 class TestParse:
@@ -570,11 +571,11 @@ class TestNonlinearitySpec:
 
     def test_scaled(self):
         g = NonlinearitySpec.from_strings(["z1^2"])
-        g2 = g.scaled(1.5)
+        g2 = support.scaled(g, 1.5)
         assert evaluate(g2.components[0], (2.0,)) == 6.0
         assert evaluate(g2.gradient[0][0], (2.0,)) == 6.0
 
     def test_difference(self):
         g1 = NonlinearitySpec.from_strings(["z1^2"])
-        diff = g1.scaled(1.25).difference(g1)
+        diff = support.scaled(g1, 1.25).difference(g1)
         assert evaluate(diff.components[0], (2.0,)) == pytest.approx(1.0)

@@ -15,13 +15,14 @@ from quadint.model import (ExpressionKernel, GaussianKernel, InverseHelmholtz,
                            materialize_u0, sample_kernel, validate_assumptions)
 from quadint.spectral import Grid
 
+import support
 from conftest import cosine_x1, h2, make_certified_problem
 
 
 def apply_operator(op, grid, f):
     """The operator's multiplier applied to f in frequency space."""
-    return sp.apply_multiplier(grid, model.multiplier_values(op, grid),
-                               sp.forward_transform(grid, f))
+    return support.apply_multiplier(grid, model.multiplier_values(op, grid),
+                                    sp.forward_transform(grid, f))
 
 
 def one_component(grid, u0, kernel=GaussianKernel(1.0), op=InverseHelmholtz()):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quadint.spectral as sp
-from quadint import sampling, solver
+from quadint import solver
 from quadint.analysis import constants_report
 from quadint.errors import (BallEscapeError, ConfigurationError,
                             NonConvergenceError)
@@ -18,6 +18,7 @@ from quadint.solver import (IterationTrace, a_posteriori_bound, apply_map_tg,
                             residual_original_system)
 from quadint.spectral import Grid
 
+import support
 from conftest import h2, sup_norm
 
 
@@ -56,7 +57,7 @@ class TestApplyMap:
         # same map with the convolution replaced by the literal Riemann sum
         mat = materialize(small_problem(n=16))
         grid = mat.grid
-        v = sampling.random_vector_in_ball(grid, 1, 0.5, np.random.default_rng(5))
+        v = support.random_vector_in_ball(grid, 1, 0.5, np.random.default_rng(5))
         fast = apply_map_tg(mat, v)
 
         w = (mat.u0 + v)[0]
@@ -83,12 +84,12 @@ class TestApplyMap:
         # variable must still read u0 + v, not an earlier component of g
         mat = materialize(small_problem(g_texts, n=16))
         grid = mat.grid
-        v = sampling.random_vector_in_ball(grid, 2, 0.5, np.random.default_rng(3))
+        v = support.random_vector_in_ball(grid, 2, 0.5, np.random.default_rng(3))
         v_spectrum = sp.forward_transform(grid, v)
         integrand = np.stack(g(mat.u0 + v))
         reference = sp.convolve(grid, mat.kernel_spectra, integrand)
         multipliers = np.stack([multiplier_values(op, grid) for op in mat.spec.operators])
-        reference *= sp.apply_multiplier(grid, multipliers, mat.u0_spectrum + v_spectrum)
+        reference *= support.apply_multiplier(grid, multipliers, mat.u0_spectrum + v_spectrum)
         assert np.array_equal(apply_map_tg(mat, v), reference)
         assert np.array_equal(apply_map_tg(mat, v, v_spectrum), reference)
         # the spending map forms u0 + v, g(u0 + v) and its result in v's
@@ -109,12 +110,12 @@ class TestApplyMap:
         mat = materialize(dataclasses.replace(
             small_problem(("z1*z2", "z2*z3", "z3*z4", "z4*z1")), operators=ops))
         grid = mat.grid
-        v = sampling.random_vector_in_ball(grid, 4, 0.5, np.random.default_rng(7))
+        v = support.random_vector_in_ball(grid, 4, 0.5, np.random.default_rng(7))
         v_spectrum = sp.forward_transform(grid, v)
         reference = sp.convolve(grid, mat.kernel_spectra, np.stack(
             evaluate_many(mat.g.components, list(mat.u0 + v))))
         multipliers = np.stack([multiplier_values(op, grid) for op in ops])
-        reference *= sp.apply_multiplier(grid, multipliers, mat.u0_spectrum + v_spectrum)
+        reference *= support.apply_multiplier(grid, multipliers, mat.u0_spectrum + v_spectrum)
         calls = []
         monkeypatch.setattr(solver, "multiplier_values",
                             lambda op, g: calls.append(op) or multiplier_values(op, g))
@@ -203,7 +204,7 @@ class TestPicard:
         # the solution is w = t_g(v) of the last step, bit for bit, and its
         # residual is |w - v|; a start array is the caller's and stays as it is
         mat, report = two_component
-        start = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho,
+        start = support.random_vector_in_ball(mat.grid, mat.n, report.rho,
                                                np.random.default_rng(6))
         before = start.copy()
         sol, trace = picard_solve(mat, report, tol=1e-10,
@@ -253,7 +254,7 @@ class TestPicard:
         baseline, _ = picard_solve(mat, report, tol=tol)
         rng = np.random.default_rng(3)
         for _ in range(3):
-            start = sampling.random_vector_in_ball(mat.grid, mat.n,
+            start = support.random_vector_in_ball(mat.grid, mat.n,
                                                    report.rho, rng)
             sol, _ = picard_solve(mat, report, tol=tol, start=start)
             assert h2(mat.grid, sol.u_p - baseline.u_p) <= 10 * tol
@@ -308,7 +309,7 @@ class TestCachedSpectraUnchanged:
                   for name in ("kernel_spectra", "u0_spectrum", "u0")}
         sol, _ = picard_solve(mat, report, tol=1e-10)
         u_p_spectrum = sol.u_p_spectrum.copy()
-        start = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho,
+        start = support.random_vector_in_ball(mat.grid, mat.n, report.rho,
                                                np.random.default_rng(4))
         picard_solve(mat, report, tol=1e-10, start=start)
         residual_original_system(mat, mat.u0 + sol.u_p, mat.u0_spectrum + sol.u_p_spectrum)
@@ -320,7 +321,7 @@ class TestCachedSpectraUnchanged:
         apply_map_tg(mat, sol.u_p, sol.u_p_spectrum)
         apply_map_tg(mat, sol.u_p.copy(), sol.u_p_spectrum, overwrite_input=True)
         apply_map_tg(mat, sol.u_p.copy(), overwrite_input=True)
-        continuity_experiment(mat, report, mat.g.scaled(1.001), tol=1e-10)
+        continuity_experiment(mat, report, support.scaled(mat.g, 1.001), tol=1e-10)
         for name, before in cached.items():
             assert np.array_equal(getattr(mat, name), before), name
         assert np.array_equal(sol.u_p_spectrum, u_p_spectrum)
@@ -403,7 +404,7 @@ class TestAPosteriori:
         # oversolve and compare each iterate against a much later one
         mat, report = certified
         rng = np.random.default_rng(8)
-        start = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
+        start = support.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
         iterates = [start]
         v = start
         for _ in range(12):
@@ -424,7 +425,7 @@ class TestMapProperties:
         mat, report = certified
         cap = report.c_a * report.M * (report.u0_norm + 1) ** 2 * report.Q
         for _ in range(20):
-            v = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
+            v = support.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
             img = h2(mat.grid, apply_map_tg(mat, v))
             assert img <= report.rho
             assert img <= cap * (1 + 1e-12)
@@ -432,16 +433,16 @@ class TestMapProperties:
     def test_contraction(self, certified, rng):
         mat, report = certified
         for _ in range(20):
-            v1 = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
-            v2 = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
+            v1 = support.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
+            v2 = support.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
             lhs = h2(mat.grid, apply_map_tg(mat, v1) - apply_map_tg(mat, v2))
             assert lhs <= report.sigma * h2(mat.grid, v1 - v2) + 1e-9
 
     def test_contraction_3d(self, certified_3d, rng):
         mat, report = certified_3d
         for _ in range(10):
-            v1 = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
-            v2 = sampling.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
+            v1 = support.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
+            v2 = support.random_vector_in_ball(mat.grid, mat.n, report.rho, rng)
             lhs = h2(mat.grid, apply_map_tg(mat, v1) - apply_map_tg(mat, v2))
             assert lhs <= report.sigma * h2(mat.grid, v1 - v2) + 1e-9
 
@@ -472,7 +473,7 @@ class TestContinuity:
 
     def test_small_perturbation_within_bound(self, certified):
         mat, report = certified
-        out = continuity_experiment(mat, report, mat.g.scaled(1.001), tol=1e-12)
+        out = continuity_experiment(mat, report, support.scaled(mat.g, 1.001), tol=1e-12)
         assert out.passed
         assert out.measured_distance <= out.bound
         assert out.M_joint >= report.M
@@ -481,4 +482,4 @@ class TestContinuity:
         mat, report = certified
         # scaling by 3 pushes the joint C1 bound past the condition
         with pytest.raises(ConfigurationError, match="joint"):
-            continuity_experiment(mat, report, mat.g.scaled(3.0), tol=1e-10)
+            continuity_experiment(mat, report, support.scaled(mat.g, 3.0), tol=1e-10)
