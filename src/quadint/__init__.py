@@ -10,17 +10,15 @@ fixed-point map contracts a Sobolev ball, solves by iteration, and checks
 the certified rates and continuity bounds against measurements.
 """
 
-__version__ = "0.5.8"
+__version__ = "0.6.0"
 
 from .errors import (AssumptionViolation, BallEscapeError, ConfigurationError,
                      ExpressionDomainError, ExpressionSyntaxError,
                      NonConvergenceError, NumericOverflowError, OracleBudgetError,
                      QuadIntError)
 from .spectral import Grid
-from .model import (ExpressionKernel, GaussianKernel, InverseHelmholtz,
-                    MaterializedProblem, ProblemSpec, RationalMultiplier,
-                    ScaledIdentity, TabulatedKernel, materialize,
-                    validate_assumptions)
+from .model import (GaussianKernel, MaterializedProblem, ProblemSpec,
+                    RationalMultiplier, materialize, validate_assumptions)
 from .exprdsl import NonlinearitySpec, parse
 from .analysis import ConstantsReport, ContractionCertificate, constants_report
 from .solver import (ContinuityReport, IterationTrace, Solution, apply_map_tg,
@@ -29,8 +27,7 @@ from .solver import (ContinuityReport, IterationTrace, Solution, apply_map_tg,
 __all__ = [
     "__version__",
     "Grid",
-    "GaussianKernel", "ExpressionKernel", "TabulatedKernel",
-    "InverseHelmholtz", "ScaledIdentity", "RationalMultiplier",
+    "GaussianKernel", "RationalMultiplier",
     "NonlinearitySpec", "parse",
     "ProblemSpec", "MaterializedProblem", "materialize", "validate_assumptions",
     "ConstantsReport", "ContractionCertificate", "constants_report",

@@ -310,11 +310,9 @@ def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport
         warnings.append(
             f"M is a sampled estimate (inflated by {SAMPLED_INFLATION}); "
             f"not a rigorous bound")
-    for k in mat.kernels:
-        if k.delta_source == "spectral":
-            warnings.append("a tabulated kernel uses a spectral Laplacian; "
-                            "its W21~ norm carries discretization error")
-            break
+    if any(isinstance(k, np.ndarray) for k in spec.kernels):
+        warnings.append("a tabulated kernel uses a spectral Laplacian; "
+                        "its W21~ norm carries discretization error")
 
     return ConstantsReport(
         d=d, c_e=c_e, c_a=c_a, lattice_c_e=lattice_c_e,

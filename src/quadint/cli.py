@@ -23,13 +23,11 @@ import sys
 
 import numpy as np
 
-from . import __version__, analysis, model, oracle, solver, spectral
+from . import __version__, analysis, model, solver, spectral
 from .errors import (AssumptionViolation, ConfigurationError, NonConvergenceError,
                      NumericOverflowError, QuadIntError)
 from .exprdsl import NonlinearitySpec, parse as parse_expr
-from .model import (ExpressionKernel, GaussianKernel, InverseHelmholtz,
-                    MaterializedProblem, ProblemSpec, RationalMultiplier,
-                    ScaledIdentity, TabulatedKernel)
+from .model import GaussianKernel, MaterializedProblem, ProblemSpec, RationalMultiplier
 from .spectral import Grid
 
 EXIT_OK = 0
@@ -44,16 +42,17 @@ HEAP_RETAIN_BYTES = 1 << 30
 
 # --- problem file -----------------------------------------------------------
 
-def _parse_kernel(entry, index: int):
+def _parse_kernel(entry, index: int, parse_x):
+    """A GaussianKernel, the tree parse_x gives an expression, or an array."""
     if not isinstance(entry, dict) or "type" not in entry:
         raise ConfigurationError(f"kernel {index + 1}: expected an object with a 'type' field")
     kind = entry["type"]
     if kind == "gaussian":
         return GaussianKernel(alpha=float(entry["alpha"]))
     if kind == "expression":
-        return ExpressionKernel(text=str(entry["expr"]))
+        return parse_x(str(entry["expr"]))
     if kind == "tabulated":
-        return TabulatedKernel(values=np.asarray(entry["values"], dtype=float))
+        return np.asarray(entry["values"], dtype=float)
     raise ConfigurationError(f"kernel {index + 1}: unknown type {kind!r}")
 
 
@@ -62,12 +61,14 @@ def _parse_operator(entry, index: int):
         raise ConfigurationError(f"operator {index + 1}: expected an object with a 'type' field")
     kind = entry["type"]
     if kind == "inverse_helmholtz":
-        return InverseHelmholtz()
+        return RationalMultiplier(p=(1.0,), q=(1.0, 1.0))
     if kind == "scaled_identity":
-        return ScaledIdentity(alpha=float(entry["alpha"]))
+        return RationalMultiplier(p=(float(entry["alpha"]),), q=(1.0,))
     if kind == "rational_multiplier":
-        return RationalMultiplier(p=tuple(float(c) for c in entry["p"]),
-                                  q=tuple(float(c) for c in entry["q"]))
+        p, q = (tuple(float(c) for c in entry[key]) for key in ("p", "q"))
+        if not (p and q):
+            raise ConfigurationError(f"operator {index + 1}: p and q need a coefficient each")
+        return RationalMultiplier(p=p, q=q)
     raise ConfigurationError(f"operator {index + 1}: unknown type {kind!r}")
 
 
@@ -103,7 +104,9 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
             if len(doc[key]) != n:
                 raise ConfigurationError(
                     f"section {key!r} has {len(doc[key])} entries, expected {n}")
-        kernels = tuple(_parse_kernel(e, i) for i, e in enumerate(doc["kernels"]))
+        # each distinct kernel text is parsed once
+        parse_x = functools.cache(lambda text: parse_expr(text, grid.d, "x"))
+        kernels = tuple(_parse_kernel(e, i, parse_x) for i, e in enumerate(doc["kernels"]))
         operators = tuple(_parse_operator(e, i) for i, e in enumerate(doc["operators"]))
         g = NonlinearitySpec.from_strings([str(s) for s in doc["g"]])
         u0 = []
@@ -151,10 +154,12 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 
 def _check_pipeline(problem: ProblemSpec, digest: str, seed: int
-                    ) -> tuple[MaterializedProblem,
-                               analysis.ConstantsReport | None,
-                               model.ValidationReport, dict]:
-    """Materialize, compute constants, and validate; also returns the report
+                    ) -> tuple[MaterializedProblem, analysis.ConstantsReport | None,
+                               bool, dict]:
+    """Materialize, compute constants, validate, and decide whether the
+    problem is certified: every assumption holds and the contraction
+    condition passes.  Returns the materialized problem, the constants
+    report (None when an assumption fails), the verdict, and the report
     preamble that check, solve and continuity share, with its `constants`
     and `assumptions` entries.  Degenerate data can make the constants
     uncomputable (e.g. a trivial kernel gives Q = 0); that is an assumption
@@ -181,16 +186,16 @@ def _check_pipeline(problem: ProblemSpec, digest: str, seed: int
     doc["constants"] = report.to_dict() if report is not None else None
     doc["assumptions"] = {"violations": validation.violations,
                           "warnings": validation.warnings}
-    return mat, report, validation, doc
+    if not validation.ok:
+        report = None
+    return mat, report, report is not None and report.certificate.passed, doc
 
 
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_check(args) -> int:
     problem, digest = load_problem(args.file)
-    mat, report, validation, doc = _check_pipeline(problem, digest, args.seed)
-    certified = bool(validation.ok and report is not None
-                     and report.certificate.passed)
+    _, _, certified, doc = _check_pipeline(problem, digest, args.seed)
     doc["certified"] = certified
     _emit(doc, args.out)
     return EXIT_OK if certified else EXIT_HYPOTHESIS
@@ -198,15 +203,12 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     problem, digest = load_problem(args.file)
-    mat, report, validation, doc = _check_pipeline(problem, digest, args.seed)
-
-    if not validation.ok:
-        doc["certified"] = False
+    mat, report, certified, doc = _check_pipeline(problem, digest, args.seed)
+    doc["certified"] = certified
+    if report is None:  # an assumption fails
         _emit(doc, args.out)
         return EXIT_HYPOTHESIS
-    certified = report.certificate.passed
     if not certified and not args.best_effort:
-        doc["certified"] = False
         doc["solve"] = {"refused": "problem is not certified; "
                                    "rerun with --best-effort to iterate anyway"}
         _emit(doc, args.out)
@@ -217,7 +219,6 @@ def cmd_solve(args) -> int:
             mat, report, tol=args.tol, max_iter=args.max_iter,
             best_effort=args.best_effort)
     except NonConvergenceError as exc:
-        doc["certified"] = certified
         doc["solve"] = {"converged": False, "error": str(exc),
                         "iterations": exc.iterations,
                         "last_delta": float(exc.last_delta)}
@@ -232,7 +233,6 @@ def cmd_solve(args) -> int:
     # and u^ are formed in the solution's buffers, which the residual spends
     sigma = report.sigma
     u, u_spectrum = solution.u_p, solution.u_p_spectrum
-    doc["certified"] = certified
     doc["solve"] = {
         "converged": True,
         "iterations": solution.iterations,
@@ -261,8 +261,8 @@ def cmd_continuity(args) -> int:
             "--g2 file must contain a 'g' list with the same component count")
     g2 = NonlinearitySpec.from_strings([str(s) for s in doc2["g"]])
 
-    mat, report, validation, doc = _check_pipeline(problem, digest, args.seed)
-    if not validation.ok or not report.certificate.passed:
+    mat, report, certified, doc = _check_pipeline(problem, digest, args.seed)
+    if not certified:
         doc["certified"] = False
         _emit(doc, args.out)
         return EXIT_HYPOTHESIS
@@ -285,14 +285,15 @@ def cmd_continuity(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # no other subcommand runs the brute-force paths
+
     problem, digest = load_problem(args.file)
     d = problem.grid.d
     size = args.size if args.size is not None else oracle.MAX_POINTS[d]
     small = Grid(d=d, n=size, L=problem.grid.L)
     oracle.check_budget(small)
 
-    if any(isinstance(e, np.ndarray) for e in problem.u0) or any(
-            isinstance(k, TabulatedKernel) for k in problem.kernels):
+    if any(isinstance(e, np.ndarray) for e in problem.u0 + problem.kernels):
         raise ConfigurationError(
             "oracle rerun needs expression-based kernels and initial data "
             "(tabulated fields cannot be resampled on the reduced grid)")
@@ -307,7 +308,7 @@ def cmd_oracle(args) -> int:
     for m in range(mat.n):
         f = mat.u0[m] if np.any(mat.u0[m] != 0.0) else mat.u0[0]
         fast = spectral.convolve(small, mat.kernel_spectra[m], f)
-        K, _, _ = model.sample_kernel(reduced.kernels[m], small)
+        K, _ = model.sample_kernel(reduced.kernels[m], small)
         direct = oracle.direct_convolution(small, K, f)
         scale = max(spectral.l2_norm(small, direct), 1e-300)
         err = spectral.l2_norm(small, fast - direct) / scale

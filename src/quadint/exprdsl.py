@@ -15,8 +15,9 @@ minus, which binds tighter than '*' and '/'.
 Parentheses and function calls nest at most MAX_NESTING deep, a tree is at
 most MAX_DEPTH nodes deep, and an exponent is at most MAX_EXPONENT; the
 parser refuses anything beyond them with the byte offset of the token that
-goes too far.  A polynomial expansion (as_polynomial) counts the terms its
-products form and gives up past MAX_POLYNOMIAL_TERMS.
+goes too far, and sin or cos of an infinite literal with that of the call.
+A polynomial expansion (as_polynomial) counts the terms its products form
+and gives up past MAX_POLYNOMIAL_TERMS.
 Expressions are immutable trees; evaluation is IEEE double arithmetic, at a
 point or elementwise on numpy arrays, and computes each distinct subtree of
 the expressions evaluated together once.  Differentiation is exact and
@@ -274,7 +275,13 @@ class _Parser:
             return self.nested(offset)
         if kind == "ident":
             if text in FUNCTIONS:
-                return self.made(Call(text, self.nested(self.expect_op("(")[2])), offset)
+                arg = self.nested(self.expect_op("(")[2])
+                # math raises on these where numpy gives nan; the node stays
+                # unfolded, so evaluation is unchanged
+                if text in ("sin", "cos") and isinstance(arg, Num) and math.isinf(arg.value):
+                    raise ExpressionSyntaxError(
+                        f"{text}({arg.value!r}) is outside the domain of {text}", offset)
+                return self.made(Call(text, arg), offset)
             m = _VAR_RE.match(text)
             if m is None:
                 raise ExpressionSyntaxError(f"unknown identifier {text!r}", offset)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -42,21 +41,6 @@ class GaussianKernel:
             raise ConfigurationError(f"gaussian decay rate must be positive, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class ExpressionKernel:
-    """Kernel given as a spatial expression over x1..xd."""
-    text: str
-
-
-@dataclass(frozen=True)
-class TabulatedKernel:
-    """Kernel given as raw samples on the grid."""
-    values: np.ndarray
-
-
-KernelSpec = Union[GaussianKernel, ExpressionKernel, TabulatedKernel]
-
-
 def _gaussian_expr(alpha: float, d: int) -> Expr:
     r2: Expr = exprdsl.Pow(exprdsl.Var("x", 1), 2)
     for i in range(2, d + 1):
@@ -71,46 +55,39 @@ class MaterializedKernel:
     live on only as the kernel's spectrum (MaterializedProblem.kernel_spectra),
     and sample_kernel gives them again."""
 
-    delta_source: str  # 'symbolic' or 'spectral'
     w21: float
     tail_fraction: float
     nontrivial: bool
 
 
-def sample_kernel(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray, str]:
-    """The kernel K and its Laplacian sampled on the grid, with the source of
-    the Laplacian: exact 'symbolic' for built-in and expression kernels,
-    'spectral' for tabulated ones."""
-    if isinstance(spec, GaussianKernel):
-        expr = _gaussian_expr(spec.alpha, grid.d)
-    elif isinstance(spec, ExpressionKernel):
-        expr = exprdsl.parse(spec.text, grid.d, "x")
-    elif isinstance(spec, TabulatedKernel):
-        K = _tabulated(spec.values, grid, "tabulated kernel")
-        return K, spectral.laplacian(grid, K), "spectral"
-    else:
-        raise ConfigurationError(f"unknown kernel spec {spec!r}")
+def sample_kernel(spec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel K and its Laplacian sampled on the grid: the spectral
+    Laplacian of a tabulated kernel (an ndarray), the exact symbolic one of
+    a Gaussian or an expression kernel (an Expr over x1..xd)."""
+    if isinstance(spec, np.ndarray):
+        K = _tabulated(spec, grid, "tabulated kernel")
+        return K, spectral.laplacian(grid, K)
+    expr = _gaussian_expr(spec.alpha, grid.d) if isinstance(spec, GaussianKernel) else spec
     # the Laplacian first: K then takes the buffer of a temporary that it is
     # the last to read, exp(-alpha |x|^2) for a Gaussian.  evaluate_many
     # refuses non-finite values; one over fewer than d coordinates is broadcast
     dK, K = (v if v.shape == grid.shape else np.array(np.broadcast_to(v, grid.shape))
              for v in exprdsl.evaluate_many(
                  [exprdsl.laplacian_symbolic(expr, grid.d), expr], grid.coords))
-    return K, dK, "symbolic"
+    return K, dK
 
 
-def materialize_kernel(spec: KernelSpec, grid: Grid, strict: bool = True
+def materialize_kernel(spec, grid: Grid, strict: bool = True
                        ) -> tuple[MaterializedKernel, np.ndarray]:
     """Sample the kernel and compute its norms; returns them with the
     samples K, which the caller turns into the kernel's spectrum.  The
     Laplacian serves the W21 norm and is not kept.  With strict=True a
     kernel that vanishes identically raises."""
-    K, dK, source = sample_kernel(spec, grid)
+    K, dK = sample_kernel(spec, grid)
     nontrivial = bool(np.any(K != 0.0))
     if strict and not nontrivial:
         raise AssumptionViolation("kernel vanishes identically on the grid")
     return MaterializedKernel(
-        delta_source=source,
         w21=spectral.tilde_w21_norm(grid, K, dK),
         tail_fraction=spectral.tail_mass_fraction(grid, K, "l1"),
         nontrivial=nontrivial,
@@ -131,43 +108,33 @@ def _tabulated(values, grid: Grid, what: str) -> np.ndarray:
 # --- operators ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class InverseHelmholtz:
-    """Multiplier 1 / (1 + |xi|^2)."""
-
-
-@dataclass(frozen=True)
-class ScaledIdentity:
-    alpha: float
-
-
-@dataclass(frozen=True)
 class RationalMultiplier:
     """Multiplier p(s)/q(s) with s = |xi|^2; q must stay positive on s >= 0.
-    Coefficients are ascending in s."""
+    Coefficients are ascending in s.  The problem file's inverse_helmholtz
+    is p = (1,), q = (1, 1), and its scaled_identity alpha is p = (alpha,),
+    q = (1,)."""
     p: tuple[float, ...]
     q: tuple[float, ...]
 
 
-OperatorSpec = Union[InverseHelmholtz, ScaledIdentity, RationalMultiplier]
+def _horner(coeffs: tuple[float, ...], s: np.ndarray):
+    """Horner's rule from the top coefficient; a constant stays a float."""
+    value = float(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        value = value * s + c
+    return value
 
 
-def multiplier_values(spec: OperatorSpec, grid: Grid) -> np.ndarray:
+def multiplier_values(spec: RationalMultiplier, grid: Grid) -> np.ndarray:
     """The multiplier evaluated on the half lattice of the grid's spectra.
     It depends on |xi|^2 alone, so the mirrored half takes the same values."""
     s = grid.xi_squared
-    if isinstance(spec, InverseHelmholtz):
-        return 1.0 / (1.0 + s)
-    if isinstance(spec, ScaledIdentity):
-        return np.full(grid.spectral_shape, float(spec.alpha))
-    if isinstance(spec, RationalMultiplier):
-        p = np.polynomial.polynomial.polyval(s, np.asarray(spec.p, dtype=float))
-        q = np.polynomial.polynomial.polyval(s, np.asarray(spec.q, dtype=float))
-        if np.min(q) <= 0:
-            raise ConfigurationError("rational multiplier denominator is not positive "
-                                     "on the frequency lattice")
-        # polyval collapses degree-0 polynomials to scalars
-        return np.array(np.broadcast_to(np.asarray(p / q, dtype=float), grid.spectral_shape))
-    raise ConfigurationError(f"unknown operator spec {spec!r}")
+    p, q = _horner(spec.p, s), _horner(spec.q, s)
+    if np.min(q) <= 0:
+        raise ConfigurationError("rational multiplier denominator is not positive "
+                                 "on the frequency lattice")
+    values = p / q
+    return values if isinstance(values, np.ndarray) else np.full(grid.spectral_shape, values)
 
 
 def operator_norm(multiplier: np.ndarray) -> float:
@@ -178,13 +145,14 @@ def operator_norm(multiplier: np.ndarray) -> float:
 
 
 def equal_groups(specs) -> list[list[int]]:
-    """The indices of kernel or operator specs grouped by dataclass
-    equality, in the order of each group's first index; materialize and
-    the map do the work of a group once.  A tabulated kernel holds an
-    array and forms a group of its own."""
+    """The indices of kernel or operator specs grouped by equality, in the
+    order of each group's first index; materialize and the map do the work
+    of a group once.  An expression kernel compares by its tree, an
+    operator by its coefficients; a tabulated kernel is an array and forms
+    a group of its own."""
     groups: dict = {}
     for m, spec in enumerate(specs):
-        groups.setdefault(m if isinstance(spec, TabulatedKernel) else spec, []).append(m)
+        groups.setdefault(m if isinstance(spec, np.ndarray) else spec, []).append(m)
     return list(groups.values())
 
 
@@ -195,10 +163,10 @@ class ProblemSpec:
     """Full problem description prior to sampling."""
 
     grid: Grid
-    kernels: tuple[KernelSpec, ...]
-    operators: tuple[OperatorSpec, ...]
+    kernels: tuple[GaussianKernel | Expr | np.ndarray, ...]
+    operators: tuple[RationalMultiplier, ...]
     g: NonlinearitySpec
-    u0: tuple[Union[Expr, np.ndarray], ...]
+    u0: tuple[Expr | np.ndarray, ...]
     rho: float | None = None
     c_e_override: float | None = None
     c_a_override: float | None = None

@@ -8,10 +8,9 @@ from quadint.analysis import constants_report
 from quadint.errors import ExpressionDomainError
 from quadint.exprdsl import (Add, Call, Div, Mul, Neg, NonlinearitySpec, Num, Pow, Sub,
                              Var, _power, parse)
-from quadint.model import ExpressionKernel, InverseHelmholtz, ProblemSpec, \
-    ScaledIdentity, materialize
+from quadint.model import ProblemSpec, materialize
 from quadint.spectral import Grid
-from support import evaluate_arrays
+from support import INVERSE_HELMHOLTZ, evaluate_arrays, scaled_identity
 
 
 def h2(grid, f):
@@ -91,8 +90,8 @@ def make_certified_problem(n=64):
     grid = Grid(2, n, 8.0)
     return ProblemSpec(
         grid=grid,
-        kernels=(ExpressionKernel("0.005*exp(-x1^2-x2^2)"),),
-        operators=(InverseHelmholtz(),),
+        kernels=(parse("0.005*exp(-x1^2-x2^2)", 2, "x"),),
+        operators=(INVERSE_HELMHOLTZ,),
         g=NonlinearitySpec.from_strings(["z1^2"]),
         u0=(parse("0.1*exp(-x1^2-x2^2)", 2, "x"),),
     )
@@ -102,9 +101,9 @@ def make_two_component_problem():
     grid = Grid(2, 32, 8.0)
     return ProblemSpec(
         grid=grid,
-        kernels=(ExpressionKernel("0.003*exp(-x1^2-x2^2)"),
-                 ExpressionKernel("0.003*exp(-2*x1^2-2*x2^2)")),
-        operators=(InverseHelmholtz(), ScaledIdentity(0.5)),
+        kernels=(parse("0.003*exp(-x1^2-x2^2)", 2, "x"),
+                 parse("0.003*exp(-2*x1^2-2*x2^2)", 2, "x")),
+        operators=(INVERSE_HELMHOLTZ, scaled_identity(0.5)),
         g=NonlinearitySpec.from_strings(["z1*z2", "z1^2"]),
         u0=(parse("0.1*exp(-x1^2-x2^2)", 2, "x"),
             parse("0.05*exp(-x1^2-x2^2)", 2, "x")),
@@ -115,8 +114,8 @@ def make_certified_problem_3d():
     grid = Grid(3, 16, 8.0)
     return ProblemSpec(
         grid=grid,
-        kernels=(ExpressionKernel("0.005*exp(-x1^2-x2^2-x3^2)"),),
-        operators=(InverseHelmholtz(),),
+        kernels=(parse("0.005*exp(-x1^2-x2^2-x3^2)", 3, "x"),),
+        operators=(INVERSE_HELMHOLTZ,),
         g=NonlinearitySpec.from_strings(["z1^2"]),
         u0=(parse("0.1*exp(-x1^2-x2^2-x3^2)", 3, "x"),),
     )

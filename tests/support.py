@@ -1,8 +1,8 @@
 """Helpers that only the tests use: seeded random fields, the randomized
 falsification suites for c_e and c_a, one-expression and Fourier-multiplier
-shorthands, a scaled nonlinearity, and the expression printer.  No
-subcommand reaches them, so they live here and not in the package
-(tests/test_layout.py keeps it that way)."""
+shorthands, the operators a problem file names, a scaled nonlinearity, and
+the expression printer.  No subcommand reaches them, so they live here and
+not in the package (tests/test_layout.py keeps it that way)."""
 
 from __future__ import annotations
 
@@ -14,7 +14,18 @@ import quadint.spectral as sp
 from quadint.analysis import algebra_constant, embedding_constant
 from quadint.exprdsl import (Add, Call, Div, Expr, Mul, Neg, NonlinearitySpec, Num,
                              Pow, Sub, Var, evaluate_many, fold_mul)
+from quadint.model import RationalMultiplier
 from quadint.spectral import Grid
+
+
+# --- operators -------------------------------------------------------------------
+
+# the multipliers a problem file's inverse_helmholtz and scaled_identity load as
+INVERSE_HELMHOLTZ = RationalMultiplier(p=(1.0,), q=(1.0, 1.0))
+
+
+def scaled_identity(alpha: float) -> RationalMultiplier:
+    return RationalMultiplier(p=(float(alpha),), q=(1.0,))
 
 
 # --- spectral ------------------------------------------------------------------

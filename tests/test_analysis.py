@@ -401,3 +401,15 @@ class TestConstantsReport:
         report = constants_report(materialize(spec))
         assert report.provenance["M"] == "sampled-estimate"
         assert any("sampled" in w for w in report.warnings)
+
+    def test_only_a_tabulated_kernel_warns_of_its_laplacian(self):
+        import dataclasses
+        from conftest import make_certified_problem
+        from quadint.model import materialize, sample_kernel
+        spec = make_certified_problem(n=16)
+        K, _ = sample_kernel(spec.kernels[0], spec.grid)
+        warning = ("a tabulated kernel uses a spectral Laplacian; "
+                   "its W21~ norm carries discretization error")
+        assert warning not in constants_report(materialize(spec)).warnings
+        tabulated = dataclasses.replace(spec, kernels=(K,))
+        assert warning in constants_report(materialize(tabulated)).warnings

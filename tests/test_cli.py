@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import quadint
-from quadint import cli, exprdsl
+from quadint import cli, exprdsl, model
 from quadint.cli import main
 from quadint.errors import ExpressionSyntaxError
+from quadint.spectral import Grid
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -719,17 +720,29 @@ class TestPathologicalInput:
 
     @pytest.mark.parametrize("text, message", [
         ("z1^2*1e400", "error: evaluation produced a non-finite value\n"),
-        ("z1^2*sin(1e400)", "error: cos(inf) is outside the domain of cos\n"),
+        ("z1^2*sin(1e400)", "error: sin(inf) is outside the domain of sin (byte offset 5)\n"),
     ])
     def test_infinite_literal_stays_input_error(self, tmp_path, capsys, text, message):
         path = write_problem(tmp_path, dict(CERTIFIED, g=[text]))
         assert main(["check", path]) == 2
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("section, entry, message", [
+        ("u0", "0.1*exp(-x1^2-x2^2)*cos(-1e400)",
+         "error: cos(-inf) is outside the domain of cos (byte offset 20)\n"),
+        ("kernels", {"type": "expression", "expr": "sin(1e400)*exp(-x1^2-x2^2)"},
+         "error: sin(inf) is outside the domain of sin (byte offset 0)\n"),
+    ])
+    def test_infinite_literal_in_a_function_names_its_offset(self, tmp_path, capsys,
+                                                             section, entry, message):
+        path = write_problem(tmp_path, dict(CERTIFIED, **{section: [entry]}))
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("where", ["kernel", "g2"])
     def test_literal_outside_a_math_domain_is_input_error(self, tmp_path, capsys, where):
-        # cos(inf) is folded while differentiating: the kernel's Laplacian
-        # in materialize, the --g2 gradient after the problem file is read
+        # sin(inf) is refused where its text is parsed: the kernel when the
+        # problem file is read, the --g2 file after it
         if where == "kernel":
             kernel = {"type": "expression", "expr": "sin(1e400)*exp(-x1^2-x2^2)"}
             argv = ["check", write_problem(tmp_path, dict(CERTIFIED, kernels=[kernel]))]
@@ -928,6 +941,79 @@ class TestPathologicalInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: input exceeds interpreter limits: MemoryError\n"
+
+
+class TestProblemInputs:
+    """After load every input has one representation: an expression kernel
+    is its tree, a tabulated kernel its array, an operator a
+    RationalMultiplier."""
+
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 64)])
+    def test_loaded_multipliers_are_the_closed_forms(self, d, n):
+        p, q = (1.0, -0.5, 0.25), (2.0, 0.0, 1.0, 0.5)
+        problem = cli.problem_from_dict(dict(
+            CERTIFIED, grid={"d": d, "n": n, "L": 8.0}, components=3,
+            kernels=CERTIFIED["kernels"] * 3, u0=CERTIFIED["u0"] * 3,
+            g=["z1^2", "z2^2", "z3^2"],
+            operators=[{"type": "inverse_helmholtz"},
+                       {"type": "scaled_identity", "alpha": 0.7},
+                       {"type": "rational_multiplier", "p": list(p), "q": list(q)}]))
+        grid = Grid(d, n, 8.0)
+        s = grid.xi_squared
+        helmholtz, identity, rational = (model.multiplier_values(op, grid)
+                                         for op in problem.operators)
+        assert helmholtz.tobytes() == (1.0 / (1.0 + s)).tobytes()
+        assert identity.tobytes() == np.full(grid.spectral_shape, 0.7).tobytes()
+        polyval = np.polynomial.polynomial.polyval
+        assert rational.tobytes() == (polyval(s, p) / polyval(s, q)).tobytes()
+
+    def test_kernel_texts_are_parsed_once_and_equal_trees_sampled_once(self, monkeypatch):
+        text, spaced = "0.005*exp(-x1^2-x2^2)", " 0.005 * exp( -x1^2 - x2^2 )"
+        doc = dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0}, components=3,
+                   kernels=[{"type": "expression", "expr": t} for t in (text, spaced, text)],
+                   u0=CERTIFIED["u0"] * 3, g=["z1^2", "z2^2", "z3^2"],
+                   operators=CERTIFIED["operators"] * 3)
+        parsed, sampled = [], []
+        parse, sample = cli.parse_expr, model.sample_kernel
+        monkeypatch.setattr(cli, "parse_expr", lambda t, *a: parsed.append(t) or parse(t, *a))
+        monkeypatch.setattr(model, "sample_kernel",
+                            lambda k, grid: sampled.append(k) or sample(k, grid))
+        problem = cli.problem_from_dict(doc)
+        assert [t for t in parsed if t in (text, spaced)] == [text, spaced]
+        assert problem.kernels[0] is problem.kernels[2]
+        model.materialize(problem)
+        assert sampled == [problem.kernels[0]]
+
+    @pytest.mark.parametrize("p, q", [([], [1.0]), ([1.0], [])])
+    def test_empty_coefficient_list_is_input_error(self, tmp_path, capsys, p, q):
+        operator = {"type": "rational_multiplier", "p": p, "q": q}
+        path = write_problem(tmp_path, dict(CERTIFIED, operators=[operator]))
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == "error: operator 1: p and q need a coefficient each\n"
+
+    def test_kernel_syntax_error_is_refused_at_load(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "materialize", lambda *a, **k: calls.append(a))
+        kernel = {"type": "expression", "expr": "exp(-x1^2"}
+        path = write_problem(tmp_path, dict(CERTIFIED, kernels=[kernel]))
+        for command in ("check", "solve", "oracle"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err == "error: expected ')' (byte offset 9)\n"
+        assert calls == []
+
+
+def test_only_the_oracle_subcommand_imports_oracle(tmp_path):
+    path = write_problem(tmp_path, dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0}))
+    code = (
+        "import sys\n"
+        "import quadint.cli\n"
+        "for command in ('check', 'solve', 'oracle'):\n"
+        "    rc = quadint.cli.main([command, sys.argv[1], '--out', sys.argv[2]])\n"
+        "    print(rc, 'quadint.oracle' in sys.modules)\n"
+    )
+    proc = run_python("-c", code, path, str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "0", "False", "0", "True"]
 
 
 def test_sampled_solve_loads_no_scipy(tmp_path):

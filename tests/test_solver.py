@@ -9,9 +9,7 @@ from quadint.analysis import constants_report
 from quadint.errors import (BallEscapeError, ConfigurationError,
                             NonConvergenceError)
 from quadint.exprdsl import NonlinearitySpec, evaluate_many, parse
-from quadint.model import (ExpressionKernel, InverseHelmholtz, ProblemSpec,
-                           ScaledIdentity, TabulatedKernel, materialize,
-                           multiplier_values, sample_kernel)
+from quadint.model import ProblemSpec, materialize, multiplier_values, sample_kernel
 from quadint.oracle import direct_convolution
 from quadint.solver import (IterationTrace, a_posteriori_bound, apply_map_tg,
                             continuity_experiment, picard_solve,
@@ -20,6 +18,7 @@ from quadint.spectral import Grid
 
 import support
 from conftest import h2, sup_norm
+from support import INVERSE_HELMHOLTZ, scaled_identity
 
 
 def zero(mat):
@@ -31,8 +30,8 @@ def small_problem(g_texts=("z1^2",), kernel="0.005*exp(-x1^2-x2^2)", n=16):
     n_comp = len(g_texts)
     return ProblemSpec(
         grid=grid,
-        kernels=tuple(ExpressionKernel(kernel) for _ in range(n_comp)),
-        operators=tuple(InverseHelmholtz() for _ in range(n_comp)),
+        kernels=tuple(parse(kernel, 2, "x") for _ in range(n_comp)),
+        operators=tuple(INVERSE_HELMHOLTZ for _ in range(n_comp)),
         g=NonlinearitySpec.from_strings(list(g_texts)),
         u0=tuple(parse("0.1*exp(-x1^2-x2^2)", 2, "x") for _ in range(n_comp)),
     )
@@ -48,7 +47,7 @@ class TestApplyMap:
     def test_zero_kernel_gives_zero(self):
         # diagnostic mode: materialize non-strictly with an all-zero kernel
         mat = materialize(dataclasses.replace(
-            small_problem(), kernels=(TabulatedKernel(np.zeros((16, 16))),)),
+            small_problem(), kernels=(np.zeros((16, 16)),)),
             strict=False)
         out = apply_map_tg(mat, zero(mat))
         assert np.all(out == 0.0)
@@ -61,7 +60,7 @@ class TestApplyMap:
         fast = apply_map_tg(mat, v)
 
         w = (mat.u0 + v)[0]
-        K, _, _ = sample_kernel(mat.spec.kernels[0], grid)
+        K, _ = sample_kernel(mat.spec.kernels[0], grid)
         conv = direct_convolution(grid, K, w ** 2)
         # T w from the full complex spectrum, independent of the rfft layout
         xi = np.pi * np.fft.fftfreq(grid.n) * grid.n / grid.L
@@ -106,7 +105,7 @@ class TestApplyMap:
     def test_each_distinct_multiplier_evaluated_once(self, monkeypatch):
         # one evaluation per distinct operator per application, and the same
         # map as with each component's own multiplier
-        ops = (InverseHelmholtz(), ScaledIdentity(0.5), InverseHelmholtz(), ScaledIdentity(0.5))
+        ops = (INVERSE_HELMHOLTZ, scaled_identity(0.5), INVERSE_HELMHOLTZ, scaled_identity(0.5))
         mat = materialize(dataclasses.replace(
             small_problem(("z1*z2", "z2*z3", "z3*z4", "z4*z1")), operators=ops))
         grid = mat.grid
@@ -120,7 +119,7 @@ class TestApplyMap:
         monkeypatch.setattr(solver, "multiplier_values",
                             lambda op, g: calls.append(op) or multiplier_values(op, g))
         assert np.array_equal(apply_map_tg(mat, v, v_spectrum), reference)
-        assert calls == [InverseHelmholtz(), ScaledIdentity(0.5)]
+        assert calls == [INVERSE_HELMHOLTZ, scaled_identity(0.5)]
 
     def test_grid_mismatch_rejected(self, certified):
         mat, _ = certified

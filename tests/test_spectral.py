@@ -8,12 +8,12 @@ from scipy.integrate import quad
 import quadint.spectral as sp
 from quadint.errors import ConfigurationError
 from quadint.exprdsl import NonlinearitySpec, parse
-from quadint.model import ExpressionKernel, InverseHelmholtz, ProblemSpec, ScaledIdentity, \
-    materialize, sample_kernel
+from quadint.model import ProblemSpec, materialize, sample_kernel
 from quadint.oracle import direct_convolution
 from quadint.spectral import Grid
 
 from conftest import cosine_x1, sup_norm
+from support import INVERSE_HELMHOLTZ, scaled_identity
 
 
 def gaussian_field(grid, alpha=1.0, amplitude=1.0, center=None):
@@ -179,16 +179,16 @@ class TestConvolve:
         grid = Grid(d, n, 6.0)
         mat = materialize(ProblemSpec(
             grid=grid,
-            kernels=(ExpressionKernel(f"0.3*exp(-{x2})"),
-                     ExpressionKernel(f"(1+x1)*exp(-2*{x2.replace('-', '-2*')})")),
-            operators=(InverseHelmholtz(), ScaledIdentity(0.5)),
+            kernels=(parse(f"0.3*exp(-{x2})", d, "x"),
+                     parse(f"(1+x1)*exp(-2*{x2.replace('-', '-2*')})", d, "x")),
+            operators=(INVERSE_HELMHOLTZ, scaled_identity(0.5)),
             g=NonlinearitySpec.from_strings(["z1*z2", "z1^2"]),
             u0=(parse(f"exp(-{x2})", d, "x"), parse(f"0.5*exp(-{x2})", d, "x")),
         ))
         f = rng.standard_normal((2,) + grid.shape)
         fast = sp.convolve(grid, mat.kernel_spectra, f)
         for m in range(2):
-            K, _, _ = sample_kernel(mat.spec.kernels[m], grid)
+            K, _ = sample_kernel(mat.spec.kernels[m], grid)
             direct = direct_convolution(grid, K, f[m])
             assert sp.l2_norm(grid, fast[m] - direct) <= 1e-12 * sp.l2_norm(grid, direct)
 
