@@ -8,12 +8,14 @@ which guarantees that the fixed-point map is a strict contraction of the
 Sobolev ball of radius rho with factor sigma = 2 c_a Q M (|u0| + 1) < 1.
 
 Constant provenance is tracked: 'rigorous-bound' values come from explicit
-Fourier-side derivations, 'sampled-estimate' values from quasi-random sup
-estimates inflated by a safety factor.
+Fourier-side derivations, coefficient bounds or outward-rounded interval
+enclosures, 'sampled-estimate' values from quasi-random sup estimates
+inflated by a safety factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -104,33 +106,109 @@ class C1Sample:
         return [pts[:, j] for j in range(self.n)]
 
 
-def estimate_M(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
-    """C^1 bound of the nonlinearity on the state ball of `sample`: the sum
-    over components of sup|g_m| + sum_j sup|dg_m/dz_j|.  A rigorous
-    coefficient bound when every component expands (exprdsl.as_polynomial),
-    its partials taken from its coefficients; otherwise a quasi-random sup
-    on `sample` inflated by SAMPLED_INFLATION."""
+# boxes per group of C^1 expressions in the interval enclosure of M: a group
+# that reads k variables covers [-r, r]^k with m^k boxes, m the largest
+# whole number (at least 1) with m^k <= ENCLOSURE_BOXES
+ENCLOSURE_BOXES = 64
+
+
+def _coefficient_bound(g: NonlinearitySpec, sample: C1Sample) -> float | None:
+    """The C^1 coefficient bound on the ball of `sample` when every
+    component expands (exprdsl.as_polynomial), its partials taken from its
+    coefficients; None otherwise."""
     n = g.n
     if sample.n != n:
         raise ConfigurationError(
             f"point set drawn in R^{sample.n}, estimate asks for R^{n}")
-    polys = [exprdsl.as_polynomial(c, n) for c in g.components]
-    if all(p is not None for p in polys):
-        total = 0.0
-        for poly in polys:  # the component, then its partials by z1..zN
-            total += exprdsl.polynomial_sup_bound(poly, sample.radius)
-            for j in range(1, n + 1):
-                total += exprdsl.polynomial_sup_bound(
-                    exprdsl.polynomial_derivative(poly, j), sample.radius)
-        return float(total), "rigorous-bound"
+    polys = []
+    for c in g.components:
+        polys.append(exprdsl.as_polynomial(c, n))
+        if polys[-1] is None:
+            return None
+    total = 0.0
+    for poly in polys:  # the component, then its partials by z1..zN
+        total += exprdsl.polynomial_sup_bound(poly, sample.radius)
+        for j in range(1, n + 1):
+            total += exprdsl.polynomial_sup_bound(
+                exprdsl.polynomial_derivative(poly, j), sample.radius)
+    return float(total)
 
-    # one interior and one sphere set shared by all N + N^2 sups, each
-    # taken as soon as its expression is evaluated
+
+def _sampled_bound(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
+    """The quasi-random C^1 sup on `sample` inflated by SAMPLED_INFLATION:
+    one interior and one sphere set shared by all N + N^2 sups, each taken
+    as soon as its expression is evaluated."""
     total = 0.0
     for sup in exprdsl.evaluate_many(g.c1_expressions, sample.columns,
                                      take=lambda _, v: float(np.max(np.abs(v)))):
         total += sup
     return float(total * SAMPLED_INFLATION), "sampled-estimate"
+
+
+def box_cover(k: int, radius: float) -> np.ndarray:
+    """The boxes of a uniform grid on [-r, r]^k, r = `radius` rounded up,
+    that meet the ball of radius r: shape (k, 2, boxes), the lower and the
+    upper edges of each box along each axis.  Neighbouring boxes share
+    their edges, so the boxes kept cover the ball."""
+    r = math.nextafter(radius, math.inf)
+    m = 1
+    while (m + 1) ** k <= ENCLOSURE_BOXES:
+        m += 1
+    edges = np.linspace(-r, r, m + 1)
+    cells = np.indices((m,) * k).reshape(k, -1)
+    cover = np.stack([edges[cells], edges[cells + 1]], axis=1)
+    # the point of each box nearest the origin; the slack keeps a box whose
+    # distance rounds above r
+    nearest = np.where(cover[:, 0] > 0, cover[:, 0],
+                       np.where(cover[:, 1] < 0, -cover[:, 1], 0.0))
+    return cover[:, :, np.sum(nearest ** 2, axis=0) <= r * r * (1.0 + 1e-12)]
+
+
+def _enclosed_bound(g: NonlinearitySpec, radius: float) -> float | None:
+    """The C^1 bound by interval enclosure: each expression of the C^1 norm
+    that reads k variables is enclosed on box_cover(k, radius) along
+    those variables, which covers the projection of the ball of R^N, and
+    its sup is the largest endpoint magnitude.  The sups are summed and
+    rounded up.  None when an enclosure refuses (exprdsl.enclose_many)."""
+    exprs = [e for e in g.c1_expressions if e != exprdsl.Num(0.0)]
+    groups: dict[tuple[int, ...], list] = {}
+    for e, variables in zip(exprs, exprdsl.variables(exprs)):
+        groups.setdefault(variables, []).append(e)
+    covers: dict[int, np.ndarray] = {}
+    sups = []
+    for variables, exprs in groups.items():
+        k = len(variables)
+        if k and k not in covers:
+            covers[k] = box_cover(k, radius)
+        enclosures = exprdsl.enclose_many(exprs, dict(zip(variables, covers.get(k, ()))))
+        if enclosures is None:
+            return None
+        sups.extend(float(np.max(np.abs(v))) for v in enclosures)
+    return math.nextafter(math.fsum(sups), math.inf) if sups else 0.0
+
+
+def estimate_M(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
+    """C^1 bound of the nonlinearity on the state ball of `sample`: the sum
+    over components of sup|g_m| + sum_j sup|dg_m/dz_j|.  A rigorous
+    coefficient bound when every component expands; otherwise a rigorous
+    interval enclosure (_enclosed_bound); when that refuses, a quasi-random
+    sup on `sample` inflated by SAMPLED_INFLATION."""
+    bound = _coefficient_bound(g, sample)
+    if bound is None:
+        bound = _enclosed_bound(g, sample.radius)
+    return (bound, "rigorous-bound") if bound is not None else _sampled_bound(g, sample)
+
+
+def c1_distance(g1: NonlinearitySpec, g2: NonlinearitySpec,
+                sample: C1Sample) -> tuple[float, str]:
+    """|g1 - g2|_C1 on the state ball of `sample`: the coefficient bound when
+    the difference expands, else the sampled sup.  No enclosure: g1 - g2
+    reads each subexpression twice, and an enclosure widens both copies
+    independently (the dependency problem), so near g2 = g1 it exceeds the
+    true distance many times over."""
+    diff = g1.difference(g2)
+    bound = _coefficient_bound(diff, sample)
+    return (bound, "rigorous-bound") if bound is not None else _sampled_bound(diff, sample)
 
 
 # --- aggregate constants --------------------------------------------------------

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -56,6 +57,28 @@ def _parse_kernel(entry, index: int, parse_x):
     raise ConfigurationError(f"kernel {index + 1}: unknown type {kind!r}")
 
 
+def _finite(value) -> float | None:
+    """A JSON number as a float, or None when it is no number or its double
+    is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the doubles
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _coefficients(entry: dict, key: str, index: int) -> tuple[float, ...]:
+    """The list entry[key] of operator `index` as floats; each must be finite."""
+    values = entry.get(key)
+    coeffs = tuple(map(_finite, values)) if isinstance(values, list) else (None,)
+    if None in coeffs:
+        raise ConfigurationError(
+            f"operator {index + 1}: {key!r} must be a list of finite numbers")
+    return coeffs
+
+
 def _parse_operator(entry, index: int):
     if not isinstance(entry, dict) or "type" not in entry:
         raise ConfigurationError(f"operator {index + 1}: expected an object with a 'type' field")
@@ -63,9 +86,12 @@ def _parse_operator(entry, index: int):
     if kind == "inverse_helmholtz":
         return RationalMultiplier(p=(1.0,), q=(1.0, 1.0))
     if kind == "scaled_identity":
-        return RationalMultiplier(p=(float(entry["alpha"]),), q=(1.0,))
+        alpha = _finite(entry.get("alpha"))
+        if alpha is None:
+            raise ConfigurationError(f"operator {index + 1}: 'alpha' must be a finite number")
+        return RationalMultiplier(p=(alpha,), q=(1.0,))
     if kind == "rational_multiplier":
-        p, q = (tuple(float(c) for c in entry[key]) for key in ("p", "q"))
+        p, q = (_coefficients(entry, key, index) for key in ("p", "q"))
         if not (p and q):
             raise ConfigurationError(f"operator {index + 1}: p and q need a coefficient each")
         return RationalMultiplier(p=p, q=q)

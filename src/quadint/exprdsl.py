@@ -20,8 +20,10 @@ A polynomial expansion (as_polynomial) counts the terms its products form
 and gives up past MAX_POLYNOMIAL_TERMS.
 Expressions are immutable trees; evaluation is IEEE double arithmetic, at a
 point or elementwise on numpy arrays, and computes each distinct subtree of
-the expressions evaluated together once.  Differentiation is exact and
-symbolic; the only rewriting ever applied is local constant folding.
+the expressions evaluated together once.  An interval walk (enclose_many)
+encloses expressions over boxes with outward rounding.  Differentiation is
+exact and symbolic; the only rewriting ever applied is local constant
+folding.
 """
 
 from __future__ import annotations
@@ -426,6 +428,131 @@ def _values(exprs: Sequence[Expr], args: Sequence):
             v = v.copy()
         yielded.add(vn)
         yield v
+
+
+def variables(exprs: Sequence[Expr]) -> list[tuple[int, ...]]:
+    """The indices of the variables each expression reads, in increasing
+    order, found in one walk of the distinct subtrees."""
+    seen, nodes, reads = {}, [], []
+    roots = [_numbered(e, seen, nodes, reads) for e in exprs]
+    read: list[frozenset] = []
+    for t, a, b, _ in nodes:  # operands come before the nodes reading them
+        if t is Var or t is Num:
+            read.append(frozenset((a,)) if t is Var else frozenset())
+        else:
+            read.append(read[a] if b is None else read[a] | read[b])
+    return [tuple(sorted(read[vn])) for vn in roots]
+
+
+# --- interval enclosure -------------------------------------------------------
+#
+# An interval is one float array of shape (2, boxes): its lower endpoints,
+# then its upper ones (Moore, Kearfott & Cloud, Introduction to Interval
+# Analysis, SIAM 2009).  +, -, * and / round each endpoint outward by one
+# step of np.nextafter.  A power and the functions widen their endpoints by
+# _WIDEN of their magnitude plus the smallest normal double: at least 16
+# ulp, beyond the 4 ulp that numpy's SIMD float64 routines may err by, and
+# beyond any error on a subnormal result.
+
+_OUTWARD = np.array([[-np.inf], [np.inf]])
+_SIGNS = np.array([[-1.0], [1.0]])
+_WIDEN = 2.0 ** -48
+_TINY = np.finfo(float).tiny
+# slack, in periods, of the test whether an interval meets an extremum of
+# sin or cos: far above the rounding error of the reduction (x - phase)/2pi
+_PHASE_SLACK = 2.0 ** -40
+
+
+def _outward(v: np.ndarray) -> np.ndarray:
+    return np.nextafter(v, _OUTWARD)
+
+
+def _hull(candidates: np.ndarray) -> np.ndarray:
+    """The outward-rounded hull of the endpoint products or quotients,
+    shape (2, 2, boxes)."""
+    flat = candidates.reshape(4, -1)
+    hull = np.empty((2, flat.shape[1]))
+    np.min(flat, axis=0, out=hull[0])
+    np.max(flat, axis=0, out=hull[1])
+    return np.nextafter(hull, _OUTWARD, out=hull)
+
+
+def _widened(v: np.ndarray) -> np.ndarray:
+    return _outward(v + (np.abs(v) * _WIDEN + _TINY) * _SIGNS)
+
+
+def _power_interval(x: np.ndarray, k: int) -> np.ndarray:
+    """x^k: monotone for odd k; for even k the powers of the smallest and
+    largest |x|, from 0 when the interval holds 0."""
+    if k % 2:
+        return _widened(x ** k)
+    mags = np.abs(x)
+    low = np.where((x[0] > 0) | (x[1] < 0), mags.min(axis=0), 0.0)
+    return np.maximum(_widened(np.stack([low, mags.max(axis=0)]) ** k), 0.0)
+
+
+def _periodic_interval(x: np.ndarray, fn, peak: float) -> np.ndarray:
+    """fn = sin or cos, which peaks at peak + 2 pi j and dips at
+    peak + pi + 2 pi j: the values at the endpoints, and 1 or -1 wherever
+    the interval may meet a peak or a dip."""
+    ends = fn(x)
+    v = _widened(np.stack([ends.min(axis=0), ends.max(axis=0)]))
+    for row, phase, extreme in ((1, peak, 1.0), (0, peak + np.pi, -1.0)):
+        turns = (x - phase) / (2.0 * np.pi)
+        slack = _PHASE_SLACK * (1.0 + np.abs(turns))
+        meets = np.floor(turns[1] + slack[1]) >= np.ceil(turns[0] - slack[0])
+        v[row] = np.where(meets, extreme, v[row])
+    return np.clip(v, -1.0, 1.0)
+
+
+def _call_interval(x: np.ndarray, fn) -> np.ndarray | None:
+    if fn is np.sin:
+        return _periodic_interval(x, fn, np.pi / 2.0)
+    if fn is np.cos:
+        return _periodic_interval(x, fn, 0.0)
+    if fn is np.sqrt and np.any(x[0] < 0):
+        return None
+    v = _widened(fn(x))  # exp, tanh and sqrt increase
+    return np.clip(v, -1.0, 1.0) if fn is np.tanh else np.maximum(v, 0.0)
+
+
+def enclose_many(exprs: Sequence[Expr], boxes: dict) -> list[np.ndarray] | None:
+    """Interval enclosures of the expressions over boxes: `boxes` maps each
+    variable index the expressions read to its (2, boxes) array of lower
+    and upper endpoints.  Returns one (2, boxes) array per expression, each
+    holding every value the expression takes in each box, or None when a
+    divisor may be 0, a sqrt argument may be negative, or an endpoint is
+    not finite.  Each distinct subtree is enclosed once."""
+    seen, nodes, reads = {}, [], []
+    roots = [_numbered(e, seen, nodes, reads) for e in exprs]
+    values = []
+    with np.errstate(all="ignore"):
+        for t, a, b, attribute in nodes:  # operands come before the nodes reading them
+            if t is Num:
+                v = np.full((2, 1), a)
+            elif t is Var:
+                v = boxes[a]
+            elif t is Add:
+                v = _outward(values[a] + values[b])
+            elif t is Sub:
+                v = _outward(values[a] - values[b][::-1])
+            elif t is Mul:
+                v = _hull(values[a][:, None] * values[b])
+            elif t is Div:
+                y = values[b]
+                if np.any((y[0] <= 0) & (y[1] >= 0)):
+                    return None
+                v = _hull(values[a][:, None] / y)
+            elif t is Neg:
+                v = -values[a][::-1]
+            elif t is Pow:
+                v = _power_interval(values[a], attribute) if attribute else np.ones((2, 1))
+            else:
+                v = _call_interval(values[a], attribute)
+            if v is None or not np.isfinite(v).all():
+                return None
+            values.append(v)
+    return [values[vn] for vn in roots]
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral
-from .analysis import ConstantsReport, estimate_M
+from .analysis import ConstantsReport, c1_distance, estimate_M
 from .errors import BallEscapeError, ConfigurationError, NonConvergenceError
 from .exprdsl import NonlinearitySpec, evaluate_many
 from .model import MaterializedProblem, equal_groups, multiplier_values
@@ -266,8 +266,9 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
     Both nonlinearities must satisfy the contraction condition with the joint
     C^1 bound M = max(M_1, M_2); sigma and the bound are formed with that M.
     `report` must come from constants_report(mat): its M is taken as M_1
-    rather than estimated again, and its point set serves the estimates of
-    M_2 and |g1 - g2|_C1.
+    rather than estimated again.  M_2 comes from analysis.estimate_M and
+    |g1 - g2|_C1 from analysis.c1_distance, both on the report's ball and
+    point set.
     """
     if tol is None:
         tol = default_tolerance(mat.u0_norm)
@@ -288,7 +289,7 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
 
     # both solutions share u0, so their distance is that of the perturbations
     measured = spectral.h2_norm(mat.grid, sol1.u_p_spectrum, sol2.u_p_spectrum)
-    dist, dist_prov = estimate_M(g1.difference(g2), report.sample)
+    dist, dist_prov = c1_distance(g1, g2, report.sample)
     bound = joint.continuity_bound(dist)
     passed = measured <= bound + 2.0 * tol
     rigorous = report.provenance["M"] == prov2 == "rigorous-bound"

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from quadint import analysis, exprdsl, sampling
 from quadint.analysis import (C1Sample, ConstantsReport, algebra_constant,
                               ball_radius_state, check_contraction_condition,
-                              compute_Q, constants_report,
+                              c1_distance, compute_Q, constants_report,
                               embedding_constant, estimate_M,
                               lattice_embedding_constant)
 from quadint.errors import ConfigurationError
@@ -19,6 +19,11 @@ from quadint.spectral import Grid
 import support
 from conftest import dense_sup_estimate, h2
 from support import falsify_algebra, falsify_embedding
+
+# the interval enclosure refuses this component on every box, as z1 - z1
+# encloses to an interval that reaches below 0, yet its C^1 values are those
+# of sin(z1): M falls back to the sampled route
+FALLBACK_SIN = "sin(z1)+sqrt(z1-z1)"
 
 
 class TestEmbeddingConstant:
@@ -172,8 +177,16 @@ class TestEstimateM:
         assert prov == "rigorous-bound"
         assert M == 16 * (1.0 + exprdsl.MAX_EXPONENT)
 
-    def test_sampled_estimate_close_to_dense_oracle(self):
+    def test_enclosed_estimate_bounds_the_exact_sup(self):
+        # sup|sin| + sup|cos| on [-2, 2] is 2
         g = NonlinearitySpec.from_strings(["sin(z1)"])
+        M, prov = estimate_M(g, C1Sample(1, 2.0, seed=0))
+        assert prov == "rigorous-bound"
+        assert 2.0 <= M <= 2.02
+        assert M == estimate_M(g, C1Sample(1, 2.0, seed=5))[0]  # no seed in it
+
+    def test_sampled_estimate_close_to_dense_oracle(self):
+        g = NonlinearitySpec.from_strings([FALLBACK_SIN])
         M, prov = estimate_M(g, C1Sample(1, 2.0, seed=0))
         assert prov == "sampled-estimate"
         dense = (dense_sup_estimate(g.components[0], 1, 2.0, 10 ** 6, seed=1)
@@ -190,39 +203,71 @@ class TestEstimateM:
 
         monkeypatch.setattr(sampling, "ball_points", counting)
         g = NonlinearitySpec.from_strings(
-            ["tanh(z1*z2)", "sin(z2)", "z3*exp(z4)", "z4^2"])
+            ["tanh(z1*z2)+sqrt(z1-z1)", "sin(z2)", "z3*exp(z4)", "z4^2"])
         _, prov = estimate_M(g, C1Sample(4, 1.0, seed=3))
         assert prov == "sampled-estimate"
         assert len(calls) == 2
         calls.clear()
-        _, prov = estimate_M(g.difference(support.scaled(g, 1.5)), C1Sample(4, 1.0, seed=3))
+        _, prov = c1_distance(g, support.scaled(g, 1.5), C1Sample(4, 1.0, seed=3))
         assert prov == "sampled-estimate"
         assert len(calls) == 2
 
     def test_shared_sample_is_drawn_once(self, ball_point_calls):
-        g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
+        g = NonlinearitySpec.from_strings(["tanh(z1*z2)+sqrt(z1-z1)", "sin(z2)"])
         sample = C1Sample(2, 1.0, seed=3)
-        diff = g.difference(support.scaled(g, 1.5))
-        shared = (estimate_M(g, sample), estimate_M(diff, sample))
+        g2 = support.scaled(g, 1.5)
+        shared = (estimate_M(g, sample), c1_distance(g, g2, sample))
         assert len(ball_point_calls) == 2
         assert shared == (estimate_M(g, C1Sample(2, 1.0, seed=3)),
-                          estimate_M(diff, C1Sample(2, 1.0, seed=3)))
+                          c1_distance(g, g2, C1Sample(2, 1.0, seed=3)))
+
+    @pytest.mark.parametrize("k, per_axis, boxes", [
+        (1, 64, 64), (2, 8, 60), (3, 4, 64), (4, 2, 16), (6, 2, 64), (7, 1, 1)])
+    def test_box_cover_covers_the_ball(self, k, per_axis, boxes):
+        assert analysis.ENCLOSURE_BOXES == 64
+        cover = analysis.box_cover(k, 0.7)
+        assert cover.shape == (k, 2, boxes)
+        assert all(np.unique(cover[j]).size == per_axis + 1 for j in range(k))
+        inner = sampling.random_ball_points(k, 0.7, 2000, seed=1)
+        points = np.vstack([inner, inner / np.linalg.norm(inner, axis=1, keepdims=True) * 0.7])
+        inside = (cover[:, 0] <= points[:, :, None]) & (points[:, :, None] <= cover[:, 1])
+        assert np.all(np.any(np.all(inside, axis=1), axis=1))
+
+    def test_enclosed_estimate_draws_no_points(self, ball_point_calls):
+        g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
+        sample = C1Sample(2, 1.0, seed=3)
+        assert estimate_M(g, sample)[1] == "rigorous-bound"
+        assert ball_point_calls == []
 
     def test_sample_on_another_ball_is_refused(self):
         g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
         with pytest.raises(ConfigurationError):
             estimate_M(g.difference(g), C1Sample(3, 1.0))
 
+    @staticmethod
+    def cyclic_tanh(n, radius, tail=""):
+        """M of g_m = tanh(z_m z_m+1) + `tail` on the ball, and the dense
+        sup of its C^1 expressions."""
+        g = NonlinearitySpec.from_strings(
+            [f"tanh(z{m + 1}*z{(m + 1) % n + 1})" + tail for m in range(n)])
+        M, prov = estimate_M(g, C1Sample(n, radius, seed=0))
+        dense = sum(dense_sup_estimate(e, n, radius, 2 * 10 ** 5, seed=11 + k)
+                    for k, e in enumerate(g.c1_expressions))
+        return M, prov, dense
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("radius", [0.5, 1.3])
     def test_shared_set_matches_dense_oracle(self, n, radius):
-        g = NonlinearitySpec.from_strings(
-            [f"tanh(z{m + 1}*z{(m + 1) % n + 1})" for m in range(n)])
-        M, prov = estimate_M(g, C1Sample(n, radius, seed=0))
+        # the enclosure; M / dense reads 1.051 to 1.056 on these four shapes
+        M, prov, dense = self.cyclic_tanh(n, radius)
+        assert prov == "rigorous-bound"
+        assert dense <= M <= 1.1 * dense
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("radius", [0.5, 1.3])
+    def test_sampled_fallback_matches_dense_oracle(self, n, radius):
+        M, prov, dense = self.cyclic_tanh(n, radius, tail="+sqrt(z1-z1)")
         assert prov == "sampled-estimate"
-        exprs = [e for m in range(n) for e in (g.components[m], *g.gradient[m])]
-        dense = sum(dense_sup_estimate(e, n, radius, 2 * 10 ** 5, seed=11 + k)
-                    for k, e in enumerate(exprs))
         assert dense <= M
         assert M / analysis.SAMPLED_INFLATION == pytest.approx(dense, rel=0.02)
 
@@ -303,13 +348,13 @@ class TestContractionCondition:
 class TestC1Distance:
     def test_identical(self):
         g = NonlinearitySpec.from_strings(["z1^2"])
-        dist, _ = estimate_M(g.difference(g), C1Sample(1, 1.0))
+        dist, _ = c1_distance(g, g, C1Sample(1, 1.0))
         assert dist == 0.0
 
     def test_linear_difference(self):
         g1 = NonlinearitySpec.from_strings(["z1"])
         g2 = support.scaled(g1, 1.25)
-        dist, prov = estimate_M(g1.difference(g2), C1Sample(1, 3.0))
+        dist, prov = c1_distance(g1, g2, C1Sample(1, 3.0))
         assert prov == "rigorous-bound"
         assert dist == pytest.approx(0.25 * (3.0 + 1.0))
 
@@ -317,7 +362,7 @@ class TestC1Distance:
         g1 = NonlinearitySpec.from_strings(["sin(z1)"])
         g2 = NonlinearitySpec.from_strings(["z1"])
         diff = g1.difference(g2)
-        dist, prov = estimate_M(diff, C1Sample(1, 0.5, seed=0))
+        dist, prov = c1_distance(g1, g2, C1Sample(1, 0.5, seed=0))
         assert prov == "sampled-estimate"
         dense = (dense_sup_estimate(diff.components[0], 1, 0.5, 10 ** 6, seed=1)
                  + dense_sup_estimate(diff.gradient[0][0], 1, 0.5, 10 ** 6, seed=2))
@@ -395,12 +440,14 @@ class TestConstantsReport:
         import dataclasses
         from conftest import make_certified_problem
         from quadint.model import materialize
-        spec = dataclasses.replace(
-            make_certified_problem(n=16),
-            g=NonlinearitySpec.from_strings(["sin(z1)"]))
-        report = constants_report(materialize(spec))
-        assert report.provenance["M"] == "sampled-estimate"
-        assert any("sampled" in w for w in report.warnings)
+        for text, provenance in (("sin(z1)", "rigorous-bound"),
+                                 (FALLBACK_SIN, "sampled-estimate")):
+            spec = dataclasses.replace(make_certified_problem(n=16),
+                                       g=NonlinearitySpec.from_strings([text]))
+            report = constants_report(materialize(spec))
+            assert report.provenance["M"] == provenance
+            assert any("sampled" in w for w in report.warnings) == (
+                provenance == "sampled-estimate")
 
     def test_only_a_tabulated_kernel_warns_of_its_laplacian(self):
         import dataclasses

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import quadint
-from quadint import cli, exprdsl, model
+from quadint import analysis, cli, exprdsl, model
 from quadint.cli import main
 from quadint.errors import ExpressionSyntaxError
 from quadint.spectral import Grid
@@ -41,6 +41,22 @@ TANH = {
     "g": ["tanh(z1*z2)", "tanh(z2*z1)"],
 }
 
+
+# TANH with a first component the interval enclosure refuses on every box
+# (z1 - z1 encloses to an interval below 0) and the same C^1 values: M falls
+# back to the sampled route
+TANH_SAMPLED = dict(TANH, g=["tanh(z1*z2)+sqrt(z1-z1)", "tanh(z2*z1)"])
+
+# the constants-tanh benchmark shape at n = 16: six components coupled
+# cyclically through tanh(z_m z_m+1)
+CONSTANTS_TANH = {
+    "grid": {"d": 2, "n": 16, "L": 8.0},
+    "components": 6,
+    "kernels": [{"type": "expression", "expr": "0.0002*exp(-1.0*x1^2-1.0*x2^2)"}] * 6,
+    "operators": [{"type": "inverse_helmholtz"}] * 6,
+    "u0": [f"{a}*exp(-x1^2-x2^2)" for a in (0.02, 0.025, 0.03, 0.035, 0.04, 0.03)],
+    "g": [f"tanh(z{m + 1}*z{(m + 1) % 6 + 1})" for m in range(6)],
+}
 
 # the solve-3d benchmark shape at n = 32: two coupled components in 3-D
 SOLVE_3D = {
@@ -353,14 +369,14 @@ class TestContinuity:
         assert code == 2
 
     def test_each_point_set_is_drawn_once(self, tmp_path, capsys, ball_point_calls):
-        # the report's M, M_2 and |g1 - g2|_C1 share one interior and one
-        # sphere set
+        # the report's M and M_2 are enclosed; |g1 - g2|_C1 is sampled on
+        # one interior and one sphere set
         path = write_problem(tmp_path, TANH)
         g2 = write_problem(tmp_path, {"g": ["1.01*tanh(z1*z2)", "tanh(z2*z1)"]},
                            "g2.json")
         code, doc = run(capsys, "continuity", path, "--g2", g2, "--seed", "3")
         assert code == 0
-        assert doc["constants"]["provenance"]["M"] == "sampled-estimate"
+        assert doc["constants"]["provenance"]["M"] == "rigorous-bound"
         assert doc["continuity"]["c1_provenance"] == "sampled-estimate"
         assert len(ball_point_calls) == 2
 
@@ -494,13 +510,31 @@ class TestOracle:
             self, tmp_path, capsys, ball_point_calls):
         # on the sampled route the report's M uses its two quasi-random sets;
         # the dense reference is one pseudo-random set for all N + N^2 sups
-        path = write_problem(tmp_path, TANH)
+        path = write_problem(tmp_path, TANH_SAMPLED)
         code, doc = run(capsys, "oracle", path, "--size", "16", "--seed", "2")
         assert code == 0
         assert len(ball_point_calls) == 2
         sup_check = doc["oracle"]["checks"][-1]
         assert sup_check["name"] == "c1_bound_dominates_dense_sup"
         assert sup_check["dense_reference"] < sup_check["M"]
+
+    def test_oracle_checks_the_enclosed_c1_bound(self, tmp_path, capsys, monkeypatch):
+        # mutation pair: the enclosed M of the constants-tanh shape lies
+        # ~5% above the dense sup, so M / 1.2 fails the oracle's sup check
+        path = write_problem(tmp_path, CONSTANTS_TANH)
+        code, doc = run(capsys, "check", path)
+        assert code == 0
+        assert doc["constants"]["provenance"]["M"] == "rigorous-bound"
+        code, doc = run(capsys, "oracle", path)
+        assert code == 0
+        assert doc["oracle"]["all_passed"] is True
+        original = analysis._enclosed_bound
+        monkeypatch.setattr(analysis, "_enclosed_bound",
+                            lambda g, radius: original(g, radius) / 1.2)
+        code, doc = run(capsys, "oracle", path)
+        assert code == 1
+        failed = [c["name"] for c in doc["oracle"]["checks"] if not c["passed"]]
+        assert failed == ["c1_bound_dominates_dense_sup"]
 
 
 class TestWorkingSet:
@@ -630,6 +664,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("doc_in", [
         CERTIFIED,
         dict(CERTIFIED, g=["sin(z1)"]),  # sampled-M path uses the seed
+        dict(CERTIFIED, g=["sin(z1)+sqrt(z1-z1)"]),  # the sampled fallback
     ])
     def test_check_reports_are_byte_identical(self, tmp_path, capsys, doc_in):
         path = write_problem(tmp_path, doc_in)
@@ -858,13 +893,13 @@ class TestPathologicalInput:
             f"error: exponent {exprdsl.MAX_EXPONENT + 1} is above "
             f"{exprdsl.MAX_EXPONENT} (byte offset 8)\n")
 
-    def test_polynomial_expansion_past_the_budget_is_sampled(self, tmp_path, capsys):
+    def test_polynomial_expansion_past_the_budget_is_enclosed(self, tmp_path, capsys):
         # the products of (z1 + 0.5 z1^2)^k form k(k + 1) terms, so k = 99 is
         # the largest power that the budget of 10 000 expands; past it M is
-        # sampled, and no power is an input error
+        # enclosed, and no power is an input error
         assert exprdsl.MAX_POLYNOMIAL_TERMS == 10_000
         for k, provenance in ((70, "rigorous-bound"), (99, "rigorous-bound"),
-                              (100, "sampled-estimate"), (300, "sampled-estimate")):
+                              (100, "rigorous-bound"), (300, "rigorous-bound")):
             path = write_problem(tmp_path, dict(CERTIFIED, g=[f"(z1+0.5*z1^2)^{k}"]))
             code = main(["check", path])
             captured = capsys.readouterr()
@@ -991,6 +1026,24 @@ class TestProblemInputs:
         assert main(["check", path]) == 2
         assert capsys.readouterr().err == "error: operator 1: p and q need a coefficient each\n"
 
+    @pytest.mark.parametrize("operator, key", [
+        ({"type": "rational_multiplier", "p": "12", "q": [1.0]}, "p"),
+        ({"type": "rational_multiplier", "p": [1.0, float("nan")], "q": [1.0]}, "p"),
+        ({"type": "rational_multiplier", "p": [1.0], "q": [1.0, float("inf")]}, "q"),
+        ({"type": "rational_multiplier", "p": [1.0], "q": [10 ** 400]}, "q"),
+        ({"type": "rational_multiplier", "p": [True], "q": [1.0]}, "p"),
+        ({"type": "rational_multiplier", "q": [1.0]}, "p"),
+        ({"type": "scaled_identity", "alpha": float("nan")}, "alpha"),
+        ({"type": "scaled_identity", "alpha": float("-inf")}, "alpha"),
+        ({"type": "scaled_identity", "alpha": "0.5"}, "alpha"),
+        ({"type": "scaled_identity"}, "alpha"),
+    ])
+    def test_coefficients_must_be_finite_numbers(self, tmp_path, capsys, operator, key):
+        path = write_problem(tmp_path, dict(CERTIFIED, operators=[operator]))
+        assert main(["check", path]) == 2
+        kind = "a finite number" if key == "alpha" else "a list of finite numbers"
+        assert capsys.readouterr().err == f"error: operator 1: {key!r} must be {kind}\n"
+
     def test_kernel_syntax_error_is_refused_at_load(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(model, "materialize", lambda *a, **k: calls.append(a))
@@ -1016,7 +1069,7 @@ def test_only_the_oracle_subcommand_imports_oracle(tmp_path):
     assert proc.stdout.split() == ["0", "False", "0", "False", "0", "True"]
 
 
-def test_sampled_solve_loads_no_scipy(tmp_path):
+def test_non_polynomial_solve_loads_no_scipy(tmp_path):
     path = write_problem(tmp_path, TANH)
     out = tmp_path / "report.json"
     code = (
@@ -1030,5 +1083,5 @@ def test_sampled_solve_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
     doc = json.loads(out.read_text())
-    assert doc["constants"]["provenance"]["M"] == "sampled-estimate"
+    assert doc["constants"]["provenance"]["M"] == "rigorous-bound"
     assert doc["solve"]["converged"] is True

@@ -352,6 +352,107 @@ class TestValueNumberedEvaluator:
         assert len(calls) == 2
 
 
+@st.composite
+def enclosure_cases(draw, arity=3):
+    """A few expressions over z1..z<arity> of every node type and function,
+    built from one pool of subtrees, and 1 to 4 boxes, each given by its
+    lower edge and width along every axis."""
+    literals = (1.0, -2.5, 0.5, 3.0, 0.0, 1e-3)
+    pool = [Var("z", i) for i in range(1, arity + 1)]
+    pool += [Num(v) for v in draw(st.lists(st.sampled_from(literals), min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(2, 12))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(("add", "sub", "mul", "div", "neg", "pow", "call")))
+        if kind == "neg":
+            node = Neg(a)
+        elif kind == "pow":
+            node = Pow(a, draw(st.sampled_from((0, 1, 2, 3, 4, 7))))
+        elif kind == "call":
+            node = Call(draw(st.sampled_from(dsl.FUNCTIONS)), a)
+        else:
+            node = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind](a, b)
+        pool.append(node)
+    exprs = [pool[-1]] + draw(st.lists(st.sampled_from(pool[arity:]), max_size=3))
+    edges = st.floats(-4.0, 4.0) | st.sampled_from((0.0, -0.0, math.pi / 2, -math.pi, 40.0))
+    widths = st.floats(0.0, 3.0) | st.sampled_from((0.0, 1e-9, 7.0))
+    count = draw(st.integers(1, 4))
+    lower = np.array([[draw(edges) for _ in range(count)] for _ in range(arity)])
+    width = np.array([[draw(widths) for _ in range(count)] for _ in range(arity)])
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * arity, max_size=2 * arity))
+    return exprs, lower, lower + width, np.array(fractions).reshape(2, arity)
+
+
+def box_points(lower, upper, fractions):
+    """The corners, the centre and one point per row of `fractions` of each
+    box, as one coordinate array per axis: shape (axes, boxes, points)."""
+    arity = lower.shape[0]
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * arity, indexing="ij")).reshape(arity, -1)
+    where = np.concatenate([corners, np.full((arity, 1), 0.5), fractions.T], axis=1)
+    points = lower[:, :, None] + where[:, None, :] * (upper - lower)[:, :, None]
+    return np.minimum(points, upper[:, :, None])
+
+
+def assert_encloses(exprs, lower, upper, fractions):
+    """Each enclosure holds the tree walk's value at every point of
+    box_points; the walk may raise nowhere there."""
+    enclosures = dsl.enclose_many(exprs, {j + 1: np.stack([lower[j], upper[j]])
+                                          for j in range(lower.shape[0])})
+    if enclosures is None:
+        return False
+    points = box_points(lower, upper, fractions)
+    for e, v in zip(exprs, enclosures):
+        with np.errstate(all="ignore"):
+            value = np.broadcast_to(reference_eval(e, list(points)), points.shape[1:])
+        assert np.all(v[0][:, None] <= value) and np.all(value <= v[1][:, None]), e
+    return True
+
+
+class TestIntervalEnclosure:
+    @settings(max_examples=500, deadline=None)
+    @given(case=enclosure_cases())
+    def test_holds_the_tree_walk_at_points_of_each_box(self, case):
+        assert_encloses(*case)
+
+    def test_holds_safe_random_expressions_without_refusing(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            exprs = [random_expr(rng, 2) for _ in range(3)]
+            lower = rng.uniform(-3.0, 3.0, (2, 5))
+            upper = lower + rng.uniform(0.0, 2.0, (2, 5))
+            assert assert_encloses(exprs, lower, upper, rng.uniform(0.0, 1.0, (2, 2)))
+
+    def test_rounds_each_operation_outward(self):
+        x = {1: np.array([[0.1], [0.1]]), 2: np.array([[0.2], [0.2]])}
+        for text, value in (("z1+z2", 0.1 + 0.2), ("z1-z2", 0.1 - 0.2),
+                            ("z1*z2", 0.1 * 0.2), ("z1/z2", 0.1 / 0.2)):
+            [v] = dsl.enclose_many([parse(text, 2)], x)
+            assert v[0, 0] < value < v[1, 0], text
+
+    @pytest.mark.parametrize("text, lower, upper, low, high", [
+        ("z1^2", -1.0, 2.0, 0.0, 4.0),                  # an even power from 0
+        ("z1^10000", -0.5, 0.5, 0.0, 0.0),              # no loop per factor
+        ("sin(z1)", 0.0, math.pi, 0.0, 1.0),            # meets the peak at pi/2
+        ("cos(z1)", 3.0, 3.5, -1.0, math.cos(3.5)),     # meets the dip at pi
+        ("tanh(z1)", 30.0, 40.0, math.tanh(30.0), 1.0),  # clamped to 1
+    ])
+    def test_extrema_and_clamps(self, text, lower, upper, low, high):
+        [v] = dsl.enclose_many([parse(text, 1)], {1: np.array([[lower], [upper]])})
+        assert v[0, 0] <= low and high <= v[1, 0]
+        assert v[1, 0] - v[0, 0] <= high - low + 1e-13
+        if text == "z1^2":
+            assert v[0, 0] == 0.0  # so sqrt(z1^2) is not refused
+
+    @pytest.mark.parametrize("text", ["1/z1", "sqrt(z1)", "sqrt(z2-z2+1e-9)",
+                                      "exp(1000*z1)"])
+    def test_refuses_a_pole_a_negative_root_and_overflow(self, text):
+        boxes = {1: np.array([[-1.0, 1.0], [0.5, 2.0]]), 2: np.array([[1.0, 2.0], [1.5, 3.0]])}
+        assert dsl.enclose_many([parse(text, 2)], boxes) is None
+
+    def test_variables(self):
+        assert dsl.variables([parse("sin(z3)*z1 + z3^2", 4), Num(1.0), parse("z4/z2", 4),
+                              Pow(parse("-z2", 4), 3)]) == [(1, 3), (), (2, 4), (2,)]
+
+
 def reference_scalar(e, point):
     """evaluate at a point as the tree walk gave it."""
     with np.errstate(all="ignore"):
