@@ -236,7 +236,7 @@ def test_criterion_10_determinism(tmp_path):
         "kernels": [{"type": "expression", "expr": "0.005*exp(-x1^2-x2^2)"}],
         "operators": [{"type": "inverse_helmholtz"}],
         "u0": ["0.1*exp(-x1^2-x2^2)"],
-        "g": ["sin(z1)"],  # sampled-M path exercises the seed
+        "g": ["sin(z1)"],  # not a polynomial: M is an interval enclosure
     }
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem))

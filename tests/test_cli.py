@@ -31,7 +31,7 @@ CERTIFIED = {
 }
 
 
-# two coupled tanh components: M takes the sampled route
+# two coupled tanh components: M is an interval enclosure
 TANH = {
     "grid": {"d": 2, "n": 16, "L": 8.0},
     "components": 2,
@@ -663,7 +663,7 @@ class TestParser:
 class TestDeterminism:
     @pytest.mark.parametrize("doc_in", [
         CERTIFIED,
-        dict(CERTIFIED, g=["sin(z1)"]),  # sampled-M path uses the seed
+        dict(CERTIFIED, g=["sin(z1)"]),  # an enclosed M
         dict(CERTIFIED, g=["sin(z1)+sqrt(z1-z1)"]),  # the sampled fallback
     ])
     def test_check_reports_are_byte_identical(self, tmp_path, capsys, doc_in):
