@@ -176,11 +176,11 @@ def _enclosed_bound(g: NonlinearitySpec, radius: float) -> float | None:
         groups.setdefault(variables, []).append(e)
     covers: dict[int, np.ndarray] = {}
     sups = []
-    for variables, exprs in groups.items():
+    for variables, members in groups.items():
         k = len(variables)
         if k and k not in covers:
             covers[k] = box_cover(k, radius)
-        enclosures = exprdsl.enclose_many(exprs, dict(zip(variables, covers.get(k, ()))))
+        enclosures = exprdsl.enclose_many(members, dict(zip(variables, covers.get(k, ()))))
         if enclosures is None:
             return None
         sups.extend(float(np.max(np.abs(v))) for v in enclosures)
