@@ -8,9 +8,8 @@ which guarantees that the fixed-point map is a strict contraction of the
 Sobolev ball of radius rho with factor sigma = 2 c_a Q M (|u0| + 1) < 1.
 
 Constant provenance is tracked: 'rigorous-bound' values come from explicit
-Fourier-side derivations, coefficient bounds or outward-rounded interval
-enclosures, 'sampled-estimate' values from quasi-random sup estimates
-inflated by a safety factor.
+Fourier-side derivations or outward-rounded enclosures, 'sampled-estimate'
+values from quasi-random sup estimates inflated by a safety factor.
 """
 
 from __future__ import annotations
@@ -112,32 +111,12 @@ class C1Sample:
 ENCLOSURE_BOXES = 64
 
 
-def _coefficient_bound(g: NonlinearitySpec, sample: C1Sample) -> float | None:
-    """The C^1 coefficient bound on the ball of `sample` when every
-    component expands (exprdsl.as_polynomial), its partials taken from its
-    coefficients; None otherwise."""
-    n = g.n
-    if sample.n != n:
-        raise ConfigurationError(
-            f"point set drawn in R^{sample.n}, estimate asks for R^{n}")
-    polys = []
-    for c in g.components:
-        polys.append(exprdsl.as_polynomial(c, n))
-        if polys[-1] is None:
-            return None
-    total = 0.0
-    for poly in polys:  # the component, then its partials by z1..zN
-        total += exprdsl.polynomial_sup_bound(poly, sample.radius)
-        for j in range(1, n + 1):
-            total += exprdsl.polynomial_sup_bound(
-                exprdsl.polynomial_derivative(poly, j), sample.radius)
-    return float(total)
-
-
 def _sampled_bound(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
     """The quasi-random C^1 sup on `sample` inflated by SAMPLED_INFLATION:
     one interior and one sphere set shared by all N + N^2 sups, each taken
     as soon as its expression is evaluated."""
+    if sample.n != g.n:
+        raise ConfigurationError(f"point set drawn in R^{sample.n}, estimate asks for R^{g.n}")
     total = 0.0
     for sup in exprdsl.evaluate_many(g.c1_expressions, sample.columns,
                                      take=lambda _, v: float(np.max(np.abs(v)))):
@@ -164,13 +143,14 @@ def box_cover(k: int, radius: float) -> np.ndarray:
     return cover[:, :, np.sum(nearest ** 2, axis=0) <= r * r * (1.0 + 1e-12)]
 
 
-def _enclosed_bound(g: NonlinearitySpec, radius: float) -> float | None:
-    """The C^1 bound by interval enclosure: each expression of the C^1 norm
-    that reads k variables is enclosed on box_cover(k, radius) along
-    those variables, which covers the projection of the ball of R^N, and
-    its sup is the largest endpoint magnitude.  The sups are summed and
-    rounded up.  None when an enclosure refuses (exprdsl.enclose_many)."""
-    exprs = [e for e in g.c1_expressions if e != exprdsl.Num(0.0)]
+def _enclosed_bound(exprs, radius: float, enclose) -> float | None:
+    """The C^1 bound by enclosure: each of the C^1 expressions `exprs` that
+    reads k variables is enclosed by `enclose` (exprdsl.enclose_many or
+    enclose_affine) on box_cover(k, radius) along those variables, which
+    covers the projection of the ball of R^N, and its sup is the largest
+    endpoint magnitude.  The sups are summed and rounded up.  None when an
+    enclosure refuses."""
+    exprs = [e for e in exprs if e != exprdsl.Num(0.0)]
     groups: dict[tuple[int, ...], list] = {}
     for e, variables in zip(exprs, exprdsl.variables(exprs)):
         groups.setdefault(variables, []).append(e)
@@ -180,34 +160,30 @@ def _enclosed_bound(g: NonlinearitySpec, radius: float) -> float | None:
         k = len(variables)
         if k and k not in covers:
             covers[k] = box_cover(k, radius)
-        enclosures = exprdsl.enclose_many(members, dict(zip(variables, covers.get(k, ()))))
+        enclosures = enclose(members, dict(zip(variables, covers.get(k, ()))))
         if enclosures is None:
             return None
         sups.extend(float(np.max(np.abs(v))) for v in enclosures)
-    return math.nextafter(math.fsum(sups), math.inf) if sups else 0.0
+    total = math.fsum(sups)
+    return math.nextafter(total, math.inf) if total else 0.0
 
 
 def estimate_M(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
     """C^1 bound of the nonlinearity on the state ball of `sample`: the sum
-    over components of sup|g_m| + sum_j sup|dg_m/dz_j|.  A rigorous
-    coefficient bound when every component expands; otherwise a rigorous
-    interval enclosure (_enclosed_bound); when that refuses, a quasi-random
-    sup on `sample` inflated by SAMPLED_INFLATION."""
-    bound = _coefficient_bound(g, sample)
-    if bound is None:
-        bound = _enclosed_bound(g, sample.radius)
+    over components of sup|g_m| + sum_j sup|dg_m/dz_j|.  A rigorous interval
+    enclosure (_enclosed_bound); when that refuses, a quasi-random sup on
+    `sample` inflated by SAMPLED_INFLATION."""
+    bound = _enclosed_bound(g.c1_expressions, sample.radius, exprdsl.enclose_many)
     return (bound, "rigorous-bound") if bound is not None else _sampled_bound(g, sample)
 
 
 def c1_distance(g1: NonlinearitySpec, g2: NonlinearitySpec,
                 sample: C1Sample) -> tuple[float, str]:
-    """|g1 - g2|_C1 on the state ball of `sample`: the coefficient bound when
-    the difference expands, else the sampled sup.  No enclosure: g1 - g2
-    reads each subexpression twice, and an enclosure widens both copies
-    independently (the dependency problem), so near g2 = g1 it exceeds the
-    true distance many times over."""
+    """|g1 - g2|_C1 on the state ball of `sample`, as estimate_M bounds M
+    but by affine forms, in which the subexpressions that g1 and g2 share
+    cancel."""
     diff = g1.difference(g2)
-    bound = _coefficient_bound(diff, sample)
+    bound = _enclosed_bound(diff.c1_expressions, sample.radius, exprdsl.enclose_affine)
     return (bound, "rigorous-bound") if bound is not None else _sampled_bound(diff, sample)
 
 

@@ -24,7 +24,7 @@ class ExpressionDomainError(QuadIntError):
 
 class NumericOverflowError(ExpressionDomainError):
     """A number computed from the input overflows a double: a folded
-    literal, a power of a float, or a coefficient bound.  Always an input
+    literal, a power of a float, or an enclosure.  Always an input
     error, never a failed hypothesis."""
 
 

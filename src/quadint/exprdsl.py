@@ -13,15 +13,15 @@ exponent, written in the ASCII digits [0-9].  '^' binds tighter than unary
 minus, which binds tighter than '*' and '/'.
 
 Parentheses and function calls nest at most MAX_NESTING deep, a tree is at
-most MAX_DEPTH nodes deep, and an exponent is at most MAX_EXPONENT; the
-parser refuses anything beyond them with the byte offset of the token that
-goes too far, and sin or cos of an infinite literal with that of the call.
-A polynomial expansion (as_polynomial) counts the terms its products form
-and gives up past MAX_POLYNOMIAL_TERMS.
+most MAX_DEPTH nodes deep and has at most MAX_NODES nodes, and an exponent
+is at most MAX_EXPONENT; the parser refuses anything beyond them with the
+byte offset of the token that goes too far, and sin or cos of an infinite
+literal with that of the call.
 Expressions are immutable trees; evaluation is IEEE double arithmetic, at a
 point or elementwise on numpy arrays, and computes each distinct subtree of
-the expressions evaluated together once.  An interval walk (enclose_many)
-encloses expressions over boxes with outward rounding.  Differentiation is
+the expressions evaluated together once.  Two walks enclose expressions over
+boxes with outward rounding: intervals (enclose_many), and affine forms
+(enclose_affine), in which copies of a subtree cancel.  Differentiation is
 exact and symbolic; the only rewriting ever applied is local constant
 folding.
 """
@@ -51,10 +51,9 @@ MAX_NESTING = 64
 # walk it within Python's default recursion limit
 MAX_DEPTH = 100
 MAX_EXPONENT = 10_000
-# the most terms the products of as_polynomial may form while expanding one
-# expression, counted as they are formed; it bounds the time the coefficient
-# bound of a polynomial g takes (README, "Problem files")
-MAX_POLYNOMIAL_TERMS = 10_000
+# the most nodes the parser makes for one expression; it bounds the work one
+# expression can cause (README, "Problem files")
+MAX_NODES = 10_000
 
 
 # --- AST -------------------------------------------------------------------
@@ -182,17 +181,16 @@ class _Parser:
 
     def made(self, node: Expr, offset: int) -> Expr:
         """Register a node built by the token at `offset` with its depth;
-        refuse it beyond MAX_DEPTH."""
+        refuse it beyond MAX_DEPTH or MAX_NODES."""
         depth = 1 + max((self.depths[id(v)] for v in vars(node).values()
                          if isinstance(v, Expr)), default=0)
         if depth > MAX_DEPTH:
             raise ExpressionSyntaxError(
                 f"expression tree deeper than {MAX_DEPTH} levels", offset)
+        if len(self.depths) >= MAX_NODES:
+            raise ExpressionSyntaxError(f"expression of more than {MAX_NODES} nodes", offset)
         self.depths[id(node)] = depth
         return node
-
-    def peek(self):
-        return self.token
 
     def advance(self):
         tok = self.token
@@ -200,51 +198,47 @@ class _Parser:
         return tok
 
     def expect_op(self, symbol: str):
-        kind, text, offset = self.peek()
+        kind, text, offset = self.token
         if kind != "op" or text != symbol:
             raise ExpressionSyntaxError(f"expected {symbol!r}", offset)
         return self.advance()
 
     def parse(self) -> Expr:
         node = self.expr()
-        kind, text, offset = self.peek()
+        kind, text, offset = self.token
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected token {text!r}", offset)
         return node
 
     def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, text, offset = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = self.made(Add(node, rhs) if text == "+" else Sub(node, rhs), offset)
-            else:
-                return node
+        return self.chain(self.term, "+-", Add, Sub)
 
     def term(self) -> Expr:
-        node = self.factor()
+        return self.chain(self.factor, "*/", Mul, Div)
+
+    def chain(self, operand, symbols: str, first, second) -> Expr:
+        """operand (symbol operand)*, left-associative: `first` joins by
+        symbols[0], `second` by symbols[1]."""
+        node = operand()
         while True:
-            kind, text, offset = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = self.made(Mul(node, rhs) if text == "*" else Div(node, rhs), offset)
-            else:
+            kind, text, offset = self.token
+            if kind != "op" or text not in symbols:
                 return node
+            self.advance()
+            rhs = operand()
+            node = self.made((first if text == symbols[0] else second)(node, rhs), offset)
 
     def factor(self) -> Expr:
-        kind, text, minus = self.peek()
+        kind, text, minus = self.token
         negate = False
         if kind == "op" and text == "-":
             self.advance()
             negate = True
         node = self.atom()
-        kind, text, offset = self.peek()
+        kind, text, offset = self.token
         if kind == "op" and text == "^":
             self.advance()
-            nkind, ntext, noffset = self.peek()
+            nkind, ntext, noffset = self.token
             if nkind != "num" or not re.fullmatch(r"[0-9]+", ntext):
                 raise ExpressionSyntaxError("exponent must be an unsigned integer", noffset)
             if (len(ntext.lstrip("0")) > len(str(MAX_EXPONENT))
@@ -516,43 +510,159 @@ def _call_interval(x: np.ndarray, fn) -> np.ndarray | None:
     return np.clip(v, -1.0, 1.0) if fn is np.tanh else np.maximum(v, 0.0)
 
 
+def _enclose(exprs: Sequence[Expr], boxes: dict, affine: bool) -> list[np.ndarray] | None:
+    """enclose_many, or with `affine` enclose_affine, whose range of a node
+    is its interval from its operands' ranges cut to the range of its form."""
+    seen, nodes, reads = {}, [], []
+    roots = [_numbered(e, seen, nodes, reads) for e in exprs]
+    forms, ranges = [], []
+    with np.errstate(all="ignore"):
+        for vn, (t, a, b, attribute) in enumerate(nodes):  # operands come first
+            if t is Num:
+                v = np.full((2, 1), a) if math.isfinite(a) else None
+            elif t is Var:
+                v = boxes[a]
+            elif t is Add:
+                v = _outward(ranges[a] + ranges[b])
+            elif t is Sub:
+                v = _outward(ranges[a] - ranges[b][::-1])
+            elif t is Mul:
+                v = _hull(ranges[a][:, None] * ranges[b])
+            elif t is Div:
+                y = ranges[b]
+                v = None if np.any((y[0] <= 0) & (y[1] >= 0)) else _hull(ranges[a][:, None] / y)
+            elif t is Neg:
+                v = -ranges[a][::-1]
+            elif t is Pow:
+                v = _power_interval(ranges[a], attribute) if attribute else np.ones((2, 1))
+            else:
+                v = _call_interval(ranges[a], attribute)
+            if v is None:
+                return None
+            if affine:
+                forms.append(_affine(nodes[vn], vn, forms, ranges, v))
+                r = _radius(forms[-1])
+                cut = forms[-1][None] + r * _SIGNS
+                cut = np.where(r > 0, _outward(cut), cut)
+                v = np.stack([np.maximum(v[0], cut[0]), np.minimum(v[1], cut[1])])
+            if not np.isfinite(v).all():
+                raise NumericOverflowError("an enclosure on the state ball overflows a double")
+            ranges.append(v)
+    return [ranges[vn] for vn in roots]
+
+
 def enclose_many(exprs: Sequence[Expr], boxes: dict) -> list[np.ndarray] | None:
     """Interval enclosures of the expressions over boxes: `boxes` maps each
     variable index the expressions read to its (2, boxes) array of lower
     and upper endpoints.  Returns one (2, boxes) array per expression, each
     holding every value the expression takes in each box, or None when a
-    divisor may be 0, a sqrt argument may be negative, or an endpoint is
-    not finite.  Each distinct subtree is enclosed once."""
-    seen, nodes, reads = {}, [], []
-    roots = [_numbered(e, seen, nodes, reads) for e in exprs]
-    values = []
-    with np.errstate(all="ignore"):
-        for t, a, b, attribute in nodes:  # operands come before the nodes reading them
-            if t is Num:
-                v = np.full((2, 1), a)
-            elif t is Var:
-                v = boxes[a]
-            elif t is Add:
-                v = _outward(values[a] + values[b])
-            elif t is Sub:
-                v = _outward(values[a] - values[b][::-1])
-            elif t is Mul:
-                v = _hull(values[a][:, None] * values[b])
-            elif t is Div:
-                y = values[b]
-                if np.any((y[0] <= 0) & (y[1] >= 0)):
-                    return None
-                v = _hull(values[a][:, None] / y)
-            elif t is Neg:
-                v = -values[a][::-1]
-            elif t is Pow:
-                v = _power_interval(values[a], attribute) if attribute else np.ones((2, 1))
-            else:
-                v = _call_interval(values[a], attribute)
-            if v is None or not np.isfinite(v).all():
-                return None
-            values.append(v)
-    return [values[vn] for vn in roots]
+    literal is not finite, a divisor may be 0 or a sqrt argument may be
+    negative; an endpoint that is not finite raises NumericOverflowError.
+    Each distinct subtree is enclosed once."""
+    return _enclose(exprs, boxes, False)
+
+
+def enclose_affine(exprs: Sequence[Expr], boxes: dict) -> list[np.ndarray] | None:
+    """enclose_many by affine forms: a node's range is never wider than
+    there, and it refuses and raises where enclose_many does, but copies of
+    a subtree cancel, so g - g encloses to exactly 0."""
+    return _enclose(exprs, boxes, True)
+
+
+# --- affine forms -------------------------------------------------------------
+#
+# An affine form (de Figueiredo & Stolfi, "Affine arithmetic: concepts and
+# applications", Numer. Algorithms 37, 2004) is a dict of arrays over the
+# boxes: key None holds the centre, key -j the coefficient of z_j's symbol,
+# key vn that of node vn's; each symbol ranges over [-1, 1].  What a node
+# leaves out of its linear part and every rounding error go into its own
+# symbol.  A margin |v| _WIDEN + _TINY is 4 times the error of an operation
+# that rounded to v or more, so the rounding of a sum of margins cannot lose
+# what they cover; a sum rounds by at most 2^-53 |v|, so its margin is
+# |v| _WIDEN, and 0 when it is exactly 0.
+
+
+def _margin(v):
+    return np.abs(v) * _WIDEN + _TINY
+
+
+def _split(v: np.ndarray) -> tuple:
+    """A centre of the interval v and a radius that reaches both its ends."""
+    m = 0.5 * v[0] + 0.5 * v[1]
+    r = np.maximum(v[1] - m, m - v[0])
+    return m, r + r * _WIDEN
+
+
+def _absorb(form: dict, vn: int, err) -> dict:
+    """Add err >= 0 to |coefficient of vn's symbol|, rounded up."""
+    s = np.abs(form.get(vn, 0.0)) + err
+    form[vn] = s + s * _WIDEN
+    return form
+
+
+def _radius(form: dict):
+    """The sum of the coefficients' magnitudes, rounded up: a sum of m
+    terms rounds below itself by less than (m - 1) 2^-53 of it."""
+    terms = [np.abs(v) for k, v in form.items() if k is not None]
+    total = sum(terms, 0.0) * (1.0 + len(terms) * 2.0 ** -52)
+    return np.where(total > 0, np.nextafter(total, np.inf), 0.0)
+
+
+def _affine_sum(x: dict, y: dict, sign: float, vn: int) -> dict:
+    out = {k: x.get(k, 0.0) + sign * y.get(k, 0.0) for k in {**x, **y}}
+    return _absorb(out, vn, sum(np.abs(v) * _WIDEN for k, v in out.items() if k in x and k in y))
+
+
+def _affine_product(x: dict, y: dict, vn: int) -> dict:
+    """x0 y0 + sum (x0 y_k + y0 x_k) e_k, and rad(x) rad(y) for the rest."""
+    x0, y0 = x[None], y[None]
+    out = {None: x0 * y0}
+    err = _margin(out[None])
+    for k in {**x, **y}:
+        if k is not None:
+            p, q = y0 * x.get(k, 0.0), x0 * y.get(k, 0.0)
+            out[k] = s = p + q
+            err = err + _margin(p) + _margin(q) + np.abs(s) * _WIDEN
+    rr = _radius(x) * _radius(y)
+    return _absorb(out, vn, err + rr + _margin(rr))
+
+
+def _min_range(x: dict, ends: np.ndarray, fn, vn: int) -> dict:
+    """fn(x) on the range `ends` of x, for fn = exp, tanh, sqrt or
+    reciprocal, each monotone with |fn'| least at an end: alpha x + d,
+    alpha that end's slope shrunk by 2^-40, beyond its rounding, so that
+    d = fn - alpha x is monotone and lies between its values at the ends,
+    or 0 if not finite and normal; d goes to vn."""
+    slopes = (np.exp(ends) if fn is np.exp else np.cosh(ends) ** -2.0 if fn is np.tanh
+              else 0.5 / np.sqrt(ends) if fn is np.sqrt else -1.0 / (ends * ends))
+    alpha = np.where(np.abs(slopes[0]) <= np.abs(slopes[1]), slopes[0], slopes[1])
+    alpha = np.where((np.abs(alpha) >= _TINY) & (np.abs(alpha) < np.inf),
+                     alpha * (1.0 - 2.0 ** -40), 0.0)
+    fe, pe = fn(ends), alpha * ends
+    d = fe - pe
+    slack = _margin(fe) + _margin(pe) + np.abs(d) * _WIDEN
+    m, r = _split(_outward(np.stack([np.min(d - slack, axis=0), np.max(d + slack, axis=0)])))
+    out = {k: alpha * v for k, v in x.items()}
+    err = sum(_margin(v) for v in out.values())
+    out[None] = out[None] + m
+    return _absorb(out, vn, r + err + np.abs(out[None]) * _WIDEN)
+
+
+def _affine(node: tuple, vn: int, forms: list, ranges: list, interval: np.ndarray) -> dict:
+    """The form of node vn, whose interval is `interval`."""
+    t, a, b, k = node
+    if t is Add or t is Sub:
+        return _affine_sum(forms[a], forms[b], 1.0 if t is Add else -1.0, vn)
+    if t is Neg:
+        return {key: -v for key, v in forms[a].items()}
+    if t is Mul or (t is Pow and k == 2):
+        return _affine_product(forms[a], forms[b if t is Mul else a], vn)
+    if t is Div:
+        return _affine_product(forms[a], _min_range(forms[b], ranges[b], np.reciprocal, vn), vn)
+    if t is Call and k in (np.exp, np.tanh, np.sqrt):
+        return _min_range(forms[a], ranges[a], k, vn)
+    m, r = _split(interval)  # a literal, a variable, any other power, sin and cos
+    return {None: m, -a if t is Var else vn: r}
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:
@@ -726,96 +836,6 @@ def laplacian_symbolic(e: Expr, d: int) -> Expr:
     for i in range(1, d + 1):
         acc = fold_add(acc, differentiate(differentiate(e, i, "x"), i, "x"))
     return acc
-
-
-# --- polynomial classification ----------------------------------------------
-
-def as_polynomial(e: Expr, arity: int) -> dict[tuple[int, ...], float] | None:
-    """Monomial coefficients {exponent tuple: coefficient} when the tree is
-    polynomial (arithmetic, integer powers, division only by constants) and
-    its products form at most MAX_POLYNOMIAL_TERMS terms in all; None
-    otherwise.  The count is checked before each product is formed."""
-    zero = (0,) * arity
-    formed = 0
-
-    def merge(a, b, sign=1.0):
-        out = dict(a)
-        for k, v in b.items():
-            out[k] = out.get(k, 0.0) + sign * v
-        return out
-
-    def product(a, b):
-        nonlocal formed
-        formed += len(a) * len(b)
-        if formed > MAX_POLYNOMIAL_TERMS:
-            return None
-        out: dict[tuple[int, ...], float] = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                out[key] = out.get(key, 0.0) + va * vb
-        return out
-
-    def rec(node: Expr):
-        if isinstance(node, Num):
-            return {zero: node.value}
-        if isinstance(node, Var):
-            exps = list(zero)
-            exps[node.index - 1] = 1
-            return {tuple(exps): 1.0}
-        if isinstance(node, Neg):
-            inner = rec(node.arg)
-            return None if inner is None else {k: -v for k, v in inner.items()}
-        if isinstance(node, (Add, Sub, Mul)):
-            a = rec(node.left)
-            b = None if a is None else rec(node.right)
-            if b is None:
-                return None
-            if isinstance(node, Mul):
-                return product(a, b)
-            return merge(a, b, 1.0 if isinstance(node, Add) else -1.0)
-        if isinstance(node, Div):
-            a = rec(node.left)
-            if a is None or not isinstance(node.right, Num) or node.right.value == 0.0:
-                return None
-            return {k: v / node.right.value for k, v in a.items()}
-        if isinstance(node, Pow):
-            base = rec(node.base)
-            if base is None or node.exponent < 0:
-                return None
-            out = {zero: 1.0}
-            for _ in range(node.exponent):
-                out = product(out, base)
-                if out is None:
-                    return None
-            return out
-        return None
-
-    return rec(e)
-
-
-def polynomial_derivative(coeffs: dict[tuple[int, ...], float],
-                          index: int) -> dict[tuple[int, ...], float]:
-    """The coefficients of the partial derivative by the 1-based variable
-    `index`: c * k_j at the exponent tuple k lowered by one in place j."""
-    j = index - 1
-    return {k[:j] + (k[j] - 1,) + k[j + 1:]: c * k[j] for k, c in coeffs.items() if k[j]}
-
-
-def polynomial_sup_bound(coeffs: dict[tuple[int, ...], float], radius: float) -> float:
-    """Rigorous sup bound on the ball |z| <= radius: sum |c| * radius^degree.
-    A bound that overflows a double while every coefficient is finite
-    raises NumericOverflowError."""
-    try:
-        total = float(sum(abs(c) * radius ** sum(k) for k, c in coeffs.items()))
-    except OverflowError:
-        total = math.inf
-    if math.isinf(total) and all(map(math.isfinite, coeffs.values())):
-        degree = max(sum(k) for k in coeffs)
-        raise NumericOverflowError(
-            f"sup bound of a degree-{degree} polynomial on the ball of radius "
-            f"{radius:.6g} overflows a double")
-    return total
 
 
 # --- nonlinearity bundle ------------------------------------------------------

@@ -12,7 +12,7 @@ from quadint.analysis import (C1Sample, ConstantsReport, algebra_constant,
                               c1_distance, compute_Q, constants_report,
                               embedding_constant, estimate_M,
                               lattice_embedding_constant)
-from quadint.errors import ConfigurationError
+from quadint.errors import ConfigurationError, NumericOverflowError
 from quadint.exprdsl import Add, Div, Mul, Neg, NonlinearitySpec, Num, Pow, Sub, Var
 from quadint.spectral import Grid
 
@@ -98,9 +98,7 @@ class TestStateBall:
             report.c_e * (report.u0_norm + 1.0), rel=1e-12)
 
 
-# literals of the random polynomials below: where terms cancel, the
-# rounding of the two routes to M differs by more ulps the more they
-# cancel, and full-precision random literals reach 16 ulps
+# literals of the random polynomials below
 LITERALS = (0.5, 1.0, -2.5, 3.0, 0.1, -0.3)
 
 
@@ -144,38 +142,36 @@ class TestEstimateM:
 
     @settings(max_examples=300, deadline=None)
     @given(g=polynomial_nonlinearities(), radius=st.sampled_from((0.3, 1.0, 2.5)))
-    def test_matches_the_expanded_gradient_within_4_ulps(self, g, radius):
-        # the reference expands each symbolic partial derivative, as M was
-        # formed before the partials were taken from the coefficients; the
-        # two round differently, and the sums run in the same order
-        reference = 0.0
-        for e in g.c1_expressions:
-            reference += exprdsl.polynomial_sup_bound(exprdsl.as_polynomial(e, g.n), radius)
+    def test_bounds_the_dense_c1_sup(self, g, radius):
+        # M is enclosed and at least the sum of the sups on a dense point
+        # set, each evaluated in floating point, so a sup may sit a few
+        # ulps above its exact value
         M, prov = estimate_M(g, C1Sample(g.n, radius))
         assert prov == "rigorous-bound"
-        assert abs(M - reference) <= 4 * math.ulp(reference)
+        points = sampling.ball_points(g.n, radius, 2000, seed=9)
+        dense = math.fsum(exprdsl.evaluate_many(
+            g.c1_expressions, [points[:, j] for j in range(g.n)],
+            take=lambda _, v: float(np.max(np.abs(v)))))
+        assert dense * (1.0 - 1e-12) <= M
 
-    def test_expands_each_component_once(self, monkeypatch):
-        calls = []
-        real = exprdsl.as_polynomial
-
-        def counting(e, arity):
-            calls.append(e)
-            return real(e, arity)
-
-        monkeypatch.setattr(exprdsl, "as_polynomial", counting)
-        g = NonlinearitySpec.from_strings(["z1*z2", "(z1+0.5*z3^2)^3", "z2^2-z3"])
-        _, prov = estimate_M(g, C1Sample(3, 1.0))
-        assert prov == "rigorous-bound"
-        assert calls == list(g.components)
+    @pytest.mark.parametrize("text, radius", [
+        ("z1^2+0.001*z1^1100", 11.8),   # the power of the radius overflows
+        ("1e300*z1^2", 1e5),            # the product with the coefficient does
+    ])
+    def test_overflowing_enclosure_is_an_overflow_error(self, text, radius):
+        g = NonlinearitySpec.from_strings([text])
+        with pytest.raises(NumericOverflowError, match="overflows a double"):
+            estimate_M(g, C1Sample(1, radius))
 
     def test_top_powers_of_sixteen_components_stay_rigorous(self):
-        # each component forms MAX_EXPONENT terms, the budget exactly
+        # each component is z_m^MAX_EXPONENT on the unit ball: the sup of the
+        # component and its partial is 1 + 10 000; r rounded up one ulp and
+        # raised to the 10 000th power reads 2.2e-12 above that
         g = NonlinearitySpec.from_strings(
             [f"z{m}^{exprdsl.MAX_EXPONENT}" for m in range(1, 17)])
         M, prov = estimate_M(g, C1Sample(16, 1.0))
         assert prov == "rigorous-bound"
-        assert M == 16 * (1.0 + exprdsl.MAX_EXPONENT)
+        assert 16 * (1.0 + exprdsl.MAX_EXPONENT) <= M <= 160016 * (1.0 + 3e-12)
 
     def test_enclosed_estimate_bounds_the_exact_sup(self):
         # sup|sin| + sup|cos| on [-2, 2] is 2
@@ -202,8 +198,10 @@ class TestEstimateM:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sampling, "ball_points", counting)
+        # both walks refuse the partial of z1*sqrt(z1^2), which divides by
+        # sqrt(z1^2)
         g = NonlinearitySpec.from_strings(
-            ["tanh(z1*z2)+sqrt(z1-z1)", "sin(z2)", "z3*exp(z4)", "z4^2"])
+            ["tanh(z1*z2)+z1*sqrt(z1^2)", "sin(z2)", "z3*exp(z4)", "z4^2"])
         _, prov = estimate_M(g, C1Sample(4, 1.0, seed=3))
         assert prov == "sampled-estimate"
         assert len(calls) == 2
@@ -240,9 +238,14 @@ class TestEstimateM:
         assert ball_point_calls == []
 
     def test_sample_on_another_ball_is_refused(self):
-        g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
-        with pytest.raises(ConfigurationError):
-            estimate_M(g.difference(g), C1Sample(3, 1.0))
+        # only the sampled route reads the points; the enclosure reads the radius
+        g = NonlinearitySpec.from_strings(["tanh(z1*z2)+z1*sqrt(z1^2)", "sin(z2)"])
+        for estimate in (lambda s: estimate_M(g, s), lambda s: c1_distance(g, g, s)):
+            with pytest.raises(ConfigurationError, match="drawn in R\\^3, estimate asks for R\\^2"):
+                estimate(C1Sample(3, 1.0))
+        assert estimate_M(g, C1Sample(2, 1.0))[1] == "sampled-estimate"
+        h = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
+        assert estimate_M(h, C1Sample(3, 1.0)) == estimate_M(h, C1Sample(2, 1.0))
 
     @staticmethod
     def cyclic_tanh(n, radius, tail=""):
@@ -345,11 +348,17 @@ class TestContractionCondition:
             <= report.rho / 2)
 
 
+# the state ball of test_cli's TANH problem, two coupled tanh components
+TANH_RADIUS = 0.40524060936432565
+
+
 class TestC1Distance:
     def test_identical(self):
-        g = NonlinearitySpec.from_strings(["z1^2"])
-        dist, _ = c1_distance(g, g, C1Sample(1, 1.0))
-        assert dist == 0.0
+        # exactly 0 from the enclosure, for one object or two equal ones
+        for texts in (["z1^2"], ["tanh(z1*z2)", "tanh(z2*z1)"]):
+            g = NonlinearitySpec.from_strings(texts)
+            for g2 in (g, NonlinearitySpec.from_strings(texts)):
+                assert c1_distance(g, g2, C1Sample(g.n, 1.0)) == (0.0, "rigorous-bound")
 
     def test_linear_difference(self):
         g1 = NonlinearitySpec.from_strings(["z1"])
@@ -358,8 +367,31 @@ class TestC1Distance:
         assert prov == "rigorous-bound"
         assert dist == pytest.approx(0.25 * (3.0 + 1.0))
 
+    @staticmethod
+    def dense(g1, g2, radius):
+        diff = g1.difference(g2)
+        return sum(dense_sup_estimate(e, diff.n, radius, 2 * 10 ** 5, seed=11 + k)
+                   for k, e in enumerate(diff.c1_expressions))
+
+    def test_scaled_tanh_is_enclosed_below_the_sampled_estimate(self):
+        # 0.7.0 sampled this distance as 0.01963; affine forms read 0.01867
+        g1 = NonlinearitySpec.from_strings(["tanh(z1*z2)", "tanh(z2*z1)"])
+        g2 = support.scaled(g1, 1.01)
+        dist, prov = c1_distance(g1, g2, C1Sample(2, TANH_RADIUS))
+        assert prov == "rigorous-bound"
+        assert self.dense(g1, g2, TANH_RADIUS) <= dist <= 0.01963
+
+    def test_perturbed_argument_is_enclosed(self):
+        g1 = NonlinearitySpec.from_strings(["tanh(z1*z2)", "tanh(z2*z1)"])
+        g2 = NonlinearitySpec.from_strings(["tanh(1.01*z1*z2)", "tanh(z2*z1)"])
+        dist, prov = c1_distance(g1, g2, C1Sample(2, TANH_RADIUS))
+        assert prov == "rigorous-bound"
+        assert self.dense(g1, g2, TANH_RADIUS) <= dist
+
     def test_sampled_vs_dense_oracle(self):
-        g1 = NonlinearitySpec.from_strings(["sin(z1)"])
+        # both walks refuse the partial of z1*sqrt(z1^2), which divides by
+        # sqrt(z1^2), so the distance is sampled
+        g1 = NonlinearitySpec.from_strings(["sin(z1)+z1*sqrt(z1^2)"])
         g2 = NonlinearitySpec.from_strings(["z1"])
         diff = g1.difference(g2)
         dist, prov = c1_distance(g1, g2, C1Sample(1, 0.5, seed=0))

@@ -369,16 +369,42 @@ class TestContinuity:
         assert code == 2
 
     def test_each_point_set_is_drawn_once(self, tmp_path, capsys, ball_point_calls):
-        # the report's M and M_2 are enclosed; |g1 - g2|_C1 is sampled on
-        # one interior and one sphere set
+        # the report's M is enclosed; both walks refuse the partial of
+        # z1*sqrt(z1^2), so M_2 and |g1 - g2|_C1 are sampled on one
+        # interior and one sphere set
         path = write_problem(tmp_path, TANH)
-        g2 = write_problem(tmp_path, {"g": ["1.01*tanh(z1*z2)", "tanh(z2*z1)"]},
-                           "g2.json")
+        g2 = write_problem(tmp_path, {"g": ["1.01*tanh(z1*z2)+0.01*z1*sqrt(z1^2)",
+                                            "tanh(z2*z1)"]}, "g2.json")
         code, doc = run(capsys, "continuity", path, "--g2", g2, "--seed", "3")
         assert code == 0
         assert doc["constants"]["provenance"]["M"] == "rigorous-bound"
         assert doc["continuity"]["c1_provenance"] == "sampled-estimate"
         assert len(ball_point_calls) == 2
+
+    def test_scaled_tanh_distance_is_enclosed(self, tmp_path, capsys, ball_point_calls):
+        path = write_problem(tmp_path, TANH)
+        g2 = write_problem(tmp_path, {"g": ["1.01*tanh(z1*z2)", "tanh(z2*z1)"]}, "g2.json")
+        code, doc = run(capsys, "continuity", path, "--g2", g2)
+        assert code == 0
+        assert doc["continuity"]["c1_provenance"] == "rigorous-bound"
+        assert 0.0 < doc["continuity"]["c1_distance"] < 0.01
+        assert ball_point_calls == []
+
+    @pytest.mark.parametrize("name", ["gaussian_certified", "gaussian_uncertified",
+                                      "two_component"])
+    def test_same_file_is_exactly_zero_apart(self, tmp_path, capsys, name):
+        # the uncertified problem stops before the experiment, so its
+        # distance is taken on the report's ball directly
+        path = str(PROBLEMS / f"{name}.json")
+        problem, _ = cli.load_problem(path)
+        report = analysis.constants_report(model.materialize(problem))
+        assert analysis.c1_distance(problem.g, problem.g, report.sample) == (
+            0.0, "rigorous-bound")
+        code, doc = run(capsys, "continuity", path, "--g2", path)
+        assert code == (1 if name == "gaussian_uncertified" else 0)
+        if code == 0:
+            assert doc["continuity"]["c1_distance"] == 0.0
+            assert doc["continuity"]["c1_provenance"] == "rigorous-bound"
 
     MALFORMED_G2 = {
         "non_utf8": b"{\"g\": [\"z1\xff\"]}",
@@ -530,7 +556,7 @@ class TestOracle:
         assert doc["oracle"]["all_passed"] is True
         original = analysis._enclosed_bound
         monkeypatch.setattr(analysis, "_enclosed_bound",
-                            lambda g, radius: original(g, radius) / 1.2)
+                            lambda *args: original(*args) / 1.2)
         code, doc = run(capsys, "oracle", path)
         assert code == 1
         failed = [c["name"] for c in doc["oracle"]["checks"] if not c["passed"]]
@@ -893,11 +919,44 @@ class TestPathologicalInput:
             f"error: exponent {exprdsl.MAX_EXPONENT + 1} is above "
             f"{exprdsl.MAX_EXPONENT} (byte offset 8)\n")
 
+    @staticmethod
+    def nested_sum(levels):
+        """A sum of 10^levels z1, grouped ten to a parenthesis at each level."""
+        text = "z1"
+        for _ in range(levels):
+            text = "(" + "+".join([text] * 10) + ")"
+        return text
+
+    def test_expression_beyond_the_node_cap_is_an_input_error(self, tmp_path):
+        # a sum of 100 000 z1 is 322 kB and 50 levels deep; it took 2.8 s in
+        # check at 0.7.0, and is refused at the node that passes MAX_NODES
+        assert exprdsl.MAX_NODES == 10_000
+        text = "1e-6*sin(" + self.nested_sum(5) + ")^2"
+        assert 320_000 < len(text) < 330_000
+        with pytest.raises(ExpressionSyntaxError, match="more than 10000 nodes") as err:
+            exprdsl.parse(text, 1)
+        assert text[err.value.offset:err.value.offset + 2] == "z1"
+        exprdsl.parse("1e-6*sin(" + self.nested_sum(3) + ")^2", 1)
+        path = write_problem(tmp_path, dict(CERTIFIED, g=[text]))
+        proc = run_python("-m", "quadint.cli", "check", path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: expression of more than 10000 nodes "
+                               f"(byte offset {err.value.offset})\n")
+
+    def test_overflowing_enclosure_of_a_non_polynomial_g_is_input_error(self, tmp_path, capsys):
+        # the exponent is 0 at every point, but z1 - z1 encloses to [-w, w]
+        # on each box of width w = 0.015, and e^(1e5 w) overflows; 0.7.0
+        # sampled M here and certified the problem
+        path = write_problem(tmp_path, dict(CERTIFIED, g=["z1^2*exp(1e5*(z1-z1))"]))
+        code = main(["check", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: an enclosure on the state ball overflows a double\n"
+
     def test_polynomial_expansion_past_the_budget_is_enclosed(self, tmp_path, capsys):
-        # the products of (z1 + 0.5 z1^2)^k form k(k + 1) terms, so k = 99 is
-        # the largest power that the budget of 10 000 expands; past it M is
-        # enclosed, and no power is an input error
-        assert exprdsl.MAX_POLYNOMIAL_TERMS == 10_000
+        # k = 99 and 100 were the two sides of the expansion budget that
+        # 0.8.0 removed; every power is enclosed, and none is an input error
         for k, provenance in ((70, "rigorous-bound"), (99, "rigorous-bound"),
                               (100, "rigorous-bound"), (300, "rigorous-bound")):
             path = write_problem(tmp_path, dict(CERTIFIED, g=[f"(z1+0.5*z1^2)^{k}"]))
@@ -907,9 +966,9 @@ class TestPathologicalInput:
             assert json.loads(captured.out)["constants"]["provenance"]["M"] == provenance, k
 
     def test_polynomial_cap_leaves_spatial_expressions_alone(self, tmp_path, capsys):
-        # as_polynomial expands g alone, so a power over x goes to the
-        # sampling of u0; the depth and nesting caps still hold for x (tests
-        # above), and the same text over z parses too
+        # only g is enclosed, so a power over x goes to the sampling of u0;
+        # the depth, nesting and node caps still hold for x (tests above),
+        # and the same text over z parses too
         text = "1e-7*(1+x1+x2)^20*exp(-x1^2-x2^2)"
         path = write_problem(tmp_path, dict(CERTIFIED, u0=[text]))
         code = main(["check", path])
@@ -927,7 +986,7 @@ class TestPathologicalInput:
         assert "Traceback" not in proc.stderr
 
     # u0 of amplitude 8 gives a state ball of radius ~11.8, on which the
-    # coefficient bound of z1^1100 exceeds the largest double
+    # enclosure of z1^1100 exceeds the largest double
     OVERFLOWING_BOUND = dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0},
                              u0=["8*exp(-x1^2-x2^2)"], g=["z1^2+0.001*z1^1100"])
 
@@ -938,7 +997,7 @@ class TestPathologicalInput:
             captured = capsys.readouterr()
             assert code == 2
             assert captured.out == ""
-            assert captured.err.startswith("error: sup bound of a degree-1100 polynomial")
+            assert captured.err.startswith("error: an enclosure on the state ball")
             assert captured.err.endswith("overflows a double\n")
             assert captured.err.count("\n") == 1
 

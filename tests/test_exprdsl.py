@@ -392,11 +392,18 @@ def box_points(lower, upper, fractions):
     return np.minimum(points, upper[:, :, None])
 
 
-def assert_encloses(exprs, lower, upper, fractions):
-    """Each enclosure holds the tree walk's value at every point of
-    box_points; the walk may raise nowhere there."""
-    enclosures = dsl.enclose_many(exprs, {j + 1: np.stack([lower[j], upper[j]])
-                                          for j in range(lower.shape[0])})
+WALKS = (dsl.enclose_many, dsl.enclose_affine)
+
+
+def assert_encloses(exprs, lower, upper, fractions, enclose=dsl.enclose_many):
+    """Each enclosure by the walk `enclose` holds the tree walk's value at
+    every point of box_points; the walk may raise nowhere there.  False
+    when the enclosure refuses or overflows."""
+    try:
+        enclosures = enclose(exprs, {j + 1: np.stack([lower[j], upper[j]])
+                                     for j in range(lower.shape[0])})
+    except NumericOverflowError:
+        return False
     if enclosures is None:
         return False
     points = box_points(lower, upper, fractions)
@@ -411,7 +418,8 @@ class TestIntervalEnclosure:
     @settings(max_examples=500, deadline=None)
     @given(case=enclosure_cases())
     def test_holds_the_tree_walk_at_points_of_each_box(self, case):
-        assert_encloses(*case)
+        for enclose in WALKS:
+            assert_encloses(*case, enclose=enclose)
 
     def test_holds_safe_random_expressions_without_refusing(self):
         rng = np.random.default_rng(23)
@@ -419,7 +427,9 @@ class TestIntervalEnclosure:
             exprs = [random_expr(rng, 2) for _ in range(3)]
             lower = rng.uniform(-3.0, 3.0, (2, 5))
             upper = lower + rng.uniform(0.0, 2.0, (2, 5))
-            assert assert_encloses(exprs, lower, upper, rng.uniform(0.0, 1.0, (2, 2)))
+            fractions = rng.uniform(0.0, 1.0, (2, 2))
+            for enclose in WALKS:
+                assert assert_encloses(exprs, lower, upper, fractions, enclose), enclose
 
     def test_rounds_each_operation_outward(self):
         x = {1: np.array([[0.1], [0.1]]), 2: np.array([[0.2], [0.2]])}
@@ -446,7 +456,34 @@ class TestIntervalEnclosure:
                                       "exp(1000*z1)"])
     def test_refuses_a_pole_a_negative_root_and_overflow(self, text):
         boxes = {1: np.array([[-1.0, 1.0], [0.5, 2.0]]), 2: np.array([[1.0, 2.0], [1.5, 3.0]])}
-        assert dsl.enclose_many([parse(text, 2)], boxes) is None
+        if text.startswith("exp"):  # e^1000 overflows a double
+            with pytest.raises(NumericOverflowError, match="overflows a double"):
+                dsl.enclose_many([parse(text, 2)], boxes)
+        else:
+            assert dsl.enclose_many([parse(text, 2)], boxes) is None
+
+    def test_affine_walk_refuses_and_raises_where_the_interval_walk_does(self):
+        # z2 - z2 is exactly 0 in affine forms, so sqrt(z2-z2+1e-9) is not refused
+        boxes = {1: np.array([[-1.0, 1.0], [0.5, 2.0]]), 2: np.array([[1.0, 2.0], [1.5, 3.0]])}
+        for text in ("1/z1", "sqrt(z1)", "z1*sqrt(z1^2)/sqrt(z1^2)"):
+            assert dsl.enclose_affine([parse(text, 2)], boxes) is None, text
+        with pytest.raises(NumericOverflowError, match="overflows a double"):
+            dsl.enclose_affine([parse("exp(1000*z1)", 2)], boxes)
+        [v] = dsl.enclose_affine([parse("sqrt(z2-z2+1e-9)", 2)], boxes)
+        assert np.all(v[0] <= math.sqrt(1e-9)) and np.all(v[1] >= math.sqrt(1e-9))
+        assert np.all(v[1] - v[0] < 1e-18)
+
+    def test_copies_of_a_subtree_cancel_in_affine_forms(self):
+        # g - g is exactly 0, and g - 1.01 g a hundredth of g, where the
+        # interval walk widens both copies of g on their own
+        g = parse("tanh(z1*z2)*exp(z2)/(2+z1)", 2)
+        boxes = {1: np.array([[-0.5, 0.0], [0.0, 0.5]]), 2: np.array([[0.1, -0.4], [0.3, -0.2]])}
+        [zero, small, whole] = dsl.enclose_affine(
+            [Sub(g, copy.deepcopy(g)), Sub(g, Mul(Num(1.01), g)), g], boxes)
+        assert not zero.any()
+        assert np.all(np.abs(small) <= 0.0101 * np.max(np.abs(whole), axis=0))
+        [wide] = dsl.enclose_many([Sub(g, Mul(Num(1.01), g))], boxes)
+        assert np.all(wide[1] - wide[0] > 10 * (small[1] - small[0]))
 
     def test_variables(self):
         assert dsl.variables([parse("sin(z3)*z1 + z3^2", 4), Num(1.0), parse("z4/z2", 4),
@@ -603,57 +640,6 @@ class TestPrinting:
         for _ in range(100):
             tree = differentiate(random_expr(rng, 2, depth=4), 1)
             assert parse(to_string(tree), 2) == tree
-
-
-class TestPolynomialClassification:
-    def test_simple(self):
-        coeffs = dsl.as_polynomial(parse("z1^2+2*z1*z2-3", 2), 2)
-        assert coeffs == {(2, 0): 1.0, (1, 1): 2.0, (0, 0): -3.0}
-
-    def test_division_by_constant_stays_polynomial(self):
-        coeffs = dsl.as_polynomial(parse("z1/2", 1), 1)
-        assert coeffs == {(1,): 0.5}
-
-    def test_non_polynomial(self):
-        assert dsl.as_polynomial(parse("sin(z1)", 1), 1) is None
-        assert dsl.as_polynomial(parse("1/z1", 1), 1) is None
-
-    @pytest.mark.parametrize("factors", [13, 40])
-    def test_products_whose_terms_combine_parse(self, factors):
-        # the expansion of (1+z1)^k has k + 1 monomials, not 2^k terms
-        e = parse("*".join(["(1+z1)"] * factors), 1)
-        coeffs = dsl.as_polynomial(e, 1)
-        assert coeffs == {(j,): float(math.comb(factors, j)) for j in range(factors + 1)}
-
-    def test_expansion_stops_past_the_term_budget(self):
-        # the products of (z1 + 0.5 z1^2)^k form k(k + 1) terms and those of
-        # z1^k form k; the count is checked before each product is formed
-        assert dsl.MAX_POLYNOMIAL_TERMS == 10_000
-        assert len(dsl.as_polynomial(parse("(z1+0.5*z1^2)^99", 1), 1)) == 100
-        assert dsl.as_polynomial(parse("(z1+0.5*z1^2)^100", 1), 1) is None
-        assert dsl.as_polynomial(parse("z1^10000", 1), 1) == {(10_000,): 1.0}
-        assert dsl.as_polynomial(parse("z1^10000*z1", 1), 1) is None
-
-    def test_derivative_from_coefficients(self):
-        coeffs = dsl.as_polynomial(parse("3*z1^2*z2+z2-0.5*z1", 2), 2)
-        assert dsl.polynomial_derivative(coeffs, 1) == {(1, 1): 6.0, (0, 0): -0.5}
-        assert dsl.polynomial_derivative(coeffs, 2) == {(2, 0): 3.0, (0, 0): 1.0}
-        assert dsl.polynomial_derivative({(0, 0): 2.0}, 1) == {}
-
-    def test_sup_bound(self):
-        coeffs = dsl.as_polynomial(parse("z1^2", 1), 1)
-        assert dsl.polynomial_sup_bound(coeffs, 3.0) == 9.0
-        coeffs = dsl.as_polynomial(parse("z1-z2^3", 2), 2)
-        assert dsl.polynomial_sup_bound(coeffs, 2.0) == 2.0 + 8.0
-
-    @pytest.mark.parametrize("text, radius", [
-        ("z1^2+0.001*z1^1100", 11.8),   # the power of the radius overflows
-        ("1e300*z1^2", 1e5),            # the product with the coefficient does
-    ])
-    def test_overflowing_sup_bound_is_an_overflow_error(self, text, radius):
-        coeffs = dsl.as_polynomial(parse(text, 1), 1)
-        with pytest.raises(NumericOverflowError, match="overflows a double"):
-            dsl.polynomial_sup_bound(coeffs, radius)
 
 
 class TestNonlinearitySpec:
