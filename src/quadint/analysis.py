@@ -8,28 +8,23 @@ which guarantees that the fixed-point map is a strict contraction of the
 Sobolev ball of radius rho with factor sigma = 2 c_a Q M (|u0| + 1) < 1.
 
 Constant provenance is tracked: 'rigorous-bound' values come from explicit
-Fourier-side derivations or outward-rounded enclosures, 'sampled-estimate'
-values from quasi-random sup estimates inflated by a safety factor.
+Fourier-side derivations or outward-rounded enclosures, 'override' values
+from the problem file.  A C^1 bound that cannot be enclosed is refused,
+never estimated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from . import exprdsl, sampling
+from . import exprdsl
 from .errors import ConfigurationError, NumericOverflowError
 from .exprdsl import NonlinearitySpec
 from .model import MaterializedProblem, ProblemSpec
 from .spectral import Grid
-
-SAMPLED_INFLATION = 1.1
-# points per component of a C1Sample: interior points, and points on the sphere
-INTERIOR_PER_COMPONENT = 4096
-BOUNDARY_PER_COMPONENT = 1024
 
 # Derivation notes embedded in reports (the constants are not pulled from a
 # table; these document how the code arrives at them).
@@ -84,44 +79,10 @@ def ball_radius_state(c_e: float, u0_norm: float) -> float:
 
 # --- sup norms of expressions -------------------------------------------------
 
-@dataclass(frozen=True)
-class C1Sample:
-    """The point set of the sampled C^1 sups on the ball of radius `radius` in
-    R^n: INTERIOR_PER_COMPONENT * n interior points (seed `seed`) and
-    BOUNDARY_PER_COMPONENT * n sphere points (seed `seed + 1`).  Drawn on
-    first use, then shared by every sampled estimate on the same ball."""
-
-    n: int
-    radius: float
-    seed: int = 0
-
-    @cached_property
-    def columns(self) -> list[np.ndarray]:
-        pts = np.vstack([
-            sampling.ball_points(self.n, self.radius,
-                                 INTERIOR_PER_COMPONENT * self.n, seed=self.seed),
-            sampling.ball_points(self.n, self.radius, BOUNDARY_PER_COMPONENT * self.n,
-                                 seed=self.seed + 1, boundary=True)])
-        return [pts[:, j] for j in range(self.n)]
-
-
 # boxes per group of C^1 expressions in the interval enclosure of M: a group
 # that reads k variables covers [-r, r]^k with m^k boxes, m the largest
 # whole number (at least 1) with m^k <= ENCLOSURE_BOXES
 ENCLOSURE_BOXES = 64
-
-
-def _sampled_bound(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
-    """The quasi-random C^1 sup on `sample` inflated by SAMPLED_INFLATION:
-    one interior and one sphere set shared by all N + N^2 sups, each taken
-    as soon as its expression is evaluated."""
-    if sample.n != g.n:
-        raise ConfigurationError(f"point set drawn in R^{sample.n}, estimate asks for R^{g.n}")
-    total = 0.0
-    for sup in exprdsl.evaluate_many(g.c1_expressions, sample.columns,
-                                     take=lambda _, v: float(np.max(np.abs(v)))):
-        total += sup
-    return float(total * SAMPLED_INFLATION), "sampled-estimate"
 
 
 def box_cover(k: int, radius: float) -> np.ndarray:
@@ -143,13 +104,13 @@ def box_cover(k: int, radius: float) -> np.ndarray:
     return cover[:, :, np.sum(nearest ** 2, axis=0) <= r * r * (1.0 + 1e-12)]
 
 
-def _enclosed_bound(exprs, radius: float, enclose) -> float | None:
+def _enclosed_bound(exprs, radius: float, enclose, what: str) -> float:
     """The C^1 bound by enclosure: each of the C^1 expressions `exprs` that
     reads k variables is enclosed by `enclose` (exprdsl.enclose_many or
     enclose_affine) on box_cover(k, radius) along those variables, which
     covers the projection of the ball of R^N, and its sup is the largest
-    endpoint magnitude.  The sups are summed and rounded up.  None when an
-    enclosure refuses."""
+    endpoint magnitude.  The sups are summed and rounded up.  When an
+    enclosure refuses, ConfigurationError names `what`."""
     exprs = [e for e in exprs if e != exprdsl.Num(0.0)]
     groups: dict[tuple[int, ...], list] = {}
     for e, variables in zip(exprs, exprdsl.variables(exprs)):
@@ -162,29 +123,29 @@ def _enclosed_bound(exprs, radius: float, enclose) -> float | None:
             covers[k] = box_cover(k, radius)
         enclosures = enclose(members, dict(zip(variables, covers.get(k, ()))))
         if enclosures is None:
-            return None
+            raise ConfigurationError(
+                f"{what} cannot be enclosed on the state ball of radius {radius:.6g} "
+                f"(a divisor may vanish, or a square-root argument may be negative)")
         sups.extend(float(np.max(np.abs(v))) for v in enclosures)
     total = math.fsum(sups)
     return math.nextafter(total, math.inf) if total else 0.0
 
 
-def estimate_M(g: NonlinearitySpec, sample: C1Sample) -> tuple[float, str]:
-    """C^1 bound of the nonlinearity on the state ball of `sample`: the sum
-    over components of sup|g_m| + sum_j sup|dg_m/dz_j|.  A rigorous interval
-    enclosure (_enclosed_bound); when that refuses, a quasi-random sup on
-    `sample` inflated by SAMPLED_INFLATION."""
-    bound = _enclosed_bound(g.c1_expressions, sample.radius, exprdsl.enclose_many)
-    return (bound, "rigorous-bound") if bound is not None else _sampled_bound(g, sample)
+def estimate_M(g: NonlinearitySpec, radius: float, name: str = "g") -> float:
+    """C^1 bound of the nonlinearity on the state ball of the given radius:
+    the sum over components of sup|g_m| + sum_j sup|dg_m/dz_j|, by a
+    rigorous interval enclosure (_enclosed_bound).  A refusal names g
+    as `name`."""
+    return _enclosed_bound(g.c1_expressions, radius, exprdsl.enclose_many,
+                           f"the C1 bound of {name}")
 
 
-def c1_distance(g1: NonlinearitySpec, g2: NonlinearitySpec,
-                sample: C1Sample) -> tuple[float, str]:
-    """|g1 - g2|_C1 on the state ball of `sample`, as estimate_M bounds M
-    but by affine forms, in which the subexpressions that g1 and g2 share
-    cancel."""
-    diff = g1.difference(g2)
-    bound = _enclosed_bound(diff.c1_expressions, sample.radius, exprdsl.enclose_affine)
-    return (bound, "rigorous-bound") if bound is not None else _sampled_bound(diff, sample)
+def c1_distance(g1: NonlinearitySpec, g2: NonlinearitySpec, radius: float) -> float:
+    """|g1 - g2|_C1 on the state ball of the given radius, as estimate_M
+    bounds M but by affine forms, in which the subexpressions that g1 and
+    g2 share cancel."""
+    return _enclosed_bound(g1.difference(g2).c1_expressions, radius,
+                           exprdsl.enclose_affine, "the C1 distance of g and g2")
 
 
 # --- aggregate constants --------------------------------------------------------
@@ -268,8 +229,8 @@ class ConstantsReport:
     operator_norms: tuple[float, ...]
     kernel_w21_norms: tuple[float, ...]
     rho: float
-    # the point set behind M on the state ball, for later estimates there
-    sample: C1Sample = field(compare=False, repr=False)
+    # the radius of the state ball on which M is enclosed
+    r_state: float
     provenance: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
     constants_overridden: bool = False
@@ -279,10 +240,6 @@ class ConstantsReport:
     def __post_init__(self):
         object.__setattr__(self, "certificate", check_contraction_condition(
             self.c_a, self.M, self.u0_norm, self.Q, self.rho))
-
-    @property
-    def r_state(self) -> float:
-        return self.sample.radius
 
     @property
     def sigma(self) -> float:
@@ -325,7 +282,7 @@ class ConstantsReport:
         }
 
 
-def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport:
+def constants_report(mat: MaterializedProblem) -> ConstantsReport:
     """Compute every constant for a materialized problem and judge the
     contraction condition.
 
@@ -348,22 +305,18 @@ def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport
             f"value {c_e:.6g}; the box is too small for the continuum constants "
             f"to hold on this grid")
 
-    sample = C1Sample(spec.g.n, ball_radius_state(c_e, mat.u0_norm), seed)
-    M, m_prov = estimate_M(spec.g, sample)
+    r_state = ball_radius_state(c_e, mat.u0_norm)
+    M = estimate_M(spec.g, r_state)
     kernel_norms = tuple(k.w21 for k in mat.kernels)
     Q = compute_Q(mat.operator_norms, kernel_norms)
 
     provenance = {
         "c_e": "override" if spec.c_e_override is not None else "rigorous-bound",
         "c_a": "override" if spec.c_a_override is not None else "rigorous-bound",
-        "M": m_prov,
+        "M": "rigorous-bound",
         "Q": "composed",
         "sigma": "composed",
     }
-    if m_prov == "sampled-estimate":
-        warnings.append(
-            f"M is a sampled estimate (inflated by {SAMPLED_INFLATION}); "
-            f"not a rigorous bound")
     if any(isinstance(k, np.ndarray) for k in spec.kernels):
         warnings.append("a tabulated kernel uses a spectral Laplacian; "
                         "its W21~ norm carries discretization error")
@@ -373,7 +326,7 @@ def constants_report(mat: MaterializedProblem, seed: int = 0) -> ConstantsReport
         u0_norm=mat.u0_norm, M=M, Q=Q,
         operator_norms=mat.operator_norms, kernel_w21_norms=kernel_norms,
         rho=spec.rho if spec.rho is not None else 1.0,
-        sample=sample, provenance=provenance,
+        r_state=r_state, provenance=provenance,
         notes={"c_e": EMBEDDING_DERIVATION, "c_a": ALGEBRA_DERIVATION},
         constants_overridden=overridden, warnings=tuple(warnings),
     )

@@ -49,7 +49,7 @@ def _parse_kernel(entry, index: int, parse_x):
         raise ConfigurationError(f"kernel {index + 1}: expected an object with a 'type' field")
     kind = entry["type"]
     if kind == "gaussian":
-        return GaussianKernel(alpha=float(entry["alpha"]))
+        return GaussianKernel(alpha=_number(entry["alpha"], f"kernel {index + 1}: 'alpha'"))
     if kind == "expression":
         return parse_x(str(entry["expr"]))
     if kind == "tabulated":
@@ -69,6 +69,21 @@ def _finite(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _number(value, what: str) -> float:
+    """_finite(value); ConfigurationError naming `what` when it is None."""
+    number = _finite(value)
+    if number is None:
+        raise ConfigurationError(f"{what} must be a finite number")
+    return number
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer: not a bool, and not a number with a fraction part."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{what} must be an integer")
+    return value
+
+
 def _coefficients(entry: dict, key: str, index: int) -> tuple[float, ...]:
     """The list entry[key] of operator `index` as floats; each must be finite."""
     values = entry.get(key)
@@ -86,9 +101,7 @@ def _parse_operator(entry, index: int):
     if kind == "inverse_helmholtz":
         return RationalMultiplier(p=(1.0,), q=(1.0, 1.0))
     if kind == "scaled_identity":
-        alpha = _finite(entry.get("alpha"))
-        if alpha is None:
-            raise ConfigurationError(f"operator {index + 1}: 'alpha' must be a finite number")
+        alpha = _number(entry.get("alpha"), f"operator {index + 1}: 'alpha'")
         return RationalMultiplier(p=(alpha,), q=(1.0,))
     if kind == "rational_multiplier":
         p, q = (_coefficients(entry, key, index) for key in ("p", "q"))
@@ -120,8 +133,9 @@ def load_problem(path: str) -> tuple[ProblemSpec, str]:
 def problem_from_dict(doc: dict) -> ProblemSpec:
     try:
         gdoc = doc["grid"]
-        grid = Grid(d=int(gdoc["d"]), n=int(gdoc["n"]), L=float(gdoc["L"]))
-        n = int(doc["components"])
+        grid = Grid(d=_integer(gdoc["d"], "grid 'd'"), n=_integer(gdoc["n"], "grid 'n'"),
+                    L=_number(gdoc["L"], "grid 'L'"))
+        n = _integer(doc["components"], "'components'")
         if n < 1:
             raise ConfigurationError("components must be >= 1")
         for key in ("kernels", "operators", "u0", "g"):
@@ -144,13 +158,13 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
             else:
                 raise ConfigurationError(
                     "u0 entries must be expression strings or tabulated objects")
-        rho = float(doc["rho"]) if "rho" in doc else None
+        rho = _number(doc["rho"], "'rho'") if "rho" in doc else None
         consts = doc.get("constants", {})
+        c_e, c_a = (_number(consts[key], f"constants {key!r}") if key in consts else None
+                    for key in ("c_e", "c_a"))
         return ProblemSpec(
             grid=grid, kernels=kernels, operators=operators, g=g, u0=tuple(u0),
-            rho=rho,
-            c_e_override=float(consts["c_e"]) if "c_e" in consts else None,
-            c_a_override=float(consts["c_a"]) if "c_a" in consts else None,
+            rho=rho, c_e_override=c_e, c_a_override=c_a,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid problem file: {exc}") from exc
@@ -188,15 +202,16 @@ def _check_pipeline(problem: ProblemSpec, digest: str, seed: int
     report (None when an assumption fails), the verdict, and the report
     preamble that check, solve and continuity share, with its `constants`
     and `assumptions` entries.  Degenerate data can make the constants
-    uncomputable (e.g. a trivial kernel gives Q = 0); that is an assumption
-    failure, not an input error, so it lands in the validation report and
-    the constants slot stays empty.  A constant beyond the range of a double
+    uncomputable (e.g. a trivial kernel gives Q = 0, or the enclosure of
+    the C1 bound refuses); that is an assumption failure, not an input
+    error, so it lands in the validation report and the constants slot
+    stays empty.  A constant beyond the range of a double
     is an input error, raised as such."""
     mat = model.materialize(problem, strict=False)
     report = None
     failure = None
     try:
-        report = analysis.constants_report(mat, seed=seed)
+        report = analysis.constants_report(mat)
     except NumericOverflowError:
         raise
     except QuadIntError as exc:
@@ -325,7 +340,7 @@ def cmd_oracle(args) -> int:
             "(tabulated fields cannot be resampled on the reduced grid)")
     reduced = dataclasses.replace(problem, grid=small)
     mat = model.materialize(reduced, strict=False)
-    report = analysis.constants_report(mat, seed=args.seed)
+    report = analysis.constants_report(mat)
 
     checks = []
     ok = True
@@ -360,8 +375,8 @@ def cmd_oracle(args) -> int:
                    "relative_error": float(worst), "tolerance": 1e-6,
                    "passed": bool(grad_ok)})
 
-    # sup estimates: the C1 bound must dominate a dense reference sup, taken
-    # on pseudo-random points that share nothing with the report's point set
+    # sup estimates: the enclosed C1 bound must dominate a dense reference
+    # sup, taken on pseudo-random points
     dense_total = oracle.dense_c1_norm(mat.g, report.r_state, 100_000, seed=args.seed)
     sup_ok = report.M >= dense_total * (1.0 - 1e-9)
     ok &= sup_ok
@@ -402,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("file", help="JSON problem file")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled estimates (default 0)")
+                       help="seed of the random points of the assumption probe "
+                            "and of the oracle's checks (default 0)")
         p.add_argument("--out", default=None, help="write the JSON report here "
                                                    "instead of stdout")
 

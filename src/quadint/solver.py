@@ -241,7 +241,6 @@ class ContinuityReport:
     sigma_joint: float
     M_joint: float
     c1_dist: float
-    c1_provenance: str
     iterations: tuple[int, int]
 
     def to_dict(self) -> dict:
@@ -252,7 +251,7 @@ class ContinuityReport:
             "sigma_joint": float(self.sigma_joint),
             "M_joint": float(self.M_joint),
             "c1_distance": float(self.c1_dist),
-            "c1_provenance": self.c1_provenance,
+            "c1_provenance": "rigorous-bound",
             "iterations": [int(v) for v in self.iterations],
         }
 
@@ -267,8 +266,8 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
     C^1 bound M = max(M_1, M_2); sigma and the bound are formed with that M.
     `report` must come from constants_report(mat): its M is taken as M_1
     rather than estimated again.  M_2 comes from analysis.estimate_M and
-    |g1 - g2|_C1 from analysis.c1_distance, both on the report's ball and
-    point set.
+    |g1 - g2|_C1 from analysis.c1_distance, both enclosed on the report's
+    state ball; either raises ConfigurationError when its enclosure refuses.
     """
     if tol is None:
         tol = default_tolerance(mat.u0_norm)
@@ -276,8 +275,7 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
     if g2.n != g1.n:
         raise ConfigurationError("the two nonlinearities have different component counts")
 
-    M2, prov2 = estimate_M(g2, report.sample)
-    joint = replace(report, M=max(report.M, M2))
+    joint = replace(report, M=max(report.M, estimate_M(g2, report.r_state, "g2")))
     if not joint.certificate.passed:
         raise ConfigurationError(
             "contraction condition fails with the joint C1 bound; "
@@ -289,13 +287,11 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
 
     # both solutions share u0, so their distance is that of the perturbations
     measured = spectral.h2_norm(mat.grid, sol1.u_p_spectrum, sol2.u_p_spectrum)
-    dist, dist_prov = c1_distance(g1, g2, report.sample)
+    dist = c1_distance(g1, g2, report.r_state)
     bound = joint.continuity_bound(dist)
     passed = measured <= bound + 2.0 * tol
-    rigorous = report.provenance["M"] == prov2 == "rigorous-bound"
     return ContinuityReport(
         measured_distance=measured, bound=bound, passed=passed,
         sigma_joint=joint.sigma, M_joint=joint.M, c1_dist=dist,
-        c1_provenance=dist_prov if rigorous else "sampled-estimate",
         iterations=(sol1.iterations, sol2.iterations),
     )

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 import quadint.spectral as sp
-from quadint import sampling
-from quadint.sampling import ball_points as _ball_points  # unaffected by ball_point_calls
 from quadint.analysis import constants_report
 from quadint.errors import ExpressionDomainError
 from quadint.exprdsl import (Add, Call, Div, Mul, Neg, NonlinearitySpec, Num, Pow, Sub,
                              Var, _power, parse)
 from quadint.model import ProblemSpec, materialize
 from quadint.spectral import Grid
-from support import INVERSE_HELMHOLTZ, evaluate_arrays, scaled_identity
+from support import INVERSE_HELMHOLTZ, ball_points, evaluate_arrays, scaled_identity
 
 
 def h2(grid, f):
@@ -25,7 +23,7 @@ def sup_norm(f):
 def dense_sup_estimate(e, arity, radius, samples, seed=0):
     """Max |e| over `samples` quasi-random points of the ball of the given
     radius in R^arity."""
-    pts = _ball_points(arity, radius, samples, seed=seed)
+    pts = ball_points(arity, radius, samples, seed=seed)
     return sup_norm(evaluate_arrays(e, [pts[:, j] for j in range(arity)]))
 
 
@@ -149,20 +147,6 @@ def certified_3d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-@pytest.fixture
-def ball_point_calls(monkeypatch):
-    """The argument tuples of every sampling.ball_points call in the test."""
-    calls = []
-    real = sampling.ball_points
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sampling, "ball_points", counting)
-    return calls
 
 
 @pytest.fixture

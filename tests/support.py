@@ -1,8 +1,10 @@
-"""Helpers that only the tests use: seeded random fields, the randomized
-falsification suites for c_e and c_a, one-expression and Fourier-multiplier
-shorthands, the operators a problem file names, a scaled nonlinearity, and
-the expression printer.  No subcommand reaches them, so they live here and
-not in the package (tests/test_layout.py keeps it that way)."""
+"""Helpers that only the tests use: seeded random fields, quasi-random ball
+points, the randomized falsification suites for c_e and c_a, a dense C^1
+reference with the axis and diagonal points of the sphere, one-expression
+and Fourier-multiplier shorthands, the operators a problem file names, a
+scaled nonlinearity, and the expression printer.  No subcommand reaches
+them, so they live here and not in the package (tests/test_layout.py keeps
+it that way)."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from quadint.analysis import algebra_constant, embedding_constant
 from quadint.exprdsl import (Add, Call, Div, Expr, Mul, Neg, NonlinearitySpec, Num,
                              Pow, Sub, Var, evaluate_many, fold_mul)
 from quadint.model import RationalMultiplier
+from quadint.sampling import random_ball_points
 from quadint.spectral import Grid
 
 
@@ -63,6 +66,97 @@ def random_vector_in_ball(grid: Grid, n: int, rho: float,
     if norm == 0.0:
         return np.zeros_like(v)
     return v * (rho * rng.uniform(0.0, 1.0) / norm)
+
+
+# --- quasi-random ball points ----------------------------------------------------
+
+def radical_inverse(count: int, perms: np.ndarray) -> np.ndarray:
+    """Digit reversal of the indices 0..count-1: with d_k the base-`base`
+    digits of an index (k = 0 least significant), sum_k perms[k, d_k]
+    base**(D-1-k), where perms has shape (D, base) and count <= base**D.
+    Divided by base**D this is the radical inverse; with identity rows it is
+    the unscrambled Halton coordinate."""
+    digits, base = perms.shape
+    out = np.zeros(1, dtype=np.int64)
+    k = 0
+    while out.size < count:
+        # index d*base**k + i for every earlier index i and each leading
+        # digit d that still gives an index below count
+        rows = -(-count // out.size)
+        out = (perms[k, :rows, None] * base ** (digits - 1 - k) + out).ravel()
+        k += 1
+    # digits k and up are 0 for every index below count
+    tail = sum(int(perms[j, 0]) * base ** (digits - 1 - j) for j in range(k, digits))
+    return out[:count] + tail
+
+
+def _primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def ball_points(n: int, radius: float, count: int, seed: int = 0,
+                boundary: bool = False) -> np.ndarray:
+    """Quasi-random points in the closed ball of R^n, shape (count, n).  With
+    boundary=True the points lie on the sphere.
+
+    Each point is the Halton point of its index, scrambled by one seeded
+    digit permutation per base and digit position, and centred in its digit
+    cell so every coordinate lies strictly inside (0, 1).  Box-Muller on
+    pairs of coordinates gives a direction, and one more coordinate u gives
+    the radius u^(1/n).  The same arguments give bit-identical points."""
+    pairs = (n + 1) // 2
+    rng = np.random.default_rng(seed)
+    u = np.empty((2 * pairs + 1, count))
+    for axis, base in enumerate(_primes(2 * pairs + 1)):
+        digits = int(52 // np.log2(base))  # base**digits <= 2**52: exact in float64
+        perms = np.argsort(rng.random((digits, base)), axis=1)
+        u[axis] = (2 * radical_inverse(count, perms) + 1) / (2.0 * base ** digits)
+    length = np.sqrt(-2.0 * np.log(u[0:2 * pairs:2]))
+    angle = 2.0 * np.pi * u[1:2 * pairs:2]
+    z = np.empty((2 * pairs, count))
+    z[0::2] = length * np.cos(angle)
+    z[1::2] = length * np.sin(angle)
+    z = z[:n].T
+    directions = z / np.linalg.norm(z, axis=1, keepdims=True)
+    if boundary:
+        return directions * radius
+    return directions * (radius * u[-1] ** (1.0 / n))[:, None]
+
+
+# --- dense C^1 reference ---------------------------------------------------------
+
+def sphere_axis_points(n: int, radius: float) -> np.ndarray:
+    """The 2n points +-r e_j and the 2n(n-1) points r(+-e_i +- e_j)/sqrt(2),
+    i < j, of the sphere of radius r in R^n, shape (2n^2, n).  A sup of a
+    product of one or two coordinates sits at such a point, and uniform
+    points seldom come near them once n is 6 or more."""
+    axis = radius * np.vstack([np.eye(n), -np.eye(n)])
+    i, j = np.triu_indices(n, 1)
+    rows = np.arange(i.size)
+    diagonals = []
+    for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        p = np.zeros((i.size, n))
+        p[rows, i], p[rows, j] = si, sj
+        diagonals.append(p)
+    return np.vstack([axis, np.vstack(diagonals) * (radius / math.sqrt(2.0))])
+
+
+def extended_dense_c1_norm(g: NonlinearitySpec, radius: float, samples: int,
+                           seed: int = 0) -> float:
+    """The oracle's dense C^1 reference (oracle.dense_c1_norm: the same
+    `samples` pseudo-random points of the ball) taken on the
+    sphere_axis_points as well."""
+    pts = np.vstack([random_ball_points(g.n, radius, samples, seed=seed),
+                     sphere_axis_points(g.n, radius)])
+    cols = [pts[:, j] for j in range(g.n)]
+    return float(sum(evaluate_many(g.c1_expressions, cols,
+                                   take=lambda _, v: np.max(np.abs(v)))))
 
 
 # --- randomized falsification ----------------------------------------------------

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 import quadint.spectral as sp
-from quadint import sampling, solver
+from quadint import solver
 from quadint.cli import main
 from quadint.errors import AssumptionViolation
 from quadint.exprdsl import NonlinearitySpec
@@ -160,11 +160,11 @@ def test_criterion_07_constant_soundness(certified):
     alg_viol, _ = support.falsify_algebra(grid, 10_000, seed=701)
 
     # mean-value and Lipschitz bounds with the computed M on the state ball
-    pts = sampling.ball_points(mat.n, report.r_state, 10_000, seed=702)
+    pts = support.ball_points(mat.n, report.r_state, 10_000, seed=702)
     g_vals = np.abs(support.evaluate_arrays(mat.g.components[0], [pts[:, 0]]))
     mean_value_ok = bool(np.all(g_vals <= report.M * np.abs(pts[:, 0]) * (1 + 1e-12)))
-    a = sampling.ball_points(mat.n, report.r_state, 10_000, seed=703)[:, 0]
-    b = sampling.ball_points(mat.n, report.r_state, 10_000, seed=704)[:, 0]
+    a = support.ball_points(mat.n, report.r_state, 10_000, seed=703)[:, 0]
+    b = support.ball_points(mat.n, report.r_state, 10_000, seed=704)[:, 0]
     lips = np.abs(a ** 2 - b ** 2) <= report.M * np.abs(a - b) * (1 + 1e-12)
     lipschitz_ok = bool(np.all(lips))
 

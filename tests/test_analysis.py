@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from quadint import analysis, exprdsl, sampling
-from quadint.analysis import (C1Sample, ConstantsReport, algebra_constant,
+from quadint.analysis import (ConstantsReport, algebra_constant,
                               ball_radius_state, check_contraction_condition,
                               c1_distance, compute_Q, constants_report,
                               embedding_constant, estimate_M,
@@ -22,8 +22,9 @@ from support import falsify_algebra, falsify_embedding
 
 # the interval enclosure refuses this component on every box, as z1 - z1
 # encloses to an interval that reaches below 0, yet its C^1 values are those
-# of sin(z1): M falls back to the sampled route
+# of sin(z1): M cannot be enclosed, and is refused
 FALLBACK_SIN = "sin(z1)+sqrt(z1-z1)"
+REFUSED = "cannot be enclosed on the state ball"
 
 
 class TestEmbeddingConstant:
@@ -130,15 +131,11 @@ def polynomial_nonlinearities(draw, depth=5):
 class TestEstimateM:
     def test_linear_component(self):
         g = NonlinearitySpec.from_strings(["z1"])
-        M, prov = estimate_M(g, C1Sample(1, 3.0))
-        assert prov == "rigorous-bound"
-        assert M == pytest.approx(3.0 + 1.0)
+        assert estimate_M(g, 3.0) == pytest.approx(3.0 + 1.0)
 
     def test_quadratic_component(self):
         g = NonlinearitySpec.from_strings(["z1^2"])
-        M, prov = estimate_M(g, C1Sample(1, 2.0))
-        assert prov == "rigorous-bound"
-        assert M == pytest.approx(4.0 + 4.0)
+        assert estimate_M(g, 2.0) == pytest.approx(4.0 + 4.0)
 
     @settings(max_examples=300, deadline=None)
     @given(g=polynomial_nonlinearities(), radius=st.sampled_from((0.3, 1.0, 2.5)))
@@ -146,9 +143,8 @@ class TestEstimateM:
         # M is enclosed and at least the sum of the sups on a dense point
         # set, each evaluated in floating point, so a sup may sit a few
         # ulps above its exact value
-        M, prov = estimate_M(g, C1Sample(g.n, radius))
-        assert prov == "rigorous-bound"
-        points = sampling.ball_points(g.n, radius, 2000, seed=9)
+        M = estimate_M(g, radius)
+        points = support.ball_points(g.n, radius, 2000, seed=9)
         dense = math.fsum(exprdsl.evaluate_many(
             g.c1_expressions, [points[:, j] for j in range(g.n)],
             take=lambda _, v: float(np.max(np.abs(v)))))
@@ -161,7 +157,7 @@ class TestEstimateM:
     def test_overflowing_enclosure_is_an_overflow_error(self, text, radius):
         g = NonlinearitySpec.from_strings([text])
         with pytest.raises(NumericOverflowError, match="overflows a double"):
-            estimate_M(g, C1Sample(1, radius))
+            estimate_M(g, radius)
 
     def test_top_powers_of_sixteen_components_stay_rigorous(self):
         # each component is z_m^MAX_EXPONENT on the unit ball: the sup of the
@@ -169,55 +165,30 @@ class TestEstimateM:
         # raised to the 10 000th power reads 2.2e-12 above that
         g = NonlinearitySpec.from_strings(
             [f"z{m}^{exprdsl.MAX_EXPONENT}" for m in range(1, 17)])
-        M, prov = estimate_M(g, C1Sample(16, 1.0))
-        assert prov == "rigorous-bound"
+        M = estimate_M(g, 1.0)
         assert 16 * (1.0 + exprdsl.MAX_EXPONENT) <= M <= 160016 * (1.0 + 3e-12)
 
     def test_enclosed_estimate_bounds_the_exact_sup(self):
         # sup|sin| + sup|cos| on [-2, 2] is 2
         g = NonlinearitySpec.from_strings(["sin(z1)"])
-        M, prov = estimate_M(g, C1Sample(1, 2.0, seed=0))
-        assert prov == "rigorous-bound"
-        assert 2.0 <= M <= 2.02
-        assert M == estimate_M(g, C1Sample(1, 2.0, seed=5))[0]  # no seed in it
+        assert 2.0 <= estimate_M(g, 2.0) <= 2.02
 
-    def test_sampled_estimate_close_to_dense_oracle(self):
-        g = NonlinearitySpec.from_strings([FALLBACK_SIN])
-        M, prov = estimate_M(g, C1Sample(1, 2.0, seed=0))
-        assert prov == "sampled-estimate"
-        dense = (dense_sup_estimate(g.components[0], 1, 2.0, 10 ** 6, seed=1)
-                 + dense_sup_estimate(g.gradient[0][0], 1, 2.0, 10 ** 6, seed=2))
-        assert M / analysis.SAMPLED_INFLATION == pytest.approx(dense, rel=0.02)
-
-    def test_one_point_set_per_estimate(self, monkeypatch):
-        calls = []
-        real = sampling.ball_points
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sampling, "ball_points", counting)
-        # both walks refuse the partial of z1*sqrt(z1^2), which divides by
-        # sqrt(z1^2)
-        g = NonlinearitySpec.from_strings(
-            ["tanh(z1*z2)+z1*sqrt(z1^2)", "sin(z2)", "z3*exp(z4)", "z4^2"])
-        _, prov = estimate_M(g, C1Sample(4, 1.0, seed=3))
-        assert prov == "sampled-estimate"
-        assert len(calls) == 2
-        calls.clear()
-        _, prov = c1_distance(g, support.scaled(g, 1.5), C1Sample(4, 1.0, seed=3))
-        assert prov == "sampled-estimate"
-        assert len(calls) == 2
-
-    def test_shared_sample_is_drawn_once(self, ball_point_calls):
-        g = NonlinearitySpec.from_strings(["tanh(z1*z2)+sqrt(z1-z1)", "sin(z2)"])
-        sample = C1Sample(2, 1.0, seed=3)
-        g2 = support.scaled(g, 1.5)
-        shared = (estimate_M(g, sample), c1_distance(g, g2, sample))
-        assert len(ball_point_calls) == 2
-        assert shared == (estimate_M(g, C1Sample(2, 1.0, seed=3)),
-                          c1_distance(g, g2, C1Sample(2, 1.0, seed=3)))
+    @pytest.mark.parametrize("text", [
+        FALLBACK_SIN,
+        "tanh(z1*z2)+z1*sqrt(z1^2)",  # the partial divides by sqrt(z1^2)
+        "1e-9*z1^2/(1-10*z1)",        # a pole at z1 = 0.1
+    ])
+    def test_unenclosed_bound_is_refused(self, text):
+        g = NonlinearitySpec.from_strings([text, "sin(z2)"])
+        with pytest.raises(ConfigurationError, match=REFUSED) as err:
+            estimate_M(g, 0.5)
+        assert str(err.value) == (
+            "the C1 bound of g cannot be enclosed on the state ball of radius 0.5 "
+            "(a divisor may vanish, or a square-root argument may be negative)")
+        if text != FALLBACK_SIN:  # affine forms turn z1 - z1 into 0
+            with pytest.raises(ConfigurationError,
+                               match="the C1 distance of g and g2 " + REFUSED):
+                c1_distance(g, support.scaled(g, 1.5), 0.5)
 
     @pytest.mark.parametrize("k, per_axis, boxes", [
         (1, 64, 64), (2, 8, 60), (3, 4, 64), (4, 2, 16), (6, 2, 64), (7, 1, 1)])
@@ -231,60 +202,43 @@ class TestEstimateM:
         inside = (cover[:, 0] <= points[:, :, None]) & (points[:, :, None] <= cover[:, 1])
         assert np.all(np.any(np.all(inside, axis=1), axis=1))
 
-    def test_enclosed_estimate_draws_no_points(self, ball_point_calls):
-        g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
-        sample = C1Sample(2, 1.0, seed=3)
-        assert estimate_M(g, sample)[1] == "rigorous-bound"
-        assert ball_point_calls == []
+    def test_enclosed_estimate_draws_no_points(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("M drew points")
 
-    def test_sample_on_another_ball_is_refused(self):
-        # only the sampled route reads the points; the enclosure reads the radius
-        g = NonlinearitySpec.from_strings(["tanh(z1*z2)+z1*sqrt(z1^2)", "sin(z2)"])
-        for estimate in (lambda s: estimate_M(g, s), lambda s: c1_distance(g, g, s)):
-            with pytest.raises(ConfigurationError, match="drawn in R\\^3, estimate asks for R\\^2"):
-                estimate(C1Sample(3, 1.0))
-        assert estimate_M(g, C1Sample(2, 1.0))[1] == "sampled-estimate"
-        h = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
-        assert estimate_M(h, C1Sample(3, 1.0)) == estimate_M(h, C1Sample(2, 1.0))
+        monkeypatch.setattr(sampling, "random_ball_points", refuse)
+        g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
+        assert estimate_M(g, 1.0) > 0.0
+        assert c1_distance(g, support.scaled(g, 1.5), 1.0) > 0.0
 
     @staticmethod
-    def cyclic_tanh(n, radius, tail=""):
-        """M of g_m = tanh(z_m z_m+1) + `tail` on the ball, and the dense
-        sup of its C^1 expressions."""
+    def cyclic_tanh(n, radius):
+        """M of g_m = tanh(z_m z_m+1) on the ball, and the dense sup of its
+        C^1 expressions."""
         g = NonlinearitySpec.from_strings(
-            [f"tanh(z{m + 1}*z{(m + 1) % n + 1})" + tail for m in range(n)])
-        M, prov = estimate_M(g, C1Sample(n, radius, seed=0))
+            [f"tanh(z{m + 1}*z{(m + 1) % n + 1})" for m in range(n)])
         dense = sum(dense_sup_estimate(e, n, radius, 2 * 10 ** 5, seed=11 + k)
                     for k, e in enumerate(g.c1_expressions))
-        return M, prov, dense
+        return estimate_M(g, radius), dense
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("radius", [0.5, 1.3])
     def test_shared_set_matches_dense_oracle(self, n, radius):
         # the enclosure; M / dense reads 1.051 to 1.056 on these four shapes
-        M, prov, dense = self.cyclic_tanh(n, radius)
-        assert prov == "rigorous-bound"
+        M, dense = self.cyclic_tanh(n, radius)
         assert dense <= M <= 1.1 * dense
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("radius", [0.5, 1.3])
-    def test_sampled_fallback_matches_dense_oracle(self, n, radius):
-        M, prov, dense = self.cyclic_tanh(n, radius, tail="+sqrt(z1-z1)")
-        assert prov == "sampled-estimate"
-        assert dense <= M
-        assert M / analysis.SAMPLED_INFLATION == pytest.approx(dense, rel=0.02)
 
     def test_mean_value_bound(self, certified):
         # |g(z)| <= M |z| on the state ball when g(0) = 0
         mat, report = certified
-        pts = sampling.ball_points(1, report.r_state, 2000, seed=4)
+        pts = support.ball_points(1, report.r_state, 2000, seed=4)
         vals = np.abs(pts[:, 0] ** 2)
         assert np.all(vals <= report.M * np.abs(pts[:, 0]) + 1e-15)
 
     def test_lipschitz_bound(self, certified):
         mat, report = certified
-        a = sampling.ball_points(1, report.r_state, 2000, seed=5)[:, 0]
-        b = sampling.ball_points(1, report.r_state, 2000, seed=6)[:, 0]
+        a = support.ball_points(1, report.r_state, 2000, seed=5)[:, 0]
+        b = support.ball_points(1, report.r_state, 2000, seed=6)[:, 0]
         assert np.all(np.abs(a ** 2 - b ** 2) <= report.M * np.abs(a - b) + 1e-15)
 
 
@@ -358,14 +312,12 @@ class TestC1Distance:
         for texts in (["z1^2"], ["tanh(z1*z2)", "tanh(z2*z1)"]):
             g = NonlinearitySpec.from_strings(texts)
             for g2 in (g, NonlinearitySpec.from_strings(texts)):
-                assert c1_distance(g, g2, C1Sample(g.n, 1.0)) == (0.0, "rigorous-bound")
+                assert c1_distance(g, g2, 1.0) == 0.0
 
     def test_linear_difference(self):
         g1 = NonlinearitySpec.from_strings(["z1"])
         g2 = support.scaled(g1, 1.25)
-        dist, prov = c1_distance(g1, g2, C1Sample(1, 3.0))
-        assert prov == "rigorous-bound"
-        assert dist == pytest.approx(0.25 * (3.0 + 1.0))
+        assert c1_distance(g1, g2, 3.0) == pytest.approx(0.25 * (3.0 + 1.0))
 
     @staticmethod
     def dense(g1, g2, radius):
@@ -377,28 +329,14 @@ class TestC1Distance:
         # 0.7.0 sampled this distance as 0.01963; affine forms read 0.01867
         g1 = NonlinearitySpec.from_strings(["tanh(z1*z2)", "tanh(z2*z1)"])
         g2 = support.scaled(g1, 1.01)
-        dist, prov = c1_distance(g1, g2, C1Sample(2, TANH_RADIUS))
-        assert prov == "rigorous-bound"
+        dist = c1_distance(g1, g2, TANH_RADIUS)
         assert self.dense(g1, g2, TANH_RADIUS) <= dist <= 0.01963
 
     def test_perturbed_argument_is_enclosed(self):
         g1 = NonlinearitySpec.from_strings(["tanh(z1*z2)", "tanh(z2*z1)"])
         g2 = NonlinearitySpec.from_strings(["tanh(1.01*z1*z2)", "tanh(z2*z1)"])
-        dist, prov = c1_distance(g1, g2, C1Sample(2, TANH_RADIUS))
-        assert prov == "rigorous-bound"
+        dist = c1_distance(g1, g2, TANH_RADIUS)
         assert self.dense(g1, g2, TANH_RADIUS) <= dist
-
-    def test_sampled_vs_dense_oracle(self):
-        # both walks refuse the partial of z1*sqrt(z1^2), which divides by
-        # sqrt(z1^2), so the distance is sampled
-        g1 = NonlinearitySpec.from_strings(["sin(z1)+z1*sqrt(z1^2)"])
-        g2 = NonlinearitySpec.from_strings(["z1"])
-        diff = g1.difference(g2)
-        dist, prov = c1_distance(g1, g2, C1Sample(1, 0.5, seed=0))
-        assert prov == "sampled-estimate"
-        dense = (dense_sup_estimate(diff.components[0], 1, 0.5, 10 ** 6, seed=1)
-                 + dense_sup_estimate(diff.gradient[0][0], 1, 0.5, 10 ** 6, seed=2))
-        assert dist / analysis.SAMPLED_INFLATION == pytest.approx(dense, rel=0.02)
 
 
 def report_of(c_a, Q, M, u0_norm, rho=1.0):
@@ -406,7 +344,7 @@ def report_of(c_a, Q, M, u0_norm, rho=1.0):
     ones its verdict does not read."""
     return ConstantsReport(d=2, c_e=1.0, c_a=c_a, lattice_c_e=1.0, u0_norm=u0_norm,
                            M=M, Q=Q, operator_norms=(1.0,), kernel_w21_norms=(Q,),
-                           rho=rho, sample=C1Sample(1, 1.0))
+                           rho=rho, r_state=1.0)
 
 
 class TestContinuityBound:
@@ -468,18 +406,18 @@ class TestConstantsReport:
         assert report.provenance["c_e"] == "override"
         assert any("non-certified" in w for w in report.warnings)
 
-    def test_sampled_m_warns(self):
+    def test_unenclosed_m_is_refused(self):
         import dataclasses
         from conftest import make_certified_problem
         from quadint.model import materialize
-        for text, provenance in (("sin(z1)", "rigorous-bound"),
-                                 (FALLBACK_SIN, "sampled-estimate")):
-            spec = dataclasses.replace(make_certified_problem(n=16),
-                                       g=NonlinearitySpec.from_strings([text]))
-            report = constants_report(materialize(spec))
-            assert report.provenance["M"] == provenance
-            assert any("sampled" in w for w in report.warnings) == (
-                provenance == "sampled-estimate")
+        spec = make_certified_problem(n=16)
+        report = constants_report(materialize(dataclasses.replace(
+            spec, g=NonlinearitySpec.from_strings(["sin(z1)"]))))
+        assert report.provenance["M"] == "rigorous-bound"
+        assert report.warnings == ()
+        unenclosed = dataclasses.replace(spec, g=NonlinearitySpec.from_strings([FALLBACK_SIN]))
+        with pytest.raises(ConfigurationError, match="the C1 bound of g " + REFUSED):
+            constants_report(materialize(unenclosed))
 
     def test_only_a_tabulated_kernel_warns_of_its_laplacian(self):
         import dataclasses

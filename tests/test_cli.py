@@ -18,6 +18,8 @@ from quadint.cli import main
 from quadint.errors import ExpressionSyntaxError
 from quadint.spectral import Grid
 
+import support
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -43,9 +45,17 @@ TANH = {
 
 
 # TANH with a first component the interval enclosure refuses on every box
-# (z1 - z1 encloses to an interval below 0) and the same C^1 values: M falls
-# back to the sampled route
-TANH_SAMPLED = dict(TANH, g=["tanh(z1*z2)+sqrt(z1-z1)", "tanh(z2*z1)"])
+# (z1 - z1 encloses to an interval below 0) and the same C^1 values: M
+# cannot be enclosed, so the problem is not certified
+TANH_UNENCLOSED = dict(TANH, g=["tanh(z1*z2)+sqrt(z1-z1)", "tanh(z2*z1)"])
+UNENCLOSED_M = ("the C1 bound of g cannot be enclosed on the state ball of radius {} "
+                "(a divisor may vanish, or a square-root argument may be negative)")
+
+# the canonical problem at n = 16, whose state ball has radius 0.497, with a
+# g that has a pole at z1 = 0.1, inside the ball, or at z1 = 1/1.9 = 0.526,
+# outside it
+POLE_INSIDE = dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0}, g=["1e-9*z1^2/(1-10*z1)"])
+POLE_OUTSIDE = dict(POLE_INSIDE, g=["1e-9*z1^2/(1-1.9*z1)"])
 
 # the constants-tanh benchmark shape at n = 16: six components coupled
 # cyclically through tanh(z_m z_m+1)
@@ -105,6 +115,33 @@ class TestCheck:
         assert code == 1
         assert any("origin" in v for v in doc["assumptions"]["violations"])
 
+    def test_unenclosed_m_is_not_certified(self, tmp_path, capsys):
+        path = write_problem(tmp_path, TANH_UNENCLOSED)
+        for command in ("check", "solve"):
+            code, doc = run(capsys, command, path)
+            assert code == 1
+            assert doc["certified"] is False
+            assert doc["constants"] is None
+            assert doc["assumptions"]["violations"] == [
+                "constants computation failed: " + UNENCLOSED_M.format(0.405241)]
+
+    def test_pole_inside_the_state_ball_is_not_certified(self, tmp_path, capsys):
+        # 0.8.0 sampled M = 4.2e-4 here and certified the problem
+        code, doc = run(capsys, "check", write_problem(tmp_path, POLE_INSIDE))
+        assert code == 1
+        assert doc["certified"] is False
+        assert doc["constants"] is None
+        assert doc["assumptions"]["violations"] == [
+            "constants computation failed: " + UNENCLOSED_M.format(0.496908)]
+
+    def test_pole_outside_the_state_ball_certifies(self, tmp_path, capsys):
+        code, doc = run(capsys, "check", write_problem(tmp_path, POLE_OUTSIDE))
+        assert code == 0
+        assert doc["certified"] is True
+        assert doc["constants"]["r_state"] < 1 / 1.9
+        assert doc["constants"]["provenance"]["M"] == "rigorous-bound"
+        assert doc["constants"]["M"] == pytest.approx(1.82e-7, rel=1e-3)
+
     def test_odd_grid_is_input_error(self, tmp_path, capsys):
         doc_in = dict(CERTIFIED, grid={"d": 2, "n": 63, "L": 8.0})
         code, _ = run(capsys, "check", write_problem(tmp_path, doc_in))
@@ -138,19 +175,21 @@ class TestCheck:
         assert any("non-certified" in w for w in doc["constants"]["warnings"])
 
     @pytest.mark.parametrize("constants", [
-        {"c_a": -1}, {"c_e": -0.5}, {"c_a": 0}, {"c_e": "nan"}, {"c_a": "inf"}])
+        {"c_a": -1}, {"c_e": -0.5}, {"c_a": 0}, {"c_e": float("nan")}, {"c_a": float("inf")}])
     def test_constant_override_must_be_finite_and_positive(self, tmp_path, capsys,
                                                            constants):
-        # a negative c_a or c_e made sigma negative, and the condition passed
+        # a negative c_a or c_e made sigma negative, and the condition passed;
+        # a NaN or an Infinity token is refused as it is loaded
         path = write_problem(tmp_path, dict(CERTIFIED, constants=constants))
         (name, value), = constants.items()
+        message = (f"constant override {name} must be finite and positive, got {float(value)}"
+                   if np.isfinite(value) else f"constants {name!r} must be a finite number")
         for command in ("check", "solve"):
             code = main([command, path])
             captured = capsys.readouterr()
             assert code == 2
             assert captured.out == ""
-            assert captured.err == (f"error: constant override {name} must be finite "
-                                    f"and positive, got {float(value)}\n")
+            assert captured.err == f"error: {message}\n"
 
     def test_negative_constant_override_in_a_process(self, tmp_path):
         path = write_problem(tmp_path, dict(CERTIFIED, constants={"c_a": -1}))
@@ -235,14 +274,17 @@ class TestCheck:
 
     @pytest.mark.parametrize("L", [1e300, 1e-300, float("inf")])
     def test_box_beyond_a_double_is_input_error(self, tmp_path, capsys, L):
-        # h^d or (2L)^d overflows or underflows; json writes inf as Infinity
+        # h^d or (2L)^d overflows or underflows; json writes inf as
+        # Infinity, which the loader refuses as no finite number
         path = write_problem(tmp_path, dict(CERTIFIED, grid={"d": 3, "n": 16, "L": L}))
+        prefix = ("error: box half-width " if np.isfinite(L)
+                  else "error: grid 'L' must be a finite number")
         for command in ("check", "solve"):
             code = main([command, path])
             captured = capsys.readouterr()
             assert code == 2
             assert captured.out == ""
-            assert captured.err.startswith("error: box half-width ")
+            assert captured.err.startswith(prefix)
             assert captured.err.count("\n") == 1
 
     def test_box_beyond_a_double_in_a_process(self, tmp_path):
@@ -368,27 +410,35 @@ class TestContinuity:
         code, _ = run(capsys, "continuity", path, "--g2", g2)
         assert code == 2
 
-    def test_each_point_set_is_drawn_once(self, tmp_path, capsys, ball_point_calls):
+    def test_unenclosed_g2_is_refused(self, tmp_path, capsys):
         # the report's M is enclosed; both walks refuse the partial of
-        # z1*sqrt(z1^2), so M_2 and |g1 - g2|_C1 are sampled on one
-        # interior and one sphere set
+        # z1*sqrt(z1^2), which divides by sqrt(z1^2), so M_2 is refused
         path = write_problem(tmp_path, TANH)
         g2 = write_problem(tmp_path, {"g": ["1.01*tanh(z1*z2)+0.01*z1*sqrt(z1^2)",
                                             "tanh(z2*z1)"]}, "g2.json")
         code, doc = run(capsys, "continuity", path, "--g2", g2, "--seed", "3")
-        assert code == 0
+        assert code == 1
         assert doc["constants"]["provenance"]["M"] == "rigorous-bound"
-        assert doc["continuity"]["c1_provenance"] == "sampled-estimate"
-        assert len(ball_point_calls) == 2
+        assert doc["continuity"] == {"error": UNENCLOSED_M.format(0.405241).replace(
+            "C1 bound of g", "C1 bound of g2")}
 
-    def test_scaled_tanh_distance_is_enclosed(self, tmp_path, capsys, ball_point_calls):
+    def test_unenclosed_distance_is_refused(self, tmp_path, capsys, monkeypatch):
+        # M_2 is enclosed; an affine walk that refuses leaves no distance
+        monkeypatch.setattr(exprdsl, "enclose_affine", lambda *args: None)
+        path = write_problem(tmp_path, TANH)
+        g2 = write_problem(tmp_path, {"g": ["1.01*tanh(z1*z2)", "tanh(z2*z1)"]}, "g2.json")
+        code, doc = run(capsys, "continuity", path, "--g2", g2)
+        assert code == 1
+        assert doc["continuity"] == {"error": UNENCLOSED_M.format(0.405241).replace(
+            "C1 bound of g", "C1 distance of g and g2")}
+
+    def test_scaled_tanh_distance_is_enclosed(self, tmp_path, capsys):
         path = write_problem(tmp_path, TANH)
         g2 = write_problem(tmp_path, {"g": ["1.01*tanh(z1*z2)", "tanh(z2*z1)"]}, "g2.json")
         code, doc = run(capsys, "continuity", path, "--g2", g2)
         assert code == 0
         assert doc["continuity"]["c1_provenance"] == "rigorous-bound"
         assert 0.0 < doc["continuity"]["c1_distance"] < 0.01
-        assert ball_point_calls == []
 
     @pytest.mark.parametrize("name", ["gaussian_certified", "gaussian_uncertified",
                                       "two_component"])
@@ -398,8 +448,7 @@ class TestContinuity:
         path = str(PROBLEMS / f"{name}.json")
         problem, _ = cli.load_problem(path)
         report = analysis.constants_report(model.materialize(problem))
-        assert analysis.c1_distance(problem.g, problem.g, report.sample) == (
-            0.0, "rigorous-bound")
+        assert analysis.c1_distance(problem.g, problem.g, report.r_state) == 0.0
         code, doc = run(capsys, "continuity", path, "--g2", path)
         assert code == (1 if name == "gaussian_uncertified" else 0)
         if code == 0:
@@ -533,16 +582,28 @@ class TestOracle:
         assert doc["oracle"]["checks"][0]["passed"] is False
 
     def test_dense_reference_is_drawn_once_and_independently(
-            self, tmp_path, capsys, ball_point_calls):
-        # on the sampled route the report's M uses its two quasi-random sets;
-        # the dense reference is one pseudo-random set for all N + N^2 sups
-        path = write_problem(tmp_path, TANH_SAMPLED)
+            self, tmp_path, capsys, monkeypatch):
+        # the report's M is enclosed and draws no points; the dense
+        # reference is one pseudo-random set for all N + N^2 sups
+        from quadint import oracle
+        calls = []
+        real = oracle.random_ball_points
+        monkeypatch.setattr(oracle, "random_ball_points",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        path = write_problem(tmp_path, TANH)
         code, doc = run(capsys, "oracle", path, "--size", "16", "--seed", "2")
         assert code == 0
-        assert len(ball_point_calls) == 2
+        assert len(calls) == 1
         sup_check = doc["oracle"]["checks"][-1]
         assert sup_check["name"] == "c1_bound_dominates_dense_sup"
         assert sup_check["dense_reference"] < sup_check["M"]
+
+    def test_unenclosed_m_is_an_input_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, TANH_UNENCLOSED)
+        assert main(["oracle", path, "--size", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: " + UNENCLOSED_M.format(0.405241) + "\n"
 
     def test_oracle_checks_the_enclosed_c1_bound(self, tmp_path, capsys, monkeypatch):
         # mutation pair: the enclosed M of the constants-tanh shape lies
@@ -561,6 +622,38 @@ class TestOracle:
         assert code == 1
         failed = [c["name"] for c in doc["oracle"]["checks"] if not c["passed"]]
         assert failed == ["c1_bound_dominates_dense_sup"]
+
+    @staticmethod
+    def extended_reference(path):
+        """The report's M of the problem at `path` and the dense C^1
+        reference of the oracle at --seed 7 taken on the axis and diagonal
+        points of the sphere as well (support.extended_dense_c1_norm)."""
+        problem, _ = cli.load_problem(path)
+        report = analysis.constants_report(model.materialize(problem))
+        return report.M, support.extended_dense_c1_norm(
+            problem.g, report.r_state, 100_000, seed=7)
+
+    def test_c1_bound_dominates_the_extended_dense_reference(self, tmp_path, capsys):
+        # the oracle's 100 000 points read 5.989 on the constants-tanh shape;
+        # the 72 points of the sphere raise that to the exact sup 6.1716
+        M, reference = self.extended_reference(write_problem(tmp_path, CONSTANTS_TANH))
+        assert 6.1716 <= reference <= 6.1718
+        assert M >= reference * (1.0 - 1e-9)
+
+    def test_extended_reference_fails_what_the_oracle_passes(
+            self, tmp_path, capsys, monkeypatch):
+        # mutation pair: M / 1.06 = 6.118 lies above the oracle's dense sup
+        # 5.989 and below the exact sup, which only the extended reference reads
+        original = analysis._enclosed_bound
+        monkeypatch.setattr(analysis, "_enclosed_bound",
+                            lambda *args: original(*args) / 1.06)
+        path = write_problem(tmp_path, CONSTANTS_TANH)
+        code, doc = run(capsys, "oracle", path, "--seed", "7")
+        assert code == 0
+        assert doc["oracle"]["all_passed"] is True
+        M, reference = self.extended_reference(path)
+        assert M == doc["oracle"]["checks"][-1]["M"]
+        assert M < reference * (1.0 - 1e-9)
 
 
 class TestWorkingSet:
@@ -690,14 +783,15 @@ class TestDeterminism:
     @pytest.mark.parametrize("doc_in", [
         CERTIFIED,
         dict(CERTIFIED, g=["sin(z1)"]),  # an enclosed M
-        dict(CERTIFIED, g=["sin(z1)+sqrt(z1-z1)"]),  # the sampled fallback
+        dict(CERTIFIED, g=["sin(z1)+sqrt(z1-z1)"]),  # M refused: not certified
     ])
     def test_check_reports_are_byte_identical(self, tmp_path, capsys, doc_in):
         path = write_problem(tmp_path, doc_in)
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
-        assert main(["check", path, "--seed", "7", "--out", str(out1)]) == 0
-        assert main(["check", path, "--seed", "7", "--out", str(out2)]) == 0
+        code = 1 if "sqrt" in doc_in["g"][0] else 0
+        assert main(["check", path, "--seed", "7", "--out", str(out1)]) == code
+        assert main(["check", path, "--seed", "7", "--out", str(out2)]) == code
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_solve_reports_and_traces_are_byte_identical(self, tmp_path, capsys):
@@ -1102,6 +1196,42 @@ class TestProblemInputs:
         assert main(["check", path]) == 2
         kind = "a finite number" if key == "alpha" else "a list of finite numbers"
         assert capsys.readouterr().err == f"error: operator 1: {key!r} must be {kind}\n"
+
+    @pytest.mark.parametrize("grid, key", [
+        ({"d": 2, "n": 16.9, "L": 8.0}, "n"),
+        ({"d": 2, "n": 16.0, "L": 8.0}, "n"),
+        ({"d": 2, "n": "16", "L": 8.0}, "n"),
+        ({"d": 2.7, "n": 16, "L": 8.0}, "d"),
+        ({"d": True, "n": 16, "L": 8.0}, "d"),
+    ])
+    def test_grid_sizes_must_be_integers(self, tmp_path, capsys, grid, key):
+        path = write_problem(tmp_path, dict(CERTIFIED, grid=grid))
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == f"error: grid {key!r} must be an integer\n"
+
+    @pytest.mark.parametrize("components", [True, 1.0, "1"])
+    def test_components_must_be_an_integer(self, tmp_path, capsys, components):
+        path = write_problem(tmp_path, dict(CERTIFIED, components=components))
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == "error: 'components' must be an integer\n"
+
+    @pytest.mark.parametrize("change, name", [
+        ({"grid": {"d": 2, "n": 16, "L": True}}, "grid 'L'"),
+        ({"grid": {"d": 2, "n": 16, "L": "8"}}, "grid 'L'"),
+        ({"grid": {"d": 2, "n": 16, "L": float("nan")}}, "grid 'L'"),
+        ({"rho": "0.5"}, "'rho'"),
+        ({"rho": float("inf")}, "'rho'"),
+        ({"rho": None}, "'rho'"),
+        ({"kernels": [{"type": "gaussian", "alpha": "1"}]}, "kernel 1: 'alpha'"),
+        ({"kernels": [{"type": "gaussian", "alpha": float("nan")}]}, "kernel 1: 'alpha'"),
+        ({"constants": {"c_e": "0.3"}}, "constants 'c_e'"),
+        ({"constants": {"c_a": True}}, "constants 'c_a'"),
+        ({"constants": {"c_a": 10 ** 400}}, "constants 'c_a'"),
+    ])
+    def test_scalars_must_be_finite_numbers(self, tmp_path, capsys, change, name):
+        path = write_problem(tmp_path, dict(CERTIFIED, **change))
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be a finite number\n"
 
     def test_kernel_syntax_error_is_refused_at_load(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -112,10 +112,6 @@ class TestDenseC1Norm:
         real = oracle.random_ball_points
         monkeypatch.setattr(oracle, "random_ball_points",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
-        # the quasi-random sets of the report are not reachable from here
-        import quadint.sampling as sampling
-        assert not hasattr(oracle, "ball_points")
-        monkeypatch.setattr(sampling, "ball_points", None)
         dense_c1_norm(NonlinearitySpec.from_strings(["tanh(z1*z2)", "z1^2", "sin(z3)"]),
                       0.7, 1000, seed=5)
         assert calls == [(3, 0.7, 1000)]
