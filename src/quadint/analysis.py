@@ -286,9 +286,9 @@ def constants_report(mat: MaterializedProblem) -> ConstantsReport:
     """Compute every constant for a materialized problem and judge the
     contraction condition.
 
-    The ball radius defaults to the largest admissible value 1 when the
-    condition is feasible there; an explicit radius in the problem spec is
-    honored as given."""
+    The ball radius is the problem spec's, as given, or else the largest
+    admissible value 1, whether or not the condition holds there; the
+    report's feasible interval says which radii would pass."""
     spec = mat.spec
     d = mat.grid.d
     overridden = spec.c_e_override is not None or spec.c_a_override is not None

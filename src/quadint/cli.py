@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, model, solver, spectral
-from .errors import (AssumptionViolation, ConfigurationError, NonConvergenceError,
-                     NumericOverflowError, QuadIntError)
+from .errors import (ConfigurationError, NonConvergenceError, NumericOverflowError,
+                     QuadIntError)
 from .exprdsl import NonlinearitySpec, parse as parse_expr
 from .model import GaussianKernel, MaterializedProblem, ProblemSpec, RationalMultiplier
 from .spectral import Grid
@@ -43,18 +43,33 @@ HEAP_RETAIN_BYTES = 1 << 30
 
 # --- problem file -----------------------------------------------------------
 
+def _object(entry, where: str, *keys: str) -> dict:
+    """entry, which must be a JSON object with no key outside `keys`; a
+    misspelt key is refused rather than ignored."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{where} must be an object")
+    for key in entry:
+        if key not in keys:
+            raise ConfigurationError(f"{where}: unknown key {key!r}")
+    return entry
+
+
 def _parse_kernel(entry, index: int, parse_x):
     """A GaussianKernel, the tree parse_x gives an expression, or an array."""
+    where = f"kernel {index + 1}"
     if not isinstance(entry, dict) or "type" not in entry:
-        raise ConfigurationError(f"kernel {index + 1}: expected an object with a 'type' field")
+        raise ConfigurationError(f"{where}: expected an object with a 'type' field")
     kind = entry["type"]
     if kind == "gaussian":
-        return GaussianKernel(alpha=_number(entry["alpha"], f"kernel {index + 1}: 'alpha'"))
+        _object(entry, where, "type", "alpha")
+        return GaussianKernel(alpha=_number(entry["alpha"], f"{where}: 'alpha'"))
     if kind == "expression":
+        _object(entry, where, "type", "expr")
         return parse_x(str(entry["expr"]))
     if kind == "tabulated":
+        _object(entry, where, "type", "values")
         return np.asarray(entry["values"], dtype=float)
-    raise ConfigurationError(f"kernel {index + 1}: unknown type {kind!r}")
+    raise ConfigurationError(f"{where}: unknown type {kind!r}")
 
 
 def _finite(value) -> float | None:
@@ -95,20 +110,24 @@ def _coefficients(entry: dict, key: str, index: int) -> tuple[float, ...]:
 
 
 def _parse_operator(entry, index: int):
+    where = f"operator {index + 1}"
     if not isinstance(entry, dict) or "type" not in entry:
-        raise ConfigurationError(f"operator {index + 1}: expected an object with a 'type' field")
+        raise ConfigurationError(f"{where}: expected an object with a 'type' field")
     kind = entry["type"]
     if kind == "inverse_helmholtz":
+        _object(entry, where, "type")
         return RationalMultiplier(p=(1.0,), q=(1.0, 1.0))
     if kind == "scaled_identity":
-        alpha = _number(entry.get("alpha"), f"operator {index + 1}: 'alpha'")
+        _object(entry, where, "type", "alpha")
+        alpha = _number(entry.get("alpha"), f"{where}: 'alpha'")
         return RationalMultiplier(p=(alpha,), q=(1.0,))
     if kind == "rational_multiplier":
+        _object(entry, where, "type", "p", "q")
         p, q = (_coefficients(entry, key, index) for key in ("p", "q"))
         if not (p and q):
-            raise ConfigurationError(f"operator {index + 1}: p and q need a coefficient each")
+            raise ConfigurationError(f"{where}: p and q need a coefficient each")
         return RationalMultiplier(p=p, q=q)
-    raise ConfigurationError(f"operator {index + 1}: unknown type {kind!r}")
+    raise ConfigurationError(f"{where}: unknown type {kind!r}")
 
 
 def _read_json(path: str) -> tuple[object, str]:
@@ -131,8 +150,12 @@ def load_problem(path: str) -> tuple[ProblemSpec, str]:
 
 
 def problem_from_dict(doc: dict) -> ProblemSpec:
+    """The problem a JSON document describes; any key outside the ones
+    README "Problem files" lists is refused."""
     try:
-        gdoc = doc["grid"]
+        _object(doc, "problem file", "grid", "components", "kernels", "operators",
+                "u0", "g", "rho", "constants")
+        gdoc = _object(doc["grid"], "grid", "d", "n", "L")
         grid = Grid(d=_integer(gdoc["d"], "grid 'd'"), n=_integer(gdoc["n"], "grid 'n'"),
                     L=_number(gdoc["L"], "grid 'L'"))
         n = _integer(doc["components"], "'components'")
@@ -150,23 +173,24 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
         operators = tuple(_parse_operator(e, i) for i, e in enumerate(doc["operators"]))
         g = NonlinearitySpec.from_strings([str(s) for s in doc["g"]])
         u0 = []
-        for entry in doc["u0"]:
+        for index, entry in enumerate(doc["u0"]):
             if isinstance(entry, str):
                 u0.append(parse_expr(entry, grid.d, "x"))
             elif isinstance(entry, dict) and entry.get("type") == "tabulated":
+                _object(entry, f"u0 entry {index + 1}", "type", "values")
                 u0.append(np.asarray(entry["values"], dtype=float))
             else:
                 raise ConfigurationError(
                     "u0 entries must be expression strings or tabulated objects")
         rho = _number(doc["rho"], "'rho'") if "rho" in doc else None
-        consts = doc.get("constants", {})
+        consts = _object(doc.get("constants", {}), "constants", "c_e", "c_a")
         c_e, c_a = (_number(consts[key], f"constants {key!r}") if key in consts else None
                     for key in ("c_e", "c_a"))
         return ProblemSpec(
             grid=grid, kernels=kernels, operators=operators, g=g, u0=tuple(u0),
             rho=rho, c_e_override=c_e, c_a_override=c_a,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"invalid problem file: {exc}") from exc
 
 
@@ -184,24 +208,30 @@ def _base_report(problem: ProblemSpec, digest: str, seed: int) -> dict:
     }
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
 
 def _check_pipeline(problem: ProblemSpec, digest: str, seed: int
-                    ) -> tuple[MaterializedProblem, analysis.ConstantsReport | None,
-                               bool, dict]:
+                    ) -> tuple[MaterializedProblem, analysis.ConstantsReport | None, dict]:
     """Materialize, compute constants, validate, and decide whether the
     problem is certified: every assumption holds and the contraction
     condition passes.  Returns the materialized problem, the constants
-    report (None when an assumption fails), the verdict, and the report
-    preamble that check, solve and continuity share, with its `constants`
-    and `assumptions` entries.  Degenerate data can make the constants
+    report (None when an assumption fails), and the report preamble that
+    check, solve and continuity share, with its `constants`, `assumptions`
+    and `certified` entries.  Degenerate data can make the constants
     uncomputable (e.g. a trivial kernel gives Q = 0, or the enclosure of
     the C1 bound refuses); that is an assumption failure, not an input
     error, so it lands in the validation report and the constants slot
@@ -229,31 +259,27 @@ def _check_pipeline(problem: ProblemSpec, digest: str, seed: int
                           "warnings": validation.warnings}
     if not validation.ok:
         report = None
-    return mat, report, report is not None and report.certificate.passed, doc
+    doc["certified"] = report is not None and report.certificate.passed
+    return mat, report, doc
 
 
 # --- subcommands ----------------------------------------------------------------
+# each returns its report and exit code; main writes the report
 
-def cmd_check(args) -> int:
-    problem, digest = load_problem(args.file)
-    _, _, certified, doc = _check_pipeline(problem, digest, args.seed)
-    doc["certified"] = certified
-    _emit(doc, args.out)
-    return EXIT_OK if certified else EXIT_HYPOTHESIS
+def cmd_check(args) -> tuple[dict, int]:
+    _, _, doc = _check_pipeline(*load_problem(args.file), args.seed)
+    return doc, EXIT_OK if doc["certified"] else EXIT_HYPOTHESIS
 
 
-def cmd_solve(args) -> int:
-    problem, digest = load_problem(args.file)
-    mat, report, certified, doc = _check_pipeline(problem, digest, args.seed)
-    doc["certified"] = certified
+def cmd_solve(args) -> tuple[dict, int]:
+    mat, report, doc = _check_pipeline(*load_problem(args.file), args.seed)
+    certified = doc["certified"]
     if report is None:  # an assumption fails
-        _emit(doc, args.out)
-        return EXIT_HYPOTHESIS
+        return doc, EXIT_HYPOTHESIS
     if not certified and not args.best_effort:
         doc["solve"] = {"refused": "problem is not certified; "
                                    "rerun with --best-effort to iterate anyway"}
-        _emit(doc, args.out)
-        return EXIT_HYPOTHESIS
+        return doc, EXIT_HYPOTHESIS
 
     try:
         solution, trace = solver.picard_solve(
@@ -263,13 +289,12 @@ def cmd_solve(args) -> int:
         doc["solve"] = {"converged": False, "error": str(exc),
                         "iterations": exc.iterations,
                         "last_delta": float(exc.last_delta)}
-        if args.trace and exc.trace is not None:
-            exc.trace.write_csv(args.trace)
-        _emit(doc, args.out)
-        return EXIT_NONCONVERGENCE
+        if args.trace:
+            _write(args.trace, exc.trace.to_csv())
+        return doc, EXIT_NONCONVERGENCE
 
     if args.trace:
-        trace.write_csv(args.trace)
+        _write(args.trace, trace.to_csv())
     # the spectra are known, so the norms need no transform; u = u0 + u_p
     # and u^ are formed in the solution's buffers, which the residual spends
     sigma = report.sigma
@@ -289,11 +314,10 @@ def cmd_solve(args) -> int:
     doc["solve"]["solution_norm"] = spectral.h2_norm(mat.grid, u_spectrum)
     doc["solve"]["residual_original_system"] = solver.residual_original_system(
         mat, u, u_spectrum, overwrite_input=True)
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_continuity(args) -> int:
+def cmd_continuity(args) -> tuple[dict, int]:
     problem, digest = load_problem(args.file)
     doc2, _ = _read_json(args.g2)
     if not (isinstance(doc2, dict) and isinstance(doc2.get("g"), list)
@@ -302,30 +326,20 @@ def cmd_continuity(args) -> int:
             "--g2 file must contain a 'g' list with the same component count")
     g2 = NonlinearitySpec.from_strings([str(s) for s in doc2["g"]])
 
-    mat, report, certified, doc = _check_pipeline(problem, digest, args.seed)
-    if not certified:
-        doc["certified"] = False
-        _emit(doc, args.out)
-        return EXIT_HYPOTHESIS
-
+    mat, report, doc = _check_pipeline(problem, digest, args.seed)
+    if not doc["certified"]:
+        return doc, EXIT_HYPOTHESIS
     try:
         cont = solver.continuity_experiment(mat, report, g2, tol=args.tol)
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, ConfigurationError) as exc:
         doc["continuity"] = {"error": str(exc)}
-        _emit(doc, args.out)
-        return EXIT_NONCONVERGENCE
-    except ConfigurationError as exc:
-        doc["continuity"] = {"error": str(exc)}
-        _emit(doc, args.out)
-        return EXIT_HYPOTHESIS
-
-    doc["certified"] = True
+        return doc, (EXIT_NONCONVERGENCE if isinstance(exc, NonConvergenceError)
+                     else EXIT_HYPOTHESIS)
     doc["continuity"] = cont.to_dict()
-    _emit(doc, args.out)
-    return EXIT_OK if cont.passed else EXIT_HYPOTHESIS
+    return doc, EXIT_OK if cont.passed else EXIT_HYPOTHESIS
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[dict, int]:
     from . import oracle  # no other subcommand runs the brute-force paths
 
     problem, digest = load_problem(args.file)
@@ -386,8 +400,7 @@ def cmd_oracle(args) -> int:
 
     doc = _base_report(problem, digest, args.seed)
     doc["oracle"] = {"grid_points": size, "checks": checks, "all_passed": bool(ok)}
-    _emit(doc, args.out)
-    return EXIT_OK if ok else EXIT_HYPOTHESIS
+    return doc, EXIT_OK if ok else EXIT_HYPOTHESIS
 
 
 # --- entry point -----------------------------------------------------------------
@@ -469,13 +482,11 @@ def main(argv=None) -> int:
         tol = getattr(args, "tol", None)
         if tol is not None and not 0.0 < tol < np.inf:
             raise ConfigurationError(f"--tol must be finite and positive, got {tol}")
-        return args.fn(args)
-    except AssumptionViolation as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except NonConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        if getattr(args, "max_iter", 1) < 1:
+            raise ConfigurationError(f"--max-iter must be at least 1, got {args.max_iter}")
+        doc, code = args.fn(args)
+        _emit(doc, args.out)
+        return code
     except QuadIntError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -119,10 +119,6 @@ class IterationTrace:
             buf.write(f"{k},{norm:.17g},{delta:.17g},{ratio:.17g},{bound:.17g}\n")
         return buf.getvalue()
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
-
 
 @dataclass(frozen=True)
 class Solution:

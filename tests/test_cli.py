@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -11,11 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadint
 from quadint import analysis, cli, exprdsl, model
 from quadint.cli import main
 from quadint.errors import ExpressionSyntaxError
+from quadint.exprdsl import FUNCTIONS, Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var
 from quadint.spectral import Grid
 
 import support
@@ -382,6 +388,19 @@ class TestSolve:
         assert code == 1
         assert doc["assumptions"]["violations"]
 
+    @pytest.mark.parametrize("name", ["gaussian_certified", "gaussian_uncertified"])
+    def test_max_iter_below_one_is_input_error(self, capsys, monkeypatch, name):
+        # refused before the file is read; 0.9.0 blamed the tolerance on the
+        # certified problem and exited 1 on the uncertified one
+        loaded = []
+        monkeypatch.setattr(cli, "load_problem", lambda path: loaded.append(path))
+        code = main(["solve", str(PROBLEMS / f"{name}.json"), "--max-iter", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --max-iter must be at least 1, got 0\n"
+        assert loaded == []
+
 
 class TestContinuity:
     def test_identical_nonlinearity(self, tmp_path, capsys):
@@ -420,6 +439,17 @@ class TestContinuity:
         assert code == 1
         assert doc["constants"]["provenance"]["M"] == "rigorous-bound"
         assert doc["continuity"] == {"error": UNENCLOSED_M.format(0.405241).replace(
+            "C1 bound of g", "C1 bound of g2")}
+
+    def test_failed_experiment_keeps_the_verdict(self, tmp_path, capsys):
+        # the problem certifies, and M of a g2 with a pole inside the state
+        # ball cannot be enclosed; 0.9.0 wrote no `certified` key here
+        path = write_problem(tmp_path, POLE_OUTSIDE)
+        g2 = write_problem(tmp_path, {"g": POLE_INSIDE["g"]}, "g2.json")
+        code, doc = run(capsys, "continuity", path, "--g2", g2)
+        assert code == 1
+        assert doc["certified"] is True
+        assert doc["continuity"] == {"error": UNENCLOSED_M.format(0.496908).replace(
             "C1 bound of g", "C1 bound of g2")}
 
     def test_unenclosed_distance_is_refused(self, tmp_path, capsys, monkeypatch):
@@ -777,6 +807,36 @@ class TestParser:
             assert main(["--version"]) == 0
             assert capsys.readouterr().out == f"quadint {quadint.__version__}\n"
         assert cli.build_parser.cache_info().misses == 1
+
+
+class TestWriteErrors:
+    """A report or trace that cannot be written is an input error: exit 2
+    and one line on stderr.  0.9.0 ended each case in a traceback."""
+
+    CASES = [("check", "--out"), ("solve", "--out"), ("solve", "--trace")]
+
+    @staticmethod
+    def argv(tmp_path, command, option):
+        path = write_problem(tmp_path, POLE_OUTSIDE)
+        return [command, path, option, str(tmp_path / "missing" / "out")]
+
+    @pytest.mark.parametrize("command, option", CASES)
+    def test_unwritable_path_is_input_error(self, tmp_path, capsys, command, option):
+        code = main(self.argv(tmp_path, command, option))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path / 'missing' / 'out'}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, option", CASES)
+    def test_unwritable_path_in_a_process(self, tmp_path, command, option):
+        proc = run_python("-m", "quadint.cli", *self.argv(tmp_path, command, option))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot write ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:
@@ -1233,6 +1293,63 @@ class TestProblemInputs:
         assert main(["check", path]) == 2
         assert capsys.readouterr().err == f"error: {name} must be a finite number\n"
 
+    @pytest.mark.parametrize("change, message", [
+        ({"Rho": 0.5}, "problem file: unknown key 'Rho'"),
+        ({"constants": {"C_E": 0.3}}, "constants: unknown key 'C_E'"),
+        ({"constants": {"c_e": 0.4, "c_a\n": 2.0}}, "constants: unknown key 'c_a\\n'"),
+        ({"constants": "c_e"}, "constants must be an object"),
+        ({"constants": None}, "constants must be an object"),
+        ({"grid": {"d": 2, "n": 16, "L": 8.0, "l": 8.0}}, "grid: unknown key 'l'"),
+        ({"grid": [2, 16, 8.0]}, "grid must be an object"),
+        ({"kernels": [{"type": "gaussian", "alpha": 1.0, "expr": "1"}]},
+         "kernel 1: unknown key 'expr'"),
+        ({"kernels": [{"type": "expression", "expr": "exp(-x1^2)", "alpha": 1.0}]},
+         "kernel 1: unknown key 'alpha'"),
+        ({"kernels": [{"type": "tabulated", "value": [[1.0] * 64] * 64}]},
+         "kernel 1: unknown key 'value'"),
+        ({"operators": [{"type": "inverse_helmholtz", "alpha": 1.0}]},
+         "operator 1: unknown key 'alpha'"),
+        ({"operators": [{"type": "scaled_identity", "alpha": 0.5, "p": [1.0]}]},
+         "operator 1: unknown key 'p'"),
+        ({"operators": [{"type": "rational_multiplier", "p": [1.0], "q": [1.0], "r": [1.0]}]},
+         "operator 1: unknown key 'r'"),
+        ({"u0": [{"type": "tabulated", "values": [[0.1] * 64] * 64, "Values": []}]},
+         "u0 entry 1: unknown key 'Values'"),
+    ])
+    def test_unknown_keys_are_input_errors(self, tmp_path, capsys, change, message):
+        # 0.9.0 ignored every one of these keys, and read "c_e" as a string
+        path = write_problem(tmp_path, dict(CERTIFIED, **change))
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("section", ["kernels", "u0"])
+    def test_tabulated_integer_beyond_the_doubles_is_input_error(self, tmp_path, capsys,
+                                                                 section):
+        # found by TestMutatedProblems: 0.9.0 ended in an OverflowError traceback
+        entry = {"type": "tabulated", "values": [[10 ** 400]]}
+        path = write_problem(tmp_path, dict(CERTIFIED, **{section: [entry]}))
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid problem file: int too large to convert to float\n")
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        path = write_problem(tmp_path, [CERTIFIED])
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == "error: problem file must be an object\n"
+
+    def test_every_listed_key_loads(self):
+        tabulated = {"type": "tabulated", "values": [[0.0] * 16] * 16}
+        problem = cli.problem_from_dict(dict(
+            CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0}, components=3, g=["z1", "z2", "z3"],
+            kernels=[{"type": "gaussian", "alpha": 1.0}, tabulated,
+                     {"type": "expression", "expr": "exp(-x1^2)"}],
+            operators=[{"type": "inverse_helmholtz"}, {"type": "scaled_identity", "alpha": 0.5},
+                       {"type": "rational_multiplier", "p": [1.0], "q": [1.0]}],
+            u0=["0.1", tabulated, "0.2"], rho=0.5, constants={"c_e": 0.4, "c_a": 2.5}))
+        assert (problem.rho, problem.c_e_override, problem.c_a_override) == (0.5, 0.4, 2.5)
+
     def test_kernel_syntax_error_is_refused_at_load(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(model, "materialize", lambda *a, **k: calls.append(a))
@@ -1242,6 +1359,101 @@ class TestProblemInputs:
             assert main([command, path]) == 2
             assert capsys.readouterr().err == "error: expected ')' (byte offset 9)\n"
         assert calls == []
+
+
+# valid problems at n <= 16 for the mutations below: the canonical problem
+# with every optional key, and one with each other kernel, operator and u0
+# form, whose tabulated rows are few enough to be mutated one by one
+MUTABLE_PROBLEMS = (
+    dict(POLE_OUTSIDE, g=["z1^2"], rho=0.8, constants={"c_e": 0.36, "c_a": 2.1}),
+    {
+        "grid": {"d": 2, "n": 4, "L": 2.0},
+        "components": 2,
+        "kernels": [{"type": "gaussian", "alpha": 1.0},
+                    {"type": "tabulated",
+                     "values": [[0.01, 0.02, 0.01, 0.0] for _ in range(4)]}],
+        "operators": [{"type": "scaled_identity", "alpha": 0.5},
+                      {"type": "rational_multiplier", "p": [1.0], "q": [1.0, 1.0]}],
+        "u0": ["0.1*exp(-x1^2-x2^2)",
+               {"type": "tabulated", "values": [[0.0, 0.05, 0.0, 0.05] for _ in range(4)]}],
+        "g": ["z1*z2", "z1^2"],
+    },
+)
+
+ODD_VALUES = st.sampled_from(["", "1", True, False, None, [], [1.0], float("nan"), 10 ** 400])
+
+# g components over z1, z2: every node kind, and literals that reach the
+# domain faults and overflows of the enclosures and of the evaluator
+G_TREES = st.recursive(
+    st.builds(Var, st.just("z"), st.integers(1, 2))
+    | st.builds(Num, st.sampled_from((0.0, 0.5, -2.0, 1e-9, 1e200))),
+    lambda tree: st.one_of(
+        st.builds(Neg, tree),
+        st.builds(Pow, tree, st.integers(0, 12)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), tree),
+        *(st.builds(node, tree, tree) for node in (Add, Sub, Mul, Div))),
+    max_leaves=8)
+
+
+def _containers(doc):
+    """doc and every dict or list nested in it."""
+    yield doc
+    for value in (doc.values() if isinstance(doc, dict) else doc):
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+@st.composite
+def mutated_problems(draw):
+    """A valid problem with one change: a key or entry dropped, an unknown
+    key added, a value swapped for a string, bool, null, list, NaN or
+    10**400, or a generated g."""
+    doc = copy.deepcopy(draw(st.sampled_from(MUTABLE_PROBLEMS)))
+    kind = draw(st.sampled_from(("drop", "add", "swap", "g")))
+    if kind == "g":
+        size = len(doc["g"])
+        doc["g"] = [support.to_string(tree)
+                    for tree in draw(st.lists(G_TREES, min_size=size, max_size=size))]
+        return doc
+    containers = [c for c in _containers(doc) if c or kind == "add"]
+    if kind == "add":
+        container = draw(st.sampled_from([c for c in containers if isinstance(c, dict)]))
+        container[draw(st.text(max_size=6))] = draw(ODD_VALUES)
+        return doc
+    container = draw(st.sampled_from(containers))
+    key = draw(st.sampled_from(list(container) if isinstance(container, dict)
+                               else range(len(container))))
+    if kind == "drop":
+        del container[key]
+    else:
+        container[key] = draw(ODD_VALUES)
+    return doc
+
+
+class TestMutatedProblems:
+    """Any problem file ends in a documented exit code: 0 or 1 with a
+    report that holds the verdict, or 2 with one line on stderr; never a
+    traceback or a warning."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=mutated_problems())
+    def test_check_keeps_the_exit_contract(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            code = main(["check", str(path)])
+        err = err.getvalue()
+        assert caught == []
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err and "Warning" not in err
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        if code in (0, 1):
+            assert isinstance(json.loads(out.getvalue())["certified"], bool)
 
 
 def test_only_the_oracle_subcommand_imports_oracle(tmp_path):

@@ -447,12 +447,10 @@ class TestMapProperties:
 
 
 class TestTrace:
-    def test_csv_format(self, certified, tmp_path):
+    def test_csv_format(self, certified):
         mat, report = certified
         _, trace = picard_solve(mat, report)
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path)
-        lines = path.read_text().strip().split("\n")
+        lines = trace.to_csv().strip().split("\n")
         assert lines[0] == "k,norm,delta,ratio,apost_bound"
         assert len(lines) == len(trace.ks) + 1
         first = lines[1].split(",")
