@@ -136,11 +136,11 @@ def _read_json(path: str) -> tuple[object, str]:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"malformed JSON in {path}: {exc}") from exc
+        raise ConfigurationError(f"malformed JSON in {path!r}: {exc}") from exc
 
 
 def load_problem(path: str) -> tuple[ProblemSpec, str]:
@@ -196,11 +196,10 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
 
 # --- report assembly ----------------------------------------------------------
 
-def _base_report(problem: ProblemSpec, digest: str, seed: int) -> dict:
+def _base_report(problem: ProblemSpec, digest: str) -> dict:
     return {
         "tool": {"name": "quadint", "version": __version__},
         "input": {"sha256": digest},
-        "seed": seed,
         "problem": {
             "d": problem.grid.d, "n": problem.grid.n, "L": problem.grid.L,
             "components": problem.n,
@@ -213,7 +212,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -224,8 +223,8 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_pipeline(problem: ProblemSpec, digest: str, seed: int
-                    ) -> tuple[MaterializedProblem, analysis.ConstantsReport | None, dict]:
+def _check_pipeline(problem: ProblemSpec, digest: str) -> tuple[
+        MaterializedProblem, analysis.ConstantsReport | None, dict]:
     """Materialize, compute constants, validate, and decide whether the
     problem is certified: every assumption holds and the contraction
     condition passes.  Returns the materialized problem, the constants
@@ -249,11 +248,10 @@ def _check_pipeline(problem: ProblemSpec, digest: str, seed: int
     # the report's state ball, which is also there when the constants failed
     r_state = analysis.ball_radius_state(
         analysis.problem_embedding_constant(problem), mat.u0_norm)
-    validation = model.validate_assumptions(mat, ball_radius=r_state,
-                                            sample_seed=seed)
+    validation = model.validate_assumptions(mat, ball_radius=r_state)
     if failure is not None:
         validation.violations.append(f"constants computation failed: {failure}")
-    doc = _base_report(problem, digest, seed)
+    doc = _base_report(problem, digest)
     doc["constants"] = report.to_dict() if report is not None else None
     doc["assumptions"] = {"violations": validation.violations,
                           "warnings": validation.warnings}
@@ -267,12 +265,12 @@ def _check_pipeline(problem: ProblemSpec, digest: str, seed: int
 # each returns its report and exit code; main writes the report
 
 def cmd_check(args) -> tuple[dict, int]:
-    _, _, doc = _check_pipeline(*load_problem(args.file), args.seed)
+    _, _, doc = _check_pipeline(*load_problem(args.file))
     return doc, EXIT_OK if doc["certified"] else EXIT_HYPOTHESIS
 
 
 def cmd_solve(args) -> tuple[dict, int]:
-    mat, report, doc = _check_pipeline(*load_problem(args.file), args.seed)
+    mat, report, doc = _check_pipeline(*load_problem(args.file))
     certified = doc["certified"]
     if report is None:  # an assumption fails
         return doc, EXIT_HYPOTHESIS
@@ -326,7 +324,7 @@ def cmd_continuity(args) -> tuple[dict, int]:
             "--g2 file must contain a 'g' list with the same component count")
     g2 = NonlinearitySpec.from_strings([str(s) for s in doc2["g"]])
 
-    mat, report, doc = _check_pipeline(problem, digest, args.seed)
+    mat, report, doc = _check_pipeline(problem, digest)
     if not doc["certified"]:
         return doc, EXIT_HYPOTHESIS
     try:
@@ -398,7 +396,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
                    "M": float(report.M), "dense_reference": float(dense_total),
                    "passed": bool(sup_ok)})
 
-    doc = _base_report(problem, digest, args.seed)
+    doc = _base_report(problem, digest)
     doc["oracle"] = {"grid_points": size, "checks": checks, "all_passed": bool(ok)}
     return doc, EXIT_OK if ok else EXIT_HYPOTHESIS
 
@@ -430,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("file", help="JSON problem file")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed of the random points of the assumption probe "
-                            "and of the oracle's checks (default 0)")
+                       help="seed of the random points of the oracle's checks "
+                            "(default 0); the other subcommands only record it")
         p.add_argument("--out", default=None, help="write the JSON report here "
                                                    "instead of stdout")
 
@@ -485,6 +483,7 @@ def main(argv=None) -> int:
         if getattr(args, "max_iter", 1) < 1:
             raise ConfigurationError(f"--max-iter must be at least 1, got {args.max_iter}")
         doc, code = args.fn(args)
+        doc["seed"] = args.seed
         _emit(doc, args.out)
         return code
     except QuadIntError as exc:

@@ -519,7 +519,9 @@ def _enclose(exprs: Sequence[Expr], boxes: dict, affine: bool) -> list[np.ndarra
     with np.errstate(all="ignore"):
         for vn, (t, a, b, attribute) in enumerate(nodes):  # operands come first
             if t is Num:
-                v = np.full((2, 1), a) if math.isfinite(a) else None
+                if not math.isfinite(a):
+                    raise NumericOverflowError("evaluation produced a non-finite value")
+                v = np.full((2, 1), a)
             elif t is Var:
                 v = boxes[a]
             elif t is Add:
@@ -556,8 +558,8 @@ def enclose_many(exprs: Sequence[Expr], boxes: dict) -> list[np.ndarray] | None:
     variable index the expressions read to its (2, boxes) array of lower
     and upper endpoints.  Returns one (2, boxes) array per expression, each
     holding every value the expression takes in each box, or None when a
-    literal is not finite, a divisor may be 0 or a sqrt argument may be
-    negative; an endpoint that is not finite raises NumericOverflowError.
+    divisor may be 0 or a sqrt argument may be negative; a literal or an
+    endpoint that is not finite raises NumericOverflowError.
     Each distinct subtree is enclosed once."""
     return _enclose(exprs, boxes, False)
 
@@ -884,8 +886,3 @@ class NonlinearitySpec:
              for m in range(self.n)]
         )
 
-
-def check_zero_at_origin(g: NonlinearitySpec) -> bool:
-    """Every component must vanish at z = 0 (up to 1e-14)."""
-    origin = [0.0] * g.n
-    return all(abs(evaluate(c, origin)) <= 1e-14 for c in g.components)

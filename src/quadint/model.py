@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exprdsl, sampling, spectral
+from . import exprdsl, spectral
 from .errors import AssumptionViolation, ConfigurationError, NumericOverflowError
 from .exprdsl import Expr, NonlinearitySpec
 from .spectral import Grid
@@ -323,13 +323,13 @@ class ValidationReport:
 
 
 def validate_assumptions(mat: MaterializedProblem,
-                         ball_radius: float | None = None,
-                         sample_seed: int = 0) -> ValidationReport:
+                         ball_radius: float | None = None) -> ValidationReport:
     """Check the structural hypotheses of the problem data and collect every
     violation instead of stopping at the first.
 
-    `ball_radius` is the radius of the state ball on which the nonlinearity
-    must not vanish identically; when omitted a unit ball is probed.
+    g(0) = 0 and a g not identically zero on the state ball of radius
+    `ball_radius` (1 when omitted) are decided by enclosures at fixed
+    points (README, "The structural checks").
     """
     report = ValidationReport()
     spec = mat.spec
@@ -349,18 +349,26 @@ def validate_assumptions(mat: MaterializedProblem,
             report.warnings.append(
                 f"initial data component {m + 1} has relative tail mass {frac:.3e}")
 
-    if not exprdsl.check_zero_at_origin(spec.g):
+    # one point box per column: the origin, +-(r/2) e_j, +-(r/2)(1,...,1)/sqrt(N),
+    # and (r/2)(1, -2, 3, ...)/|(1, 2, 3, ...)|; an enclosure that excludes 0
+    # proves that g is not 0 at its point
+    h = 0.5 * (1.0 if ball_radius is None else float(ball_radius))
+    j = np.arange(1.0, spec.n + 1.0)
+    spokes = np.column_stack([np.eye(spec.n) * h, np.full(spec.n, h / math.sqrt(spec.n))])
+    points = np.column_stack([np.zeros(spec.n), spokes, -spokes,
+                              h * np.where(j % 2, j, -j) / math.sqrt(j @ j)])
+    values = exprdsl.enclose_many(spec.g.components,
+                                  {m + 1: np.stack([p, p]) for m, p in enumerate(points)})
+    proved = np.zeros(points.shape[1], dtype=bool)
+    for v in values or ():
+        proved |= (v[0] > 0) | (v[1] < 0)
+    if proved[0]:
         report.violations.append("nonlinearity does not vanish at the origin")
-
-    r = 1.0 if ball_radius is None else float(ball_radius)
-    pts = sampling.random_ball_points(spec.n, r, 256, seed=sample_seed)
-    cols = [pts[:, j] for j in range(spec.n)]
-    try:
-        values = exprdsl.evaluate_many(spec.g.components, cols)
-        if all(np.max(np.abs(v)) <= 1e-14 for v in values):
-            report.violations.append("nonlinearity vanishes identically on the state ball")
-    except Exception as exc:  # domain fault inside the probed ball
-        report.violations.append(f"nonlinearity evaluation failed on the state ball: {exc}")
+    if not proved[1:].any():
+        report.violations.append("nonlinearity is not proved non-zero on the state ball: " + (
+            "its enclosure excludes 0 at none of the probe points" if values else
+            "its enclosure at the probe points refuses (a divisor may vanish, or a "
+            "square-root argument may be negative)"))
 
     for m, norm in enumerate(mat.operator_norms):
         if norm == 0.0:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import OracleBudgetError
 from .exprdsl import NonlinearitySpec, evaluate, evaluate_many
-from .sampling import random_ball_points
 from .spectral import Grid
 
 
@@ -65,6 +64,17 @@ def finite_diff_gradient(g: NonlinearitySpec, z) -> np.ndarray:
             out[m, j] = (evaluate(g.components[m], zp) -
                          evaluate(g.components[m], zm)) / (2.0 * h)
     return out
+
+
+def random_ball_points(n: int, radius: float, count: int, seed=0) -> np.ndarray:
+    """Pseudo-random points uniform in the closed ball of R^n, shape
+    (count, n): Gaussian directions from np.random.default_rng(seed), and
+    radius r u^(1/n) for a uniform u."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((count, n))
+    radii = np.linalg.norm(pts, axis=1, keepdims=True)
+    radii[radii == 0.0] = 1.0
+    return pts / radii * (radius * rng.uniform(0, 1, (count, 1)) ** (1.0 / n))
 
 
 def dense_c1_norm(g: NonlinearitySpec, radius: float, samples: int,

@@ -17,7 +17,7 @@ from quadint.analysis import algebra_constant, embedding_constant
 from quadint.exprdsl import (Add, Call, Div, Expr, Mul, Neg, NonlinearitySpec, Num,
                              Pow, Sub, Var, evaluate_many, fold_mul)
 from quadint.model import RationalMultiplier
-from quadint.sampling import random_ball_points
+from quadint.oracle import random_ball_points
 from quadint.spectral import Grid
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from quadint import analysis, exprdsl, sampling
+from quadint import analysis, exprdsl, oracle
 from quadint.analysis import (ConstantsReport, algebra_constant,
                               ball_radius_state, check_contraction_condition,
                               c1_distance, compute_Q, constants_report,
@@ -197,7 +197,7 @@ class TestEstimateM:
         cover = analysis.box_cover(k, 0.7)
         assert cover.shape == (k, 2, boxes)
         assert all(np.unique(cover[j]).size == per_axis + 1 for j in range(k))
-        inner = sampling.random_ball_points(k, 0.7, 2000, seed=1)
+        inner = oracle.random_ball_points(k, 0.7, 2000, seed=1)
         points = np.vstack([inner, inner / np.linalg.norm(inner, axis=1, keepdims=True) * 0.7])
         inside = (cover[:, 0] <= points[:, :, None]) & (points[:, :, None] <= cover[:, 1])
         assert np.all(np.any(np.all(inside, axis=1), axis=1))
@@ -206,7 +206,7 @@ class TestEstimateM:
         def refuse(*args, **kwargs):
             raise AssertionError("M drew points")
 
-        monkeypatch.setattr(sampling, "random_ball_points", refuse)
+        monkeypatch.setattr(oracle, "random_ball_points", refuse)
         g = NonlinearitySpec.from_strings(["tanh(z1*z2)", "sin(z2)"])
         assert estimate_M(g, 1.0) > 0.0
         assert c1_distance(g, support.scaled(g, 1.5), 1.0) > 0.0

@@ -56,6 +56,11 @@ TANH = {
 TANH_UNENCLOSED = dict(TANH, g=["tanh(z1*z2)+sqrt(z1-z1)", "tanh(z2*z1)"])
 UNENCLOSED_M = ("the C1 bound of g cannot be enclosed on the state ball of radius {} "
                 "(a divisor may vanish, or a square-root argument may be negative)")
+# the structural check's violation when g cannot be enclosed at its probe
+# points: on a point box, z1 - z1 encloses to an interval that holds 0
+UNENCLOSED_G = ("nonlinearity is not proved non-zero on the state ball: its enclosure "
+                "at the probe points refuses (a divisor may vanish, or a square-root "
+                "argument may be negative)")
 
 # the canonical problem at n = 16, whose state ball has radius 0.497, with a
 # g that has a pole at z1 = 0.1, inside the ball, or at z1 = 1/1.9 = 0.526,
@@ -129,7 +134,7 @@ class TestCheck:
             assert doc["certified"] is False
             assert doc["constants"] is None
             assert doc["assumptions"]["violations"] == [
-                "constants computation failed: " + UNENCLOSED_M.format(0.405241)]
+                UNENCLOSED_G, "constants computation failed: " + UNENCLOSED_M.format(0.405241)]
 
     def test_pole_inside_the_state_ball_is_not_certified(self, tmp_path, capsys):
         # 0.8.0 sampled M = 4.2e-4 here and certified the problem
@@ -154,14 +159,44 @@ class TestCheck:
         assert code == 2
 
     def test_malformed_json_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, _ = run(capsys, "check", str(path))
-        assert code == 2
+        # a newline in the path stays inside the one stderr line
+        for name in ("broken.json", "bro\nken.json"):
+            path = tmp_path / name
+            path.write_text("{not json")
+            assert main(["check", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: malformed JSON in {str(path)!r}: ")
+            assert err.count("\n") == 1
 
-    def test_missing_file_is_input_error(self, capsys):
-        code, _ = run(capsys, "check", "/nonexistent/problem.json")
-        assert code == 2
+    def test_missing_file_is_input_error(self, tmp_path, capsys):
+        for path in ("/nonexistent/problem.json", str(tmp_path / "no\nfile.json")):
+            assert main(["check", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read {path!r}: ")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("g, violations", [
+        ("1e-14*z1^2", []),
+        ("1e-20*z1^2", []),
+        ("z1+1", ["nonlinearity does not vanish at the origin"]),
+        ("z1+1e-15", ["nonlinearity does not vanish at the origin"]),
+    ])
+    def test_structural_hypotheses_have_no_threshold(self, tmp_path, capsys, g, violations):
+        # 0.10.0 flagged both small g as vanishing on the state ball and
+        # certified z1 + 1e-15, whose g(0) is not 0
+        code, doc = run(capsys, "check", write_problem(tmp_path, dict(POLE_INSIDE, g=[g])))
+        assert doc["assumptions"]["violations"] == violations
+        assert doc["certified"] is (not violations)
+        assert code == (1 if violations else 0)
+
+    def test_removable_singularity_is_not_certified(self, tmp_path, capsys):
+        # z1^2/z1 is undefined at the origin: 0.10.0 exited 2 with "division by zero"
+        code, doc = run(capsys, "check",
+                        write_problem(tmp_path, dict(POLE_INSIDE, g=["z1^2/z1"])))
+        assert code == 1
+        assert doc["certified"] is False
+        assert doc["assumptions"]["violations"] == [
+            UNENCLOSED_G, "constants computation failed: " + UNENCLOSED_M.format(0.496908)]
 
     def test_wrong_section_length_is_input_error(self, tmp_path, capsys):
         doc_in = dict(CERTIFIED, g=["z1^2", "z1^2"])
@@ -230,9 +265,9 @@ class TestCheck:
         radii = []
         real = model.validate_assumptions
 
-        def recording(mat, ball_radius=None, sample_seed=0):
+        def recording(mat, ball_radius=None):
             radii.append(ball_radius)
-            return real(mat, ball_radius=ball_radius, sample_seed=sample_seed)
+            return real(mat, ball_radius=ball_radius)
 
         monkeypatch.setattr(model, "validate_assumptions", recording)
         base = dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0},
@@ -510,7 +545,7 @@ class TestContinuity:
                           str(PROBLEMS / "gaussian_certified.json"), "--g2", str(g2))
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr.startswith(f"error: malformed JSON in {g2}: ")
+        assert proc.stderr.startswith(f"error: malformed JSON in {str(g2)!r}: ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
@@ -816,18 +851,21 @@ class TestWriteErrors:
     CASES = [("check", "--out"), ("solve", "--out"), ("solve", "--trace")]
 
     @staticmethod
-    def argv(tmp_path, command, option):
+    def argv(tmp_path, command, option, directory="missing"):
         path = write_problem(tmp_path, POLE_OUTSIDE)
-        return [command, path, option, str(tmp_path / "missing" / "out")]
+        return [command, path, option, str(tmp_path / directory / "out")]
 
     @pytest.mark.parametrize("command, option", CASES)
     def test_unwritable_path_is_input_error(self, tmp_path, capsys, command, option):
-        code = main(self.argv(tmp_path, command, option))
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot write {tmp_path / 'missing' / 'out'}: ")
-        assert captured.err.count("\n") == 1
+        # a newline in the path stays inside the one stderr line
+        for directory in ("missing", "no\ndir"):
+            code = main(self.argv(tmp_path, command, option, directory))
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith(
+                f"error: cannot write {str(tmp_path / directory / 'out')!r}: ")
+            assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command, option", CASES)
     def test_unwritable_path_in_a_process(self, tmp_path, command, option):
@@ -853,6 +891,20 @@ class TestDeterminism:
         assert main(["check", path, "--seed", "7", "--out", str(out1)]) == code
         assert main(["check", path, "--seed", "7", "--out", str(out2)]) == code
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("g", ["z1^2", "sqrt(z1)", "sqrt(z1+0.494)-sqrt(0.494)"])
+    def test_reports_do_not_depend_on_the_seed(self, tmp_path, capsys, g):
+        # the seed drives only the oracle.  In 0.10.0 the 256 random points
+        # of the structural check reached the last g's square root below 0
+        # at seed 7 and not at seed 0, and the two reports differed
+        path = write_problem(tmp_path, dict(POLE_INSIDE, g=[g]))
+        for argv in (["check", path], ["solve", path], ["continuity", path, "--g2", path]):
+            reports = []
+            for seed in (0, 7):
+                code, doc = run(capsys, *argv, "--seed", str(seed))
+                assert doc.pop("seed") == seed
+                reports.append((code, doc))
+            assert reports[0] == reports[1]
 
     def test_solve_reports_and_traces_are_byte_identical(self, tmp_path, capsys):
         path = write_problem(tmp_path, CERTIFIED)
@@ -1435,16 +1487,19 @@ class TestMutatedProblems:
     report that holds the verdict, or 2 with one line on stderr; never a
     traceback or a warning."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(doc=mutated_problems())
-    def test_check_keeps_the_exit_contract(self, tmp_path_factory, doc):
+    @staticmethod
+    def mutated_file(tmp_path_factory, doc) -> str:
         path = tmp_path_factory.getbasetemp() / "mutated.json"
         path.write_text(json.dumps(doc))
+        return str(path)
+
+    @staticmethod
+    def assert_exit_contract(argv):
         out, err = io.StringIO(), io.StringIO()
         with (warnings.catch_warnings(record=True) as caught,
               contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
             warnings.simplefilter("always")
-            code = main(["check", str(path)])
+            code = main(argv)
         err = err.getvalue()
         assert caught == []
         assert code in (0, 1, 2, 3)
@@ -1455,19 +1510,33 @@ class TestMutatedProblems:
         if code in (0, 1):
             assert isinstance(json.loads(out.getvalue())["certified"], bool)
 
+    @settings(max_examples=400, deadline=None)
+    @given(doc=mutated_problems())
+    def test_check_keeps_the_exit_contract(self, tmp_path_factory, doc):
+        self.assert_exit_contract(["check", self.mutated_file(tmp_path_factory, doc)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=mutated_problems())
+    def test_solve_and_continuity_keep_the_exit_contract(self, tmp_path_factory, doc):
+        # continuity compares the file's g with itself, read again by --g2
+        path = self.mutated_file(tmp_path_factory, doc)
+        self.assert_exit_contract(["solve", path])
+        self.assert_exit_contract(["continuity", path, "--g2", path])
+
 
 def test_only_the_oracle_subcommand_imports_oracle(tmp_path):
     path = write_problem(tmp_path, dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0}))
     code = (
         "import sys\n"
         "import quadint.cli\n"
-        "for command in ('check', 'solve', 'oracle'):\n"
-        "    rc = quadint.cli.main([command, sys.argv[1], '--out', sys.argv[2]])\n"
-        "    print(rc, 'quadint.oracle' in sys.modules)\n"
+        "for argv in (['check'], ['solve'], ['continuity', '--g2', sys.argv[1]], ['oracle']):\n"
+        "    rc = quadint.cli.main([*argv, sys.argv[1], '--out', sys.argv[2]])\n"
+        "    print(rc, 'quadint.oracle' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
     proc = run_python("-c", code, path, str(tmp_path / "report.json"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False", "0", "False", "0", "True"]
+    # only the oracle draws random points, so only it loads numpy.random
+    assert proc.stdout.split() == ["0", "False", "False"] * 3 + ["0", "True", "True"]
 
 
 def test_non_polynomial_solve_loads_no_scipy(tmp_path):

@@ -16,7 +16,7 @@ from quadint import exprdsl as dsl
 from quadint.errors import (ExpressionDomainError, ExpressionSyntaxError, NumericOverflowError,
                             QuadIntError)
 from quadint.exprdsl import (Add, Call, Div, Mul, Neg, NonlinearitySpec, Num, Pow, Sub,
-                             Var, check_zero_at_origin, differentiate,
+                             Var, differentiate,
                              evaluate, evaluate_many, laplacian_symbolic, parse)
 
 
@@ -650,11 +650,6 @@ class TestNonlinearitySpec:
         assert g.gradient[1][0] == Num(0.0)
         assert g.gradient[1][1] == Num(1.0)
         assert np.allclose(g.gradient_at((1.0, 2.0)), [[2.0, 1.0], [0.0, 1.0]])
-
-    def test_zero_at_origin(self):
-        assert check_zero_at_origin(NonlinearitySpec.from_strings(["z1*z2", "z1^2"]))
-        assert not check_zero_at_origin(NonlinearitySpec.from_strings(["z1+1"]))
-        assert check_zero_at_origin(NonlinearitySpec.from_strings(["sin(z1)"]))
 
     def test_scaled(self):
         g = NonlinearitySpec.from_strings(["z1^2"])

@@ -15,7 +15,7 @@ from quadint.model import (GaussianKernel, ProblemSpec, RationalMultiplier, mate
 from quadint.spectral import Grid
 
 import support
-from conftest import cosine_x1, h2, make_certified_problem
+from conftest import cosine_x1, h2, make_certified_problem, make_two_component_problem
 from support import INVERSE_HELMHOLTZ, scaled_identity
 
 
@@ -448,8 +448,61 @@ class TestValidation:
         bad = dataclasses.replace(base, g=NonlinearitySpec.from_strings(["0*z1"]))
         mat = materialize(bad, strict=False)
         report = validate_assumptions(mat)
-        assert any("vanishes identically on the state ball" in v
-                   for v in report.violations)
+        assert report.violations == [
+            "nonlinearity is not proved non-zero on the state ball: its enclosure "
+            "excludes 0 at none of the probe points"]
+
+    def test_widened_enclosures_prove_nothing(self, monkeypatch):
+        # z1^2 is proved non-zero; with every enclosure of g widened to
+        # contain 0, the same problem is not
+        mat = materialize(make_certified_problem(n=16))
+        assert validate_assumptions(mat).ok
+        real = model.exprdsl.enclose_many
+
+        def widened(exprs, boxes):
+            return [np.stack([np.minimum(v[0], 0.0), np.maximum(v[1], 0.0)])
+                    for v in real(exprs, boxes)]
+
+        monkeypatch.setattr(model.exprdsl, "enclose_many", widened)
+        assert validate_assumptions(mat).violations == [
+            "nonlinearity is not proved non-zero on the state ball: its enclosure "
+            "excludes 0 at none of the probe points"]
+
+    def test_zero_at_origin(self):
+        # g(0) != 0 is proved by an enclosure at the origin that excludes 0
+        def vanishes_at_origin(problem):
+            report = validate_assumptions(materialize(problem, strict=False))
+            return "nonlinearity does not vanish at the origin" not in report.violations
+
+        def with_g(text):
+            return dataclasses.replace(make_certified_problem(n=16),
+                                       g=NonlinearitySpec.from_strings([text]))
+
+        assert vanishes_at_origin(make_two_component_problem())  # z1*z2, z1^2
+        assert not vanishes_at_origin(with_g("z1+1"))
+        assert vanishes_at_origin(with_g("sin(z1)"))
+
+    def test_probe_points_lie_in_the_ball(self, monkeypatch):
+        # g is enclosed on point boxes: the origin, and 2N + 3 points at
+        # distance r/2, one with distinct coordinates of alternating sign
+        boxes = []
+        real = model.exprdsl.enclose_many
+        monkeypatch.setattr(model.exprdsl, "enclose_many",
+                            lambda exprs, b: boxes.append(b) or real(exprs, b))
+        base = make_certified_problem(n=16)
+        for n in (1, 2, 5):
+            g = NonlinearitySpec.from_strings([f"z{m + 1}^2" for m in range(n)])
+            mat = materialize(dataclasses.replace(
+                base, g=g, kernels=base.kernels * n, operators=base.operators * n,
+                u0=base.u0 * n))
+            assert validate_assumptions(mat, ball_radius=0.7).ok
+            points = np.array([boxes[-1][m + 1][0] for m in range(n)])
+            assert all(np.array_equal(boxes[-1][m + 1][1], points[m]) for m in range(n))
+            assert points.shape == (n, 2 * n + 4)
+            assert not np.any(points[:, 0])
+            np.testing.assert_allclose(np.linalg.norm(points[:, 1:], axis=0), 0.35, rtol=1e-15)
+            assert np.array_equal(np.sign(points[:, -1]), [(-1) ** m for m in range(n)])
+            assert np.unique(np.abs(points[:, -1])).size == n
 
     def test_nonzero_origin_flagged(self):
         import dataclasses

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from quadint import sampling
+from quadint import oracle
 
 import support
 
@@ -68,20 +68,21 @@ class TestRadicalInverse:
 
 @pytest.mark.parametrize("n,seed", [(1, 0), (2, 7), (5, 123)])
 def test_random_ball_points_reproduce_the_validation_probe(n, seed):
-    # the 256-point probe validate_assumptions drew inline before it moved
-    # here, written out as the reference: the points stay bit-identical
+    # the 256-point probe validate_assumptions once drew inline, written out
+    # as the reference: the oracle's points stay bit-identical, and so do
+    # its dense sups
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((256, n))
     radii = np.linalg.norm(pts, axis=1, keepdims=True)
     radii[radii == 0.0] = 1.0
     expected = pts / radii * (0.8 * rng.uniform(0, 1, (256, 1)) ** (1.0 / n))
-    assert np.array_equal(sampling.random_ball_points(n, 0.8, 256, seed=seed), expected)
+    assert np.array_equal(oracle.random_ball_points(n, 0.8, 256, seed=seed), expected)
 
 
 def test_random_ball_points_fill_the_ball():
-    pts = sampling.random_ball_points(3, 2.0, 20000, seed=1)
+    pts = oracle.random_ball_points(3, 2.0, 20000, seed=1)
     radii = np.linalg.norm(pts, axis=1)
     assert np.all(radii <= 2.0 * (1 + 1e-15))
     assert np.mean(radii) == pytest.approx(2.0 * 3 / 4, rel=1e-2)
     # unlike the Halton sets, a shorter set is no prefix of a longer one
-    assert not np.array_equal(sampling.random_ball_points(3, 2.0, 100, seed=1), pts[:100])
+    assert not np.array_equal(oracle.random_ball_points(3, 2.0, 100, seed=1), pts[:100])
