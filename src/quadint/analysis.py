@@ -16,6 +16,7 @@ never estimated.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ from . import exprdsl
 from .errors import ConfigurationError, NumericOverflowError
 from .exprdsl import NonlinearitySpec
 from .model import MaterializedProblem, ProblemSpec
+from .records import Record
 from .spectral import Grid
 
 # Derivation notes embedded in reports (the constants are not pulled from a
@@ -168,16 +170,14 @@ def compute_Q(operator_norms, kernel_w21_norms) -> float:
     return Q
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
-    """Verdict on the contraction condition for a given ball radius."""
+class ContractionCertificate(Record, namedtuple(
+        "ContractionCertificate", "passed lhs rho sigma feasible_interval warnings",
+        defaults=((),))):
+    """Verdict on the contraction condition for a given ball radius; the
+    feasible interval is a pair of floats or None, the warnings a tuple of
+    strings."""
 
-    passed: bool
-    lhs: float
-    rho: float
-    sigma: float
-    feasible_interval: tuple[float, float] | None
-    warnings: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def check_contraction_condition(c_a: float, M: float, u0_norm: float, Q: float,
@@ -217,7 +217,9 @@ def check_contraction_condition(c_a: float, M: float, u0_norm: float, Q: float,
 class ConstantsReport:
     """Every certified constant, its provenance, and the verdict, which the
     report derives from its own constants: `dataclasses.replace` with a new
-    M or rho judges them afresh, and a certificate cannot be passed in."""
+    M or rho judges them afresh, and a certificate cannot be passed in.
+    That copy is why it stays a dataclass where the other value classes
+    are records (records.py)."""
 
     d: int
     c_e: float

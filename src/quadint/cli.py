@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import functools
 import hashlib
 import json
@@ -341,64 +340,10 @@ def cmd_oracle(args) -> tuple[dict, int]:
     from . import oracle  # no other subcommand runs the brute-force paths
 
     problem, digest = load_problem(args.file)
-    d = problem.grid.d
-    size = args.size if args.size is not None else oracle.MAX_POINTS[d]
-    small = Grid(d=d, n=size, L=problem.grid.L)
-    oracle.check_budget(small)
-
-    if any(isinstance(e, np.ndarray) for e in problem.u0 + problem.kernels):
-        raise ConfigurationError(
-            "oracle rerun needs expression-based kernels and initial data "
-            "(tabulated fields cannot be resampled on the reduced grid)")
-    reduced = dataclasses.replace(problem, grid=small)
-    mat = model.materialize(reduced, strict=False)
-    report = analysis.constants_report(mat)
-
-    checks = []
-    ok = True
-
-    # convolution: the map's spectral.convolve and kernel spectra vs literal quadrature
-    for m in range(mat.n):
-        f = mat.u0[m] if np.any(mat.u0[m] != 0.0) else mat.u0[0]
-        fast = spectral.convolve(small, mat.kernel_spectra[m], f)
-        K, _ = model.sample_kernel(reduced.kernels[m], small)
-        direct = oracle.direct_convolution(small, K, f)
-        scale = max(spectral.l2_norm(small, direct), 1e-300)
-        err = spectral.l2_norm(small, fast - direct) / scale
-        passed = err <= 1e-10
-        ok &= passed
-        checks.append({"name": f"convolution_channel_{m + 1}",
-                       "relative_error": float(err), "tolerance": 1e-10,
-                       "passed": bool(passed)})
-
-    # gradient: symbolic vs central finite differences at random ball points
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(20):
-        z = rng.standard_normal(mat.n)
-        z *= report.r_state * rng.uniform(0, 1) / max(np.linalg.norm(z), 1e-300)
-        sym = mat.g.gradient_at(z)
-        fd = oracle.finite_diff_gradient(mat.g, z)
-        denom = max(1.0, float(np.max(np.abs(sym))))
-        worst = max(worst, float(np.max(np.abs(sym - fd)) / denom))
-    grad_ok = worst <= 1e-6
-    ok &= grad_ok
-    checks.append({"name": "gradient_vs_finite_differences",
-                   "relative_error": float(worst), "tolerance": 1e-6,
-                   "passed": bool(grad_ok)})
-
-    # sup estimates: the enclosed C1 bound must dominate a dense reference
-    # sup, taken on pseudo-random points
-    dense_total = oracle.dense_c1_norm(mat.g, report.r_state, 100_000, seed=args.seed)
-    sup_ok = report.M >= dense_total * (1.0 - 1e-9)
-    ok &= sup_ok
-    checks.append({"name": "c1_bound_dominates_dense_sup",
-                   "M": float(report.M), "dense_reference": float(dense_total),
-                   "passed": bool(sup_ok)})
-
+    checks = oracle.cross_checks(problem, args.size, args.seed)
     doc = _base_report(problem, digest)
-    doc["oracle"] = {"grid_points": size, "checks": checks, "all_passed": bool(ok)}
-    return doc, EXIT_OK if ok else EXIT_HYPOTHESIS
+    doc["oracle"] = checks
+    return doc, EXIT_OK if checks["all_passed"] else EXIT_HYPOTHESIS
 
 
 # --- entry point -----------------------------------------------------------------

@@ -31,12 +31,13 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ExpressionDomainError, ExpressionSyntaxError, NumericOverflowError
+from .records import Record
 
 FUNCTIONS = ("sin", "cos", "tanh", "exp", "sqrt")
 MAX_Z_ARITY = 16
@@ -58,56 +59,43 @@ MAX_NODES = 10_000
 
 # --- AST -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+# Each node is a Record (records.py): a named tuple of its fields that
+# compares and hashes like a frozen dataclass.
+
+class Num(Record, namedtuple("Num", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var:
-    family: str  # 'z' or 'x'
-    index: int   # 1-based
+class Var(Record, namedtuple("Var", "family index")):
+    __slots__ = ()  # family 'z' or 'x', index 1-based
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Neg(Record, namedtuple("Neg", "arg")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Add(Record, namedtuple("Add", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Sub(Record, namedtuple("Sub", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Mul(Record, namedtuple("Mul", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Div(Record, namedtuple("Div", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Pow(Record, namedtuple("Pow", "base exponent")):
+    __slots__ = ()  # exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
+class Call(Record, namedtuple("Call", "fn arg")):
+    __slots__ = ()
 
 
 Expr = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
@@ -182,8 +170,9 @@ class _Parser:
     def made(self, node: Expr, offset: int) -> Expr:
         """Register a node built by the token at `offset` with its depth;
         refuse it beyond MAX_DEPTH or MAX_NODES."""
-        depth = 1 + max((self.depths[id(v)] for v in vars(node).values()
-                         if isinstance(v, Expr)), default=0)
+        # the fields that are nodes are tuples; the others are numbers and names
+        depth = 1 + max((self.depths[id(v)] for v in node if isinstance(v, tuple)),
+                        default=0)
         if depth > MAX_DEPTH:
             raise ExpressionSyntaxError(
                 f"expression tree deeper than {MAX_DEPTH} levels", offset)
@@ -510,9 +499,10 @@ def _call_interval(x: np.ndarray, fn) -> np.ndarray | None:
     return np.clip(v, -1.0, 1.0) if fn is np.tanh else np.maximum(v, 0.0)
 
 
-def _enclose(exprs: Sequence[Expr], boxes: dict, affine: bool) -> list[np.ndarray] | None:
-    """enclose_many, or with `affine` enclose_affine, whose range of a node
-    is its interval from its operands' ranges cut to the range of its form."""
+def _enclose(exprs: Sequence[Expr], boxes: dict, cut=None) -> list[np.ndarray] | None:
+    """enclose_many, or with cut = affine.cut enclose_affine, whose range of
+    a node is its interval from its operands' ranges cut to the range of
+    its form."""
     seen, nodes, reads = {}, [], []
     roots = [_numbered(e, seen, nodes, reads) for e in exprs]
     forms, ranges = [], []
@@ -541,12 +531,8 @@ def _enclose(exprs: Sequence[Expr], boxes: dict, affine: bool) -> list[np.ndarra
                 v = _call_interval(ranges[a], attribute)
             if v is None:
                 return None
-            if affine:
-                forms.append(_affine(nodes[vn], vn, forms, ranges, v))
-                r = _radius(forms[-1])
-                cut = forms[-1][None] + r * _SIGNS
-                cut = np.where(r > 0, _outward(cut), cut)
-                v = np.stack([np.maximum(v[0], cut[0]), np.minimum(v[1], cut[1])])
+            if cut is not None:
+                v = cut(nodes[vn], vn, forms, ranges, v)
             if not np.isfinite(v).all():
                 raise NumericOverflowError("an enclosure on the state ball overflows a double")
             ranges.append(v)
@@ -561,110 +547,15 @@ def enclose_many(exprs: Sequence[Expr], boxes: dict) -> list[np.ndarray] | None:
     divisor may be 0 or a sqrt argument may be negative; a literal or an
     endpoint that is not finite raises NumericOverflowError.
     Each distinct subtree is enclosed once."""
-    return _enclose(exprs, boxes, False)
+    return _enclose(exprs, boxes)
 
 
 def enclose_affine(exprs: Sequence[Expr], boxes: dict) -> list[np.ndarray] | None:
     """enclose_many by affine forms: a node's range is never wider than
     there, and it refuses and raises where enclose_many does, but copies of
     a subtree cancel, so g - g encloses to exactly 0."""
-    return _enclose(exprs, boxes, True)
-
-
-# --- affine forms -------------------------------------------------------------
-#
-# An affine form (de Figueiredo & Stolfi, "Affine arithmetic: concepts and
-# applications", Numer. Algorithms 37, 2004) is a dict of arrays over the
-# boxes: key None holds the centre, key -j the coefficient of z_j's symbol,
-# key vn that of node vn's; each symbol ranges over [-1, 1].  What a node
-# leaves out of its linear part and every rounding error go into its own
-# symbol.  A margin |v| _WIDEN + _TINY is 4 times the error of an operation
-# that rounded to v or more, so the rounding of a sum of margins cannot lose
-# what they cover; a sum rounds by at most 2^-53 |v|, so its margin is
-# |v| _WIDEN, and 0 when it is exactly 0.
-
-
-def _margin(v):
-    return np.abs(v) * _WIDEN + _TINY
-
-
-def _split(v: np.ndarray) -> tuple:
-    """A centre of the interval v and a radius that reaches both its ends."""
-    m = 0.5 * v[0] + 0.5 * v[1]
-    r = np.maximum(v[1] - m, m - v[0])
-    return m, r + r * _WIDEN
-
-
-def _absorb(form: dict, vn: int, err) -> dict:
-    """Add err >= 0 to |coefficient of vn's symbol|, rounded up."""
-    s = np.abs(form.get(vn, 0.0)) + err
-    form[vn] = s + s * _WIDEN
-    return form
-
-
-def _radius(form: dict):
-    """The sum of the coefficients' magnitudes, rounded up: a sum of m
-    terms rounds below itself by less than (m - 1) 2^-53 of it."""
-    terms = [np.abs(v) for k, v in form.items() if k is not None]
-    total = sum(terms, 0.0) * (1.0 + len(terms) * 2.0 ** -52)
-    return np.where(total > 0, np.nextafter(total, np.inf), 0.0)
-
-
-def _affine_sum(x: dict, y: dict, sign: float, vn: int) -> dict:
-    out = {k: x.get(k, 0.0) + sign * y.get(k, 0.0) for k in {**x, **y}}
-    return _absorb(out, vn, sum(np.abs(v) * _WIDEN for k, v in out.items() if k in x and k in y))
-
-
-def _affine_product(x: dict, y: dict, vn: int) -> dict:
-    """x0 y0 + sum (x0 y_k + y0 x_k) e_k, and rad(x) rad(y) for the rest."""
-    x0, y0 = x[None], y[None]
-    out = {None: x0 * y0}
-    err = _margin(out[None])
-    for k in {**x, **y}:
-        if k is not None:
-            p, q = y0 * x.get(k, 0.0), x0 * y.get(k, 0.0)
-            out[k] = s = p + q
-            err = err + _margin(p) + _margin(q) + np.abs(s) * _WIDEN
-    rr = _radius(x) * _radius(y)
-    return _absorb(out, vn, err + rr + _margin(rr))
-
-
-def _min_range(x: dict, ends: np.ndarray, fn, vn: int) -> dict:
-    """fn(x) on the range `ends` of x, for fn = exp, tanh, sqrt or
-    reciprocal, each monotone with |fn'| least at an end: alpha x + d,
-    alpha that end's slope shrunk by 2^-40, beyond its rounding, so that
-    d = fn - alpha x is monotone and lies between its values at the ends,
-    or 0 if not finite and normal; d goes to vn."""
-    slopes = (np.exp(ends) if fn is np.exp else np.cosh(ends) ** -2.0 if fn is np.tanh
-              else 0.5 / np.sqrt(ends) if fn is np.sqrt else -1.0 / (ends * ends))
-    alpha = np.where(np.abs(slopes[0]) <= np.abs(slopes[1]), slopes[0], slopes[1])
-    alpha = np.where((np.abs(alpha) >= _TINY) & (np.abs(alpha) < np.inf),
-                     alpha * (1.0 - 2.0 ** -40), 0.0)
-    fe, pe = fn(ends), alpha * ends
-    d = fe - pe
-    slack = _margin(fe) + _margin(pe) + np.abs(d) * _WIDEN
-    m, r = _split(_outward(np.stack([np.min(d - slack, axis=0), np.max(d + slack, axis=0)])))
-    out = {k: alpha * v for k, v in x.items()}
-    err = sum(_margin(v) for v in out.values())
-    out[None] = out[None] + m
-    return _absorb(out, vn, r + err + np.abs(out[None]) * _WIDEN)
-
-
-def _affine(node: tuple, vn: int, forms: list, ranges: list, interval: np.ndarray) -> dict:
-    """The form of node vn, whose interval is `interval`."""
-    t, a, b, k = node
-    if t is Add or t is Sub:
-        return _affine_sum(forms[a], forms[b], 1.0 if t is Add else -1.0, vn)
-    if t is Neg:
-        return {key: -v for key, v in forms[a].items()}
-    if t is Mul or (t is Pow and k == 2):
-        return _affine_product(forms[a], forms[b if t is Mul else a], vn)
-    if t is Div:
-        return _affine_product(forms[a], _min_range(forms[b], ranges[b], np.reciprocal, vn), vn)
-    if t is Call and k in (np.exp, np.tanh, np.sqrt):
-        return _min_range(forms[a], ranges[a], k, vn)
-    m, r = _split(interval)  # a literal, a variable, any other power, sin and cos
-    return {None: m, -a if t is Var else vn: r}
+    from .affine import cut  # only continuity runs the affine walk
+    return _enclose(exprs, boxes, cut)
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:
@@ -842,12 +733,11 @@ def laplacian_symbolic(e: Expr, d: int) -> Expr:
 
 # --- nonlinearity bundle ------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonlinearitySpec:
-    """N component expressions over z1..zN plus their exact gradient."""
+class NonlinearitySpec(Record, namedtuple("NonlinearitySpec", "components gradient")):
+    """N component expressions over z1..zN (components, a tuple of Expr)
+    plus their exact gradient (gradient[m][j] = dg_m/dz_j)."""
 
-    components: tuple[Expr, ...]
-    gradient: tuple[tuple[Expr, ...], ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:

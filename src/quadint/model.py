@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import exprdsl, spectral
 from .errors import AssumptionViolation, ConfigurationError, NumericOverflowError
 from .exprdsl import Expr, NonlinearitySpec
+from .records import Record
 from .spectral import Grid
 
 TAIL_MASS_WARN = 1e-8
@@ -31,14 +33,15 @@ PEAK_COMPONENT_FIELDS = 2
 
 # --- kernels -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianKernel:
+class GaussianKernel(Record, namedtuple("GaussianKernel", "alpha")):
     """Built-in kernel exp(-alpha |x|^2)."""
-    alpha: float
 
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ConfigurationError(f"gaussian decay rate must be positive, got {self.alpha}")
+    __slots__ = ()
+
+    def __new__(cls, alpha: float):
+        if not alpha > 0:
+            raise ConfigurationError(f"gaussian decay rate must be positive, got {alpha}")
+        return super().__new__(cls, alpha)
 
 
 def _gaussian_expr(alpha: float, d: int) -> Expr:
@@ -49,15 +52,13 @@ def _gaussian_expr(alpha: float, d: int) -> Expr:
         exprdsl.fold_mul(exprdsl.Num(float(alpha)), r2)))
 
 
-@dataclass(frozen=True)
-class MaterializedKernel:
+class MaterializedKernel(Record, namedtuple("MaterializedKernel",
+                                             "w21 tail_fraction nontrivial")):
     """The norms of a kernel sampled on the grid; the samples themselves
     live on only as the kernel's spectrum (MaterializedProblem.kernel_spectra),
     and sample_kernel gives them again."""
 
-    w21: float
-    tail_fraction: float
-    nontrivial: bool
+    __slots__ = ()
 
 
 def sample_kernel(spec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -107,14 +108,13 @@ def _tabulated(values, grid: Grid, what: str) -> np.ndarray:
 
 # --- operators ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalMultiplier:
+class RationalMultiplier(Record, namedtuple("RationalMultiplier", "p q")):
     """Multiplier p(s)/q(s) with s = |xi|^2; q must stay positive on s >= 0.
-    Coefficients are ascending in s.  The problem file's inverse_helmholtz
-    is p = (1,), q = (1, 1), and its scaled_identity alpha is p = (alpha,),
-    q = (1,)."""
-    p: tuple[float, ...]
-    q: tuple[float, ...]
+    Coefficients, tuples of floats, are ascending in s.  The problem file's
+    inverse_helmholtz is p = (1,), q = (1, 1), and its scaled_identity
+    alpha is p = (alpha,), q = (1,)."""
+
+    __slots__ = ()
 
 
 def _horner(coeffs: tuple[float, ...], s: np.ndarray):
@@ -157,6 +157,9 @@ def equal_groups(specs) -> list[list[int]]:
 
 
 # --- problem -----------------------------------------------------------------
+
+# ProblemSpec and MaterializedProblem stay frozen dataclasses, not records:
+# continuity and the oracle copy them with dataclasses.replace.
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -312,10 +315,13 @@ def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProble
 
 # --- validation -----------------------------------------------------------------
 
-@dataclass
 class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    """The violated hypotheses and the warnings, lists of messages that
+    validate_assumptions fills."""
+
+    def __init__(self):
+        self.violations: list[str] = []
+        self.warnings: list[str] = []
 
     @property
     def ok(self) -> bool:

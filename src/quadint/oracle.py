@@ -1,6 +1,7 @@
-"""Brute-force reference implementations for cross-checking the fast paths.
+"""Brute-force reference implementations for cross-checking the fast paths,
+and cross_checks, the three checks of `quadint oracle` that compare them.
 
-Nothing here shares code with the spectral routes it validates: the
+No reference shares code with the spectral routes it validates: the
 convolution is a literal periodic Riemann sum, the gradient is central
 finite differences, the sup estimate is dense sampling.  All paths are
 size-budgeted; they exist for correctness, not speed.
@@ -8,11 +9,13 @@ size-budgeted; they exist for correctness, not speed.
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import product
 
 import numpy as np
 
-from .errors import OracleBudgetError
+from . import analysis, model, spectral
+from .errors import ConfigurationError, OracleBudgetError
 from .exprdsl import NonlinearitySpec, evaluate, evaluate_many
 from .spectral import Grid
 
@@ -86,3 +89,69 @@ def dense_c1_norm(g: NonlinearitySpec, radius: float, samples: int,
     cols = [pts[:, j] for j in range(g.n)]
     return float(sum(evaluate_many(g.c1_expressions, cols,
                                    take=lambda _, v: np.max(np.abs(v)))))
+
+
+def cross_checks(problem: model.ProblemSpec, size: int | None, seed: int) -> dict:
+    """The oracle's report on the problem resampled with `size` points per
+    axis (MAX_POINTS by default): the map's convolution of each channel
+    against literal quadrature, the symbolic gradient against finite
+    differences at 20 points uniform in the state ball, and the enclosed
+    C^1 bound against the dense sup.  The points of both random checks come
+    from `seed`."""
+    d = problem.grid.d
+    size = size if size is not None else MAX_POINTS[d]
+    small = Grid(d=d, n=size, L=problem.grid.L)
+    check_budget(small)
+
+    if any(isinstance(e, np.ndarray) for e in problem.u0 + problem.kernels):
+        raise ConfigurationError(
+            "oracle rerun needs expression-based kernels and initial data "
+            "(tabulated fields cannot be resampled on the reduced grid)")
+    reduced = dataclasses.replace(problem, grid=small)
+    mat = model.materialize(reduced, strict=False)
+    report = analysis.constants_report(mat)
+
+    checks = []
+    ok = True
+
+    # convolution: the map's spectral.convolve and kernel spectra vs literal quadrature
+    for m in range(mat.n):
+        f = mat.u0[m] if np.any(mat.u0[m] != 0.0) else mat.u0[0]
+        fast = spectral.convolve(small, mat.kernel_spectra[m], f)
+        K, _ = model.sample_kernel(reduced.kernels[m], small)
+        direct = direct_convolution(small, K, f)
+        scale = max(spectral.l2_norm(small, direct), 1e-300)
+        err = spectral.l2_norm(small, fast - direct) / scale
+        passed = err <= 1e-10
+        ok &= passed
+        checks.append({"name": f"convolution_channel_{m + 1}",
+                       "relative_error": float(err), "tolerance": 1e-10,
+                       "passed": bool(passed)})
+
+    # gradient: symbolic vs central finite differences at points uniform in
+    # the ball: a Gaussian direction and the radius r u^(1/N)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(20):
+        z = rng.standard_normal(mat.n)
+        z *= (report.r_state * rng.uniform(0, 1) ** (1.0 / mat.n)
+              / max(np.linalg.norm(z), 1e-300))
+        sym = mat.g.gradient_at(z)
+        fd = finite_diff_gradient(mat.g, z)
+        denom = max(1.0, float(np.max(np.abs(sym))))
+        worst = max(worst, float(np.max(np.abs(sym - fd)) / denom))
+    grad_ok = worst <= 1e-6
+    ok &= grad_ok
+    checks.append({"name": "gradient_vs_finite_differences",
+                   "relative_error": float(worst), "tolerance": 1e-6,
+                   "passed": bool(grad_ok)})
+
+    # sup estimates: the enclosed C1 bound must dominate a dense reference
+    # sup, taken on pseudo-random points
+    dense_total = dense_c1_norm(mat.g, report.r_state, 100_000, seed=seed)
+    sup_ok = report.M >= dense_total * (1.0 - 1e-9)
+    ok &= sup_ok
+    checks.append({"name": "c1_bound_dominates_dense_sup",
+                   "M": float(report.M), "dense_reference": float(dense_total),
+                   "passed": bool(sup_ok)})
+    return {"grid_points": size, "checks": checks, "all_passed": bool(ok)}

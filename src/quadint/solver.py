@@ -24,7 +24,8 @@ are formed in its buffer, in turn.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .analysis import ConstantsReport, c1_distance, estimate_M
 from .errors import BallEscapeError, ConfigurationError, NonConvergenceError
 from .exprdsl import NonlinearitySpec, evaluate_many
 from .model import MaterializedProblem, equal_groups, multiplier_values
+from .records import Record
 
 BALL_SLACK = 1e-9
 
@@ -88,17 +90,17 @@ def a_posteriori_bound(sigma: float, k: int, delta_1: float) -> float:
     return sigma ** k / (1.0 - sigma) * delta_1
 
 
-@dataclass
 class IterationTrace:
     """Per-step record of the iteration: iterate norm, step difference,
     observed contraction ratio, and the geometric a-posteriori bound."""
 
-    sigma: float | None
-    ks: list[int] = field(default_factory=list)
-    norms: list[float] = field(default_factory=list)
-    deltas: list[float] = field(default_factory=list)
-    ratios: list[float] = field(default_factory=list)
-    bounds: list[float] = field(default_factory=list)
+    def __init__(self, sigma: float | None):
+        self.sigma = sigma
+        self.ks: list[int] = []
+        self.norms: list[float] = []
+        self.deltas: list[float] = []
+        self.ratios: list[float] = []
+        self.bounds: list[float] = []
 
     def record(self, k: int, norm: float, delta: float) -> None:
         ratio = delta / self.deltas[-1] if self.deltas and self.deltas[-1] > 0 else float("nan")
@@ -120,15 +122,12 @@ class IterationTrace:
         return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class Solution:
-    """The newest iterate w = t_g(v) as the perturbation, with its spectrum,
-    and residual = |w - v|, the step difference delta_k of the last step."""
+class Solution(Record, namedtuple("Solution", "u_p u_p_spectrum residual iterations")):
+    """The newest iterate w = t_g(v) as the perturbation u_p, with its
+    spectrum, the residual |w - v|, the step difference delta_k of the last
+    step, and the number of iterations."""
 
-    u_p: np.ndarray
-    u_p_spectrum: np.ndarray
-    residual: float
-    iterations: int
+    __slots__ = ()
 
 
 def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
@@ -227,17 +226,13 @@ def residual_original_system(mat: MaterializedProblem, u: np.ndarray,
     return spectral.h2_norm(grid, spectral.forward_transform(grid, w), v_spectrum)
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Outcome of solving the same problem under two nonlinearities."""
+class ContinuityReport(Record, namedtuple(
+        "ContinuityReport",
+        "measured_distance bound passed sigma_joint M_joint c1_dist iterations")):
+    """Outcome of solving the same problem under two nonlinearities;
+    iterations holds the two solves' counts."""
 
-    measured_distance: float
-    bound: float
-    passed: bool
-    sigma_joint: float
-    M_joint: float
-    c1_dist: float
-    iterations: tuple[int, int]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

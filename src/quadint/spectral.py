@@ -45,7 +45,8 @@ class Grid:
 
     d must be 2 or 3, n even and at least 4, L positive and finite, with a
     cell volume h^d, a box volume (2L)^d and a largest Sobolev weight
-    1 + |xi|^4 that are positive finite doubles.
+    1 + |xi|^4 that are positive finite doubles.  A dataclass, not a record
+    (records.py): its cached properties live in an instance __dict__.
     """
 
     d: int

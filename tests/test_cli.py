@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import dataclasses
@@ -1537,6 +1538,65 @@ def test_only_the_oracle_subcommand_imports_oracle(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # only the oracle draws random points, so only it loads numpy.random
     assert proc.stdout.split() == ["0", "False", "False"] * 3 + ["0", "True", "True"]
+
+
+# the classes that stay dataclasses: ProblemSpec, MaterializedProblem and
+# ConstantsReport are copied with dataclasses.replace, and Grid keeps its
+# cached properties in an instance __dict__; every other value class is a
+# record (quadint/records.py)
+KEPT_DATACLASSES = {"ConstantsReport", "Grid", "MaterializedProblem", "ProblemSpec"}
+
+
+def traced_modules() -> set[str]:
+    """The quadint modules whose functions perfbench/tracer.py wraps, among
+    those that exist: it wraps only modules already imported."""
+    tracer = Path(SRC).parent / "perfbench" / "tracer.py"
+    [targets] = [node.value for node in ast.parse(tracer.read_text()).body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS"]
+    return {module for _, module, _ in ast.literal_eval(targets)
+            if (Path(SRC) / (module.replace(".", "/") + ".py")).exists()}
+
+
+def test_cold_import_loads_what_the_tracer_wraps_and_builds_few_dataclasses():
+    code = (
+        "import dataclasses, json, sys\n"
+        "built = []\n"
+        "real = dataclasses.dataclass\n"
+        "def counting(cls=None, /, **kwargs):\n"
+        "    def build(c):\n"
+        "        built.append(c.__qualname__)\n"
+        "        return real(c, **kwargs)\n"
+        "    return build if cls is None else build(cls)\n"
+        "dataclasses.dataclass = counting\n"
+        "import quadint.cli\n"
+        "print(json.dumps({'built': built, 'modules': sorted(sys.modules)}))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    modules = set(doc["modules"])
+    wrapped = traced_modules()
+    assert wrapped == {f"quadint.{name}" for name in
+                       ("cli", "model", "analysis", "exprdsl", "solver", "spectral")}
+    assert wrapped <= modules
+    assert "quadint.oracle" not in modules and "quadint.affine" not in modules
+    # at most the four kept classes, each once; no expression node
+    assert set(doc["built"]) <= KEPT_DATACLASSES
+    assert len(doc["built"]) == len(set(doc["built"]))
+
+
+def test_only_continuity_loads_the_affine_walk(tmp_path):
+    path = write_problem(tmp_path, dict(CERTIFIED, grid={"d": 2, "n": 16, "L": 8.0}))
+    code = (
+        "import sys\n"
+        "import quadint.cli\n"
+        "for argv in (['check'], ['solve'], ['continuity', '--g2', sys.argv[1]]):\n"
+        "    rc = quadint.cli.main([*argv, sys.argv[1], '--out', sys.argv[2]])\n"
+        "    print(rc, 'quadint.affine' in sys.modules)\n"
+    )
+    proc = run_python("-c", code, path, str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "0", "False", "0", "True"]
 
 
 def test_non_polynomial_solve_loads_no_scipy(tmp_path):

@@ -661,3 +661,99 @@ class TestNonlinearitySpec:
         g1 = NonlinearitySpec.from_strings(["z1^2"])
         diff = support.scaled(g1, 1.25).difference(g1)
         assert evaluate(diff.components[0], (2.0,)) == pytest.approx(1.0)
+
+
+A, B = Var("z", 1), Num(2.0)
+# one node of each class; the binary ones share their operands
+NODES = (Num(2.0), Var("z", 1), Neg(A), Add(A, B), Sub(A, B), Mul(A, B), Div(A, B),
+         Pow(A, 3), Call("sin", A))
+FIELDS = {Num: ("value",), Var: ("family", "index"), Neg: ("arg",), Add: ("left", "right"),
+          Sub: ("left", "right"), Mul: ("left", "right"), Div: ("left", "right"),
+          Pow: ("base", "exponent"), Call: ("fn", "arg")}
+
+
+def fields_of(node) -> tuple:
+    return tuple(getattr(node, name) for name in FIELDS[type(node)])
+
+
+def assert_equal_by_class_and_fields(node):
+    """Equality of a node: equal to a node of its class with equal fields,
+    and to nothing else, neither the tuple of its fields nor a node of
+    another class with the same fields."""
+    fields = fields_of(node)
+    assert node == type(node)(*fields) and not node != type(node)(*fields)
+    assert node != fields and fields != node and not node == fields
+    for cls, names in FIELDS.items():
+        if cls is not type(node) and len(names) == len(fields):
+            twin = cls(*fields)
+            assert node != twin and twin != node and not node == twin
+
+
+class TestNodeContract:
+    """The node classes keep the contract of the frozen dataclasses they
+    were before 0.12.0; every test but the mutation pair passes on both."""
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_equal_by_class_and_fields(self, node):
+        assert_equal_by_class_and_fields(node)
+
+    def test_add_is_not_mul(self):
+        assert Add(A, B) != Mul(A, B)
+        assert Num(1.0) != (1.0,)
+        assert parse("z1*z2", 2) != parse("z1+z2", 2)
+
+    def test_class_blind_equality_fails_the_check(self, monkeypatch):
+        # mutation pair: tuple equality alone merges Add and Mul
+        from quadint.records import Record
+        monkeypatch.setattr(Record, "__eq__", tuple.__eq__)
+        monkeypatch.setattr(Record, "__ne__", tuple.__ne__)
+        assert Add(A, B) == Mul(A, B)
+        with pytest.raises(AssertionError):
+            assert_equal_by_class_and_fields(Add(A, B))
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_hash_is_that_of_the_fields(self, node):
+        assert hash(node) == hash(fields_of(node))
+        assert hash(node) == hash(copy.deepcopy(node))
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_repr(self, node):
+        fields = ", ".join(f"{name}={getattr(node, name)!r}" for name in FIELDS[type(node)])
+        assert repr(node) == f"{type(node).__name__}({fields})"
+
+    def test_repr_of_a_tree(self):
+        assert repr(Add(A, B)) == "Add(left=Var(family='z', index=1), right=Num(value=2.0))"
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_immutable(self, node):
+        for name in FIELDS[type(node)]:
+            with pytest.raises(AttributeError):
+                setattr(node, name, Num(0.0))
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_deepcopy_and_pickle_round_trip(self, node):
+        import pickle
+        for copied in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert type(copied) is type(node) and copied == node
+            assert repr(copied) == repr(node)
+
+    def test_deepcopy_of_a_tree_copies_its_nodes(self):
+        tree = parse("tanh(z1*z2)+z1*z2", 2)
+        copied = copy.deepcopy(tree)
+        assert copied == tree and copied.left is not tree.left
+        assert copied.left.arg is not tree.left.arg
+
+    def test_equal_groups_keep_classes_apart(self):
+        # Mul(x1, x2) and Add(x1, x2), and Num(1.0) and GaussianKernel(1.0),
+        # hash alike: only equality tells the kernels apart
+        from quadint.model import GaussianKernel, equal_groups
+        product, total = parse("x1*x2", 2, "x"), parse("x1+x2", 2, "x")
+        assert hash(product) == hash(total)
+        assert equal_groups([product, total, product, parse("x1*x2", 2, "x")]) == [
+            [0, 2, 3], [1]]
+        assert equal_groups([Num(1.0), GaussianKernel(1.0), GaussianKernel(1.0)]) == [
+            [0], [1, 2]]

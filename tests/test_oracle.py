@@ -115,3 +115,31 @@ class TestDenseC1Norm:
         dense_c1_norm(NonlinearitySpec.from_strings(["tanh(z1*z2)", "z1^2", "sin(z3)"]),
                       0.7, 1000, seed=5)
         assert calls == [(3, 0.7, 1000)]
+
+
+class TestCrossChecks:
+    def test_gradient_points_are_uniform_in_the_ball(self, monkeypatch):
+        # each of the 20 points is a Gaussian direction times r u^(1/N), both
+        # drawn in turn from the one stream of the seed; before 0.12.0 the
+        # radius was r u, which crowds the points towards the origin for N >= 2
+        import dataclasses
+        from pathlib import Path
+
+        from quadint import analysis, cli, model, oracle
+        path = Path(__file__).resolve().parent.parent / "problems" / "two_component.json"
+        problem, _ = cli.load_problem(str(path))
+        points = []
+        real = oracle.finite_diff_gradient
+        monkeypatch.setattr(oracle, "finite_diff_gradient",
+                            lambda g, z: points.append(z.copy()) or real(g, z))
+        doc = oracle.cross_checks(problem, None, 3)
+        assert doc["all_passed"] is True and len(points) == 20
+        small = Grid(problem.grid.d, oracle.MAX_POINTS[problem.grid.d], problem.grid.L)
+        r = analysis.constants_report(model.materialize(
+            dataclasses.replace(problem, grid=small), strict=False)).r_state
+        rng = np.random.default_rng(3)
+        for z in points:
+            direction, u = rng.standard_normal(problem.n), rng.uniform(0, 1)
+            assert np.linalg.norm(z) == pytest.approx(r * u ** (1.0 / problem.n), rel=1e-12)
+            assert np.allclose(z / np.linalg.norm(z), direction / np.linalg.norm(direction),
+                               rtol=0.0, atol=1e-12)
