@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,9 +38,9 @@ EMBEDDING_DERIVATION = (
     "closed form: int_0^inf r^(d-1)/(1+r^4) dr = pi/(4 sin(d pi/4))."
 )
 ALGEBRA_DERIVATION = (
-    "pointwise (1+|xi|^4) <= 8(1+|eta|^4) + 8(1+|xi-eta|^4) splits the weighted "
-    "product transform into two Young-type convolutions; bounding the unweighted "
-    "factor in L1 by the c_e integral gives c_a = 4*sqrt(2)*c_e."
+    "(1+|xi|^4)^(1/2) <= 2(1+|eta|^4)^(1/2) + 2(1+|xi-eta|^4)^(1/2): squared, the "
+    "slack is at least 7 + (s-t)^2(3s^2+2st+3t^2), s = |eta|, t = |xi-eta|. Two "
+    "Young convolutions and the c_e integral give c_a = 4*c_e."
 )
 
 
@@ -64,7 +65,7 @@ def lattice_embedding_constant(grid: Grid) -> float:
 
 def algebra_constant(d: int) -> float:
     """Constant in |fg|_H2 <= c_a |f|_H2 |g|_H2 for d = 2, 3."""
-    return float(4.0 * np.sqrt(2.0) * embedding_constant(d))
+    return 4.0 * embedding_constant(d)
 
 
 def problem_embedding_constant(spec: ProblemSpec) -> float:
@@ -171,8 +172,7 @@ def compute_Q(operator_norms, kernel_w21_norms) -> float:
 
 
 class ContractionCertificate(Record, namedtuple(
-        "ContractionCertificate", "passed lhs rho sigma feasible_interval warnings",
-        defaults=((),))):
+        "ContractionCertificate", "passed lhs sigma feasible_interval warnings")):
     """Verdict on the contraction condition for a given ball radius; the
     feasible interval is a pair of floats or None, the warnings a tuple of
     strings."""
@@ -182,33 +182,27 @@ class ContractionCertificate(Record, namedtuple(
 
 def check_contraction_condition(c_a: float, M: float, u0_norm: float, Q: float,
                                 rho: float) -> ContractionCertificate:
-    """Evaluate c_a M (|u0|+1)^2 Q <= rho/2 and derive the contraction
-    factor sigma = 2 c_a Q M (|u0| + 1); Q must be positive.
-
+    """Evaluate c_a M (|u0|+1)^2 Q <= rho/2, for rho in (0, 1] and Q > 0, and
+    derive the contraction factor sigma = 2 c_a Q M (|u0|+1) = 2 lhs/(|u0|+1).
     The feasible interval is the set of admissible radii [2*lhs, 1]; it is
-    None when empty.  On a pass with nontrivial initial data, sigma < 1 is
-    implied and asserted."""
+    None when empty."""
     if not Q > 0:
         raise ConfigurationError("Q must be positive")
     lhs = float(c_a * M * (u0_norm + 1.0) ** 2 * Q)
-    sigma = float(2.0 * c_a * Q * M * (u0_norm + 1.0))
+    # a pass gives lhs <= rho/2 <= 1/2, and |u0| + 1 rounds to 1 or more, so
+    # the rounded quotient is at most 1; it is 1 only when lhs = 1/2 (hence
+    # rho = 1) and |u0| + 1 rounds to 1
+    sigma = 2.0 * lhs / (u0_norm + 1.0)
     feasible = (2.0 * lhs, 1.0) if 2.0 * lhs <= 1.0 else None
     passed = lhs <= rho / 2.0
     warnings = []
-    if passed:
-        # sigma = 2*lhs/(u0_norm+1) <= rho/(u0_norm+1) <= 1, strictly when u0 != 0
-        if not sigma < 1.0:
-            if sigma == 1.0 or u0_norm == 0.0:
-                warnings.append("boundary case: contraction factor reached 1; "
-                                "treating as pass-with-warning")
-            else:
-                raise AssertionError(
-                    f"inconsistent certificate: condition passed but sigma = {sigma}")
-        if lhs == rho / 2.0:
-            warnings.append("condition holds with equality; no margin")
-    return ContractionCertificate(passed=passed, lhs=lhs, rho=float(rho),
-                                  sigma=sigma, feasible_interval=feasible,
-                                  warnings=tuple(warnings))
+    if passed and sigma == 1.0:
+        warnings.append("boundary case: contraction factor reached 1; "
+                        "treating as pass-with-warning")
+    if passed and lhs == rho / 2.0:
+        warnings.append("condition holds with equality; no margin")
+    return ContractionCertificate(passed=passed, lhs=lhs, sigma=sigma,
+                                  feasible_interval=feasible, warnings=tuple(warnings))
 
 
 # --- full constants report -------------------------------------------------------
@@ -217,9 +211,9 @@ def check_contraction_condition(c_a: float, M: float, u0_norm: float, Q: float,
 class ConstantsReport:
     """Every certified constant, its provenance, and the verdict, which the
     report derives from its own constants: `dataclasses.replace` with a new
-    M or rho judges them afresh, and a certificate cannot be passed in.
-    That copy is why it stays a dataclass where the other value classes
-    are records (records.py)."""
+    M or rho judges them afresh, and a certificate is not a field, so it
+    cannot be passed in.  That copy is why it stays a dataclass where the
+    other value classes are records (records.py)."""
 
     d: int
     c_e: float
@@ -237,11 +231,10 @@ class ConstantsReport:
     notes: dict = field(default_factory=dict)
     constants_overridden: bool = False
     warnings: tuple[str, ...] = ()
-    certificate: ContractionCertificate = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "certificate", check_contraction_condition(
-            self.c_a, self.M, self.u0_norm, self.Q, self.rho))
+    @cached_property
+    def certificate(self) -> ContractionCertificate:
+        return check_contraction_condition(self.c_a, self.M, self.u0_norm, self.Q, self.rho)
 
     @property
     def sigma(self) -> float:

@@ -92,7 +92,8 @@ def a_posteriori_bound(sigma: float, k: int, delta_1: float) -> float:
 
 class IterationTrace:
     """Per-step record of the iteration: iterate norm, step difference,
-    observed contraction ratio, and the geometric a-posteriori bound."""
+    observed contraction ratio, and the geometric a-posteriori bound.  The
+    bounds are NaN without a contraction factor sigma < 1."""
 
     def __init__(self, sigma: float | None):
         self.sigma = sigma
@@ -108,17 +109,22 @@ class IterationTrace:
         self.norms.append(norm)
         self.deltas.append(delta)
         self.ratios.append(ratio if k > 1 else float("nan"))
-        if self.sigma is not None and self.sigma < 1.0:
-            self.bounds.append(a_posteriori_bound(self.sigma, k, self.deltas[0]))
-        else:
-            self.bounds.append(float("nan"))
+        self.bounds.append(self._bound(k, self.deltas[0]))
+
+    def _bound(self, k: int, delta: float) -> float:
+        contracts = self.sigma is not None and self.sigma < 1.0
+        return a_posteriori_bound(self.sigma, k, delta) if contracts else float("nan")
 
     def to_csv(self) -> str:
+        """The trace with 17 significant digits, and a last column
+        step_bound = sigma / (1 - sigma) * delta_k, the bound on the
+        distance of step k's iterate to the fixed point."""
         buf = io.StringIO()
-        buf.write("k,norm,delta,ratio,apost_bound\n")
+        buf.write("k,norm,delta,ratio,apost_bound,step_bound\n")
         for k, norm, delta, ratio, bound in zip(
                 self.ks, self.norms, self.deltas, self.ratios, self.bounds):
-            buf.write(f"{k},{norm:.17g},{delta:.17g},{ratio:.17g},{bound:.17g}\n")
+            buf.write(f"{k},{norm:.17g},{delta:.17g},{ratio:.17g},{bound:.17g},"
+                      f"{self._bound(1, delta):.17g}\n")
         return buf.getvalue()
 
 
@@ -167,8 +173,7 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
         if certified and spectral.h2_norm(grid, v_spectrum) > rho * (1.0 + BALL_SLACK):
             raise ConfigurationError("starting point lies outside the certified ball")
 
-    sigma = report.sigma if report.sigma < 1.0 else None
-    trace = IterationTrace(sigma=sigma)
+    trace = IterationTrace(sigma=report.sigma)
     escape_limit = 1e8 * max(1.0, mat.u0_norm)
 
     for k in range(1, max_iter + 1):

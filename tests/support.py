@@ -1,5 +1,5 @@
 """Helpers that only the tests use: seeded random fields, quasi-random ball
-points, the randomized falsification suites for c_e and c_a, a dense C^1
+points, the randomized and extremal falsification of c_e and c_a, a dense C^1
 reference with the axis and diagonal points of the sphere, one-expression
 and Fourier-multiplier shorthands, the operators a problem file names, a
 scaled nonlinearity, and the expression printer.  No subcommand reaches
@@ -200,6 +200,25 @@ def falsify_algebra(grid: Grid, count: int, seed: int = 0) -> tuple[int, float]:
         if ratios.size:
             worst = max(worst, float(np.max(ratios)))
     return violations, worst
+
+
+def extremal_field(grid: Grid) -> np.ndarray:
+    """The field with spectrum 1/(1+|xi|^4).  Cauchy-Schwarz holds with
+    equality for it at its peak, so its sup|f| / |f|_H2 is the lattice
+    embedding constant, the most any grid field reaches."""
+    return sp.inverse_transform(grid, (1.0 / grid.h2_weight).astype(complex))
+
+
+def extremal_ratios(grid: Grid) -> tuple[float, float]:
+    """sup|f| / (c_e |f|_H2) and |f^2|_H2 / (c_a |f|_H2^2) of the extremal
+    field f; a ratio above 1 violates the constant.  The square reaches
+    0.28-0.30 of c_a, where the random pairs of falsify_algebra reach about
+    0.05; the products of f with its shifts reach no higher than f^2."""
+    f = extremal_field(grid)
+    h2 = sp.h2_norm(grid, sp.forward_transform(grid, f))
+    h2_square = sp.h2_norm(grid, sp.forward_transform(grid, f * f))
+    return (float(np.max(np.abs(f))) / (embedding_constant(grid.d) * h2),
+            h2_square / (algebra_constant(grid.d) * h2 * h2))
 
 
 def _spectral_shapes(grid: Grid):

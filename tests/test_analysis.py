@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -65,9 +66,31 @@ class TestEmbeddingConstant:
 
 class TestAlgebraConstant:
     def test_values(self):
-        assert algebra_constant(2) == pytest.approx(2.0, rel=1e-9)
-        assert algebra_constant(3) == pytest.approx(
-            4 * np.sqrt(2) * embedding_constant(3), rel=1e-12)
+        assert algebra_constant(2) == pytest.approx(np.sqrt(2), rel=1e-15)
+        assert algebra_constant(3) == 4 * embedding_constant(3)
+
+    def test_split_slack_is_the_stated_polynomial(self):
+        # 4(1+s^4) + 4(1+t^4) + 8 s^2 t^2 - (1 + (s+t)^4), the square of the
+        # split with sqrt((1+s^4)(1+t^4)) >= s^2 t^2, equals
+        # 7 + (s-t)^2 (3s^2 + 2st + 3t^2).  Both sides have degree <= 4 in
+        # each variable, so agreeing on a 5 x 5 grid makes them identical
+        points = [Fraction(p, q) for p, q in ((0, 1), (1, 3), (-2, 5), (7, 2), (-11, 4))]
+        for s in points:
+            for t in points:
+                squared_slack = 4 * (1 + s ** 4) + 4 * (1 + t ** 4) + 8 * s * s * t * t \
+                    - (1 + (s + t) ** 4)
+                assert squared_slack == 7 + (s - t) ** 2 * (3 * s * s + 2 * s * t + 3 * t * t)
+
+    def test_split_holds_with_constant_two(self):
+        # sqrt(1 + (s+t)^4) <= 2 (sqrt(1+s^4) + sqrt(1+t^4)) up to rounding,
+        # and the constant 2 is approached as s = t grows
+        s = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 200)])
+        S, T = np.meshgrid(s, s)
+        lhs = np.hypot(1.0, (S + T) ** 2)
+        rhs = 2.0 * (np.hypot(1.0, S * S) + np.hypot(1.0, T * T))
+        ratio = lhs / rhs
+        assert np.all(ratio <= 1.0 + 4 * np.finfo(float).eps)
+        assert np.max(ratio) > 1.0 - 1e-9
 
     def test_constant_pair_degenerate_case(self):
         g = Grid(2, 16, 8.0)
@@ -86,6 +109,38 @@ class TestAlgebraConstant:
         violations, worst = falsify_algebra(Grid(2, 32, 8.0), 2000, seed=3)
         assert violations == 0
         assert worst <= 1.0
+
+
+class TestExtremalFalsifier:
+    """The field with spectrum 1/(1+|xi|^4) against c_e and c_a = 4 c_e,
+    and paired runs with each constant lowered to a wrong value."""
+
+    GRIDS = (Grid(2, 64, 8.0), Grid(3, 32, 8.0))
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_ratios_stay_below_the_constants(self, grid):
+        embedding, algebra = support.extremal_ratios(grid)
+        assert embedding * embedding_constant(grid.d) == pytest.approx(
+            lattice_embedding_constant(grid), rel=1e-12)
+        assert 0.9 < embedding <= 1.0
+        assert 0.25 < algebra <= 1.0
+
+    def test_catches_a_lowered_embedding_constant(self, monkeypatch):
+        monkeypatch.setattr(support, "embedding_constant", lambda d: embedding_constant(d) / 1.01)
+        assert support.extremal_ratios(self.GRIDS[0])[0] > 1.0
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_catches_a_quartered_algebra_constant(self, monkeypatch, grid):
+        monkeypatch.setattr(support, "algebra_constant", lambda d: algebra_constant(d) / 4)
+        assert support.extremal_ratios(grid)[1] > 1.0
+
+    def test_random_pairs_miss_a_quartered_algebra_constant(self, monkeypatch):
+        # the seeds of test_falsification_suite and criterion 07: the random
+        # pairs cannot tell c_a / 4 from c_a, the extremal field can
+        monkeypatch.setattr(support, "algebra_constant", lambda d: algebra_constant(d) / 4)
+        for count, seed in ((2000, 3), (10_000, 701)):
+            violations, worst = falsify_algebra(Grid(2, 32, 8.0), count, seed=seed)
+            assert violations == 0 and worst < 0.25
 
 
 class TestStateBall:
@@ -274,6 +329,12 @@ class TestQSigma:
             2 * report.c_a * report.Q * report.M * (report.u0_norm + 1), rel=1e-12)
 
 
+# constants whose product c_a M Q rounds to exactly 1/2
+BOUNDARY = (1.7385877177298523, 1.4035240878873405, 0.20490545791201753)
+BOUNDARY_WARNING = "boundary case: contraction factor reached 1; treating as pass-with-warning"
+NO_MARGIN = "condition holds with equality; no margin"
+
+
 class TestContractionCondition:
     def test_pass_case(self):
         # lhs = 0.3 with rho = 1
@@ -289,6 +350,41 @@ class TestContractionCondition:
                                            Q=0.6, rho=1.0)
         assert not cert.passed
         assert cert.feasible_interval is None
+
+    @pytest.mark.parametrize("u0_norm", [0.0, 1e-300])
+    def test_boundary_case_passes_with_sigma_one(self, u0_norm):
+        # c_a M Q rounds to exactly 1/2 here; 0.12.0 rounded sigma as its own
+        # product, raised AssertionError at u0_norm = 1e-300 and reported
+        # sigma = 1.0000000000000002 at u0_norm = 0
+        c_a, M, Q = BOUNDARY
+        cert = check_contraction_condition(c_a, M, u0_norm, Q, rho=1.0)
+        assert cert.passed and cert.lhs == 0.5 and cert.sigma == 1.0
+        assert cert.warnings == (BOUNDARY_WARNING, NO_MARGIN)
+
+    def test_equality_below_radius_one_has_no_margin_only(self):
+        cert = check_contraction_condition(c_a=1.0, M=1.0, u0_norm=0.0, Q=0.25, rho=0.5)
+        assert cert.passed and cert.lhs == 0.25 and cert.sigma == 0.5
+        assert cert.warnings == (NO_MARGIN,)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(c_a=st.floats(1e-100, 1e100), M=st.floats(1e-100, 1e100),
+           u0_norm=st.sampled_from((0.0, 1e-300)) | st.floats(0.0, 1e6),
+           rho=st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True),
+           ulps=st.integers(-3, 3))
+    def test_a_pass_proves_sigma_at_most_one(self, c_a, M, u0_norm, rho, ulps):
+        # Q within a few ulps of the value that puts lhs at rho / 2
+        Q = rho / 2.0 / (c_a * M * (u0_norm + 1.0) ** 2)
+        for _ in range(abs(ulps)):
+            Q = math.nextafter(Q, math.inf if ulps > 0 else 0.0)
+        assume(0.0 < Q < math.inf)
+        cert = check_contraction_condition(c_a, M, u0_norm, Q, rho)
+        assert cert.sigma == 2.0 * cert.lhs / (u0_norm + 1.0)
+        if cert.passed:
+            assert cert.sigma <= 1.0
+        if cert.passed and cert.sigma == 1.0:
+            assert cert.lhs == 0.5 and rho == 1.0
+        assert (BOUNDARY_WARNING in cert.warnings) == (cert.passed and cert.sigma == 1.0)
+        assert (NO_MARGIN in cert.warnings) == (cert.lhs == rho / 2.0)
 
     def test_pass_implies_sigma_below_one(self, certified):
         _, report = certified
@@ -391,7 +487,8 @@ class TestConstantsReport:
             assert moved.certificate == check_contraction_condition(
                 report.c_a, M, report.u0_norm, report.Q, report.rho)
         assert not dataclasses.replace(report, M=1e3 * report.M).certificate.passed
-        with pytest.raises(ValueError):
+        # the certificate is derived, not a field: it cannot be passed in
+        with pytest.raises(TypeError):
             dataclasses.replace(report, certificate=report.certificate)
 
     def test_overrides_are_flagged(self):

@@ -349,11 +349,13 @@ class TestSolve:
         assert doc["solve"]["converged"] is True
         assert doc["solve"]["residual"] <= 1e-10
         lines = trace_path.read_text().strip().split("\n")
-        assert lines[0] == "k,norm,delta,ratio,apost_bound"
+        assert lines[0] == "k,norm,delta,ratio,apost_bound,step_bound"
         sigma = doc["constants"]["sigma"]
         for line in lines[2:]:
             ratio = float(line.split(",")[3])
             assert ratio <= sigma + 1e-9
+        # the last step's bound is the report's error bound, bit for bit
+        assert float(lines[-1].split(",")[5]) == doc["solve"]["error_bound"]
 
     def test_solve_runs_only_batched_real_transforms(self, tmp_path, capsys, fft_calls):
         # u0 and each distinct kernel at load, four per step, four for the

@@ -451,7 +451,7 @@ class TestTrace:
         mat, report = certified
         _, trace = picard_solve(mat, report)
         lines = trace.to_csv().strip().split("\n")
-        assert lines[0] == "k,norm,delta,ratio,apost_bound"
+        assert lines[0] == "k,norm,delta,ratio,apost_bound,step_bound"
         assert len(lines) == len(trace.ks) + 1
         first = lines[1].split(",")
         assert first[0] == "1"
@@ -459,6 +459,24 @@ class TestTrace:
         assert first[3] == "nan"
         # 17 significant digits survive a round trip
         assert float(first[2]) == trace.deltas[0]
+
+    def test_step_bound_uses_each_step(self, certified):
+        # step_bound is sigma/(1 - sigma) delta_k; apost_bound, from delta_1
+        # alone, is the larger from step 2 on
+        mat, report = certified
+        _, trace = picard_solve(mat, report)
+        rows = [line.split(",") for line in trace.to_csv().strip().split("\n")[1:]]
+        sigma = report.sigma
+        for row, delta in zip(rows, trace.deltas):
+            assert float(row[5]) == sigma / (1.0 - sigma) * delta
+        assert float(rows[0][4]) == float(rows[0][5])
+        assert all(float(r[5]) < float(r[4]) for r in rows[1:])
+
+    def test_no_step_bound_without_contraction(self):
+        for sigma in (None, 1.0, 2.5):
+            trace = IterationTrace(sigma=sigma)
+            trace.record(1, 1.0, 0.5)
+            assert trace.to_csv().split("\n")[1].split(",")[4:] == ["nan", "nan"]
 
 
 class TestContinuity:
@@ -477,6 +495,8 @@ class TestContinuity:
 
     def test_uncertifiable_joint_bound_rejected(self, certified):
         mat, report = certified
-        # scaling by 3 pushes the joint C1 bound past the condition
+        # scaling by rho / lhs takes the joint lhs to rho, twice the
+        # condition's rho / 2, whatever the constants are
+        factor = report.rho / report.certificate.lhs
         with pytest.raises(ConfigurationError, match="joint"):
-            continuity_experiment(mat, report, support.scaled(mat.g, 3.0), tol=1e-10)
+            continuity_experiment(mat, report, support.scaled(mat.g, factor), tol=1e-10)
