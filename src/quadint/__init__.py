@@ -10,7 +10,7 @@ fixed-point map contracts a Sobolev ball, solves by iteration, and checks
 the certified rates and continuity bounds against measurements.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .errors import (AssumptionViolation, BallEscapeError, ConfigurationError,
                      ExpressionDomainError, ExpressionSyntaxError,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -188,6 +188,8 @@ def check_contraction_condition(c_a: float, M: float, u0_norm: float, Q: float,
     None when empty."""
     if not Q > 0:
         raise ConfigurationError("Q must be positive")
+    if not 0.0 < rho <= 1.0:
+        raise ConfigurationError(f"ball radius must lie in (0, 1], got {rho}")
     lhs = float(c_a * M * (u0_norm + 1.0) ** 2 * Q)
     # a pass gives lhs <= rho/2 <= 1/2, and |u0| + 1 rounds to 1 or more, so
     # the rounded quotient is at most 1; it is 1 only when lhs = 1/2 (hence
@@ -252,29 +254,14 @@ class ConstantsReport:
         return float(sigma / (2.0 * self.M * (1.0 - sigma)) * (self.u0_norm + 1.0) * c1_dist)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "c_e": float(self.c_e),
-            "c_a": float(self.c_a),
-            "lattice_c_e": float(self.lattice_c_e),
-            "u0_norm": float(self.u0_norm),
-            "r_state": float(self.r_state),
-            "M": float(self.M),
-            "Q": float(self.Q),
-            "sigma": float(self.sigma),
-            "rho": float(self.rho),
-            "operator_norms": [float(v) for v in self.operator_norms],
-            "kernel_w21_norms": [float(v) for v in self.kernel_w21_norms],
-            "condition_lhs": float(self.certificate.lhs),
-            "condition_pass": bool(self.certificate.passed),
-            "rho_feasible_interval": (
-                [float(v) for v in self.certificate.feasible_interval]
-                if self.certificate.feasible_interval is not None else None),
-            "provenance": dict(self.provenance),
-            "notes": dict(self.notes),
-            "constants_overridden": bool(self.constants_overridden),
-            "warnings": list(self.warnings) + list(self.certificate.warnings),
-        }
+        """Every field under its own name, the certificate's verdict, and the
+        report's warnings followed by the certificate's."""
+        cert = self.certificate
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "sigma": cert.sigma, "condition_lhs": cert.lhs,
+                "condition_pass": cert.passed,
+                "rho_feasible_interval": cert.feasible_interval,
+                "warnings": self.warnings + cert.warnings}
 
 
 def constants_report(mat: MaterializedProblem) -> ConstantsReport:

@@ -294,14 +294,12 @@ def cmd_solve(args) -> tuple[dict, int]:
         _write(args.trace, trace.to_csv())
     # the spectra are known, so the norms need no transform; u = u0 + u_p
     # and u^ are formed in the solution's buffers, which the residual spends
-    sigma = report.sigma
     u, u_spectrum = solution.u_p, solution.u_p_spectrum
     doc["solve"] = {
         "converged": True,
         "iterations": solution.iterations,
         "residual": float(solution.residual),
-        "error_bound": (solver.a_posteriori_bound(sigma, 1, solution.residual)
-                        if certified and sigma < 1.0 else None),
+        "error_bound": trace.error_bound,
         "perturbation_norm": spectral.h2_norm(mat.grid, u_spectrum),
         "best_effort": bool(args.best_effort and not certified),
     }

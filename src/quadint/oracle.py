@@ -80,12 +80,29 @@ def random_ball_points(n: int, radius: float, count: int, seed=0) -> np.ndarray:
     return pts / radii * (radius * rng.uniform(0, 1, (count, 1)) ** (1.0 / n))
 
 
+def sphere_axis_points(n: int, radius: float) -> np.ndarray:
+    """The 2n points +-r e_j and the 2n(n-1) points r(+-e_i +- e_j)/sqrt(2),
+    i < j, of the sphere of radius r in R^n, shape (2n^2, n).  A sup of a
+    product of one or two coordinates sits at such a point, and uniform
+    points seldom come near them once n is 6 or more."""
+    axis = radius * np.vstack([np.eye(n), -np.eye(n)])
+    i, j = np.triu_indices(n, 1)
+    rows = np.arange(i.size)
+    diagonals = []
+    for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        p = np.zeros((i.size, n))
+        p[rows, i], p[rows, j] = si, sj
+        diagonals.append(p)
+    return np.vstack([axis, np.vstack(diagonals) * (radius / np.sqrt(2.0))])
+
+
 def dense_c1_norm(g: NonlinearitySpec, radius: float, samples: int,
                   seed: int = 0) -> float:
     """sum_m (sup|g_m| + sum_j sup|dg_m/dz_j|) over one set of `samples`
-    pseudo-random points of the ball of the given radius in R^N, drawn once
-    and shared by all N + N^2 expressions."""
-    pts = random_ball_points(g.n, radius, samples, seed=seed)
+    pseudo-random points of the ball of the given radius in R^N and the
+    sphere_axis_points, drawn once and shared by all N + N^2 expressions."""
+    pts = np.vstack([random_ball_points(g.n, radius, samples, seed=seed),
+                     sphere_axis_points(g.n, radius)])
     cols = [pts[:, j] for j in range(g.n)]
     return float(sum(evaluate_many(g.c1_expressions, cols,
                                    take=lambda _, v: np.max(np.abs(v)))))
@@ -147,7 +164,8 @@ def cross_checks(problem: model.ProblemSpec, size: int | None, seed: int) -> dic
                    "passed": bool(grad_ok)})
 
     # sup estimates: the enclosed C1 bound must dominate a dense reference
-    # sup, taken on pseudo-random points
+    # sup, taken on pseudo-random points and the sphere's axis and diagonal
+    # points
     dense_total = dense_c1_norm(mat.g, report.r_state, 100_000, seed=seed)
     sup_ok = report.M >= dense_total * (1.0 - 1e-9)
     ok &= sup_ok

@@ -93,7 +93,8 @@ def a_posteriori_bound(sigma: float, k: int, delta_1: float) -> float:
 class IterationTrace:
     """Per-step record of the iteration: iterate norm, step difference,
     observed contraction ratio, and the geometric a-posteriori bound.  The
-    bounds are NaN without a contraction factor sigma < 1."""
+    bounds are NaN without a contraction factor sigma < 1, which
+    picard_solve gives only to a certified problem."""
 
     def __init__(self, sigma: float | None):
         self.sigma = sigma
@@ -114,6 +115,12 @@ class IterationTrace:
     def _bound(self, k: int, delta: float) -> float:
         contracts = self.sigma is not None and self.sigma < 1.0
         return a_posteriori_bound(self.sigma, k, delta) if contracts else float("nan")
+
+    @property
+    def error_bound(self) -> float | None:
+        """The last row's step_bound, or None where it is NaN."""
+        bound = self._bound(1, self.deltas[-1])
+        return None if np.isnan(bound) else bound
 
     def to_csv(self) -> str:
         """The trace with 17 significant digits, and a last column
@@ -173,7 +180,9 @@ def picard_solve(mat: MaterializedProblem, report: ConstantsReport,
         if certified and spectral.h2_norm(grid, v_spectrum) > rho * (1.0 + BALL_SLACK):
             raise ConfigurationError("starting point lies outside the certified ball")
 
-    trace = IterationTrace(sigma=report.sigma)
+    # the one gate of every sigma-derived bound: a trace without sigma
+    # records NaN bounds
+    trace = IterationTrace(sigma=report.sigma if certified else None)
     escape_limit = 1e8 * max(1.0, mat.u0_norm)
 
     for k in range(1, max_iter + 1):
@@ -233,23 +242,14 @@ def residual_original_system(mat: MaterializedProblem, u: np.ndarray,
 
 class ContinuityReport(Record, namedtuple(
         "ContinuityReport",
-        "measured_distance bound passed sigma_joint M_joint c1_dist iterations")):
+        "measured_distance bound passed sigma_joint M_joint c1_distance iterations")):
     """Outcome of solving the same problem under two nonlinearities;
     iterations holds the two solves' counts."""
 
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "measured_distance": float(self.measured_distance),
-            "bound": float(self.bound),
-            "passed": bool(self.passed),
-            "sigma_joint": float(self.sigma_joint),
-            "M_joint": float(self.M_joint),
-            "c1_distance": float(self.c1_dist),
-            "c1_provenance": "rigorous-bound",
-            "iterations": [int(v) for v in self.iterations],
-        }
+        return {**self._asdict(), "c1_provenance": "rigorous-bound"}
 
 
 def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
@@ -288,6 +288,6 @@ def continuity_experiment(mat: MaterializedProblem, report: ConstantsReport,
     passed = measured <= bound + 2.0 * tol
     return ContinuityReport(
         measured_distance=measured, bound=bound, passed=passed,
-        sigma_joint=joint.sigma, M_joint=joint.M, c1_dist=dist,
+        sigma_joint=joint.sigma, M_joint=joint.M, c1_distance=dist,
         iterations=(sol1.iterations, sol2.iterations),
     )

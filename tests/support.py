@@ -1,10 +1,9 @@
 """Helpers that only the tests use: seeded random fields, quasi-random ball
-points, the randomized and extremal falsification of c_e and c_a, a dense C^1
-reference with the axis and diagonal points of the sphere, one-expression
-and Fourier-multiplier shorthands, the operators a problem file names, a
-scaled nonlinearity, and the expression printer.  No subcommand reaches
-them, so they live here and not in the package (tests/test_layout.py keeps
-it that way)."""
+points, the randomized and extremal falsification of c_e and c_a,
+one-expression and Fourier-multiplier shorthands, the operators a problem
+file names, a scaled nonlinearity, and the expression printer.  No
+subcommand reaches them, so they live here and not in the package
+(tests/test_layout.py keeps it that way)."""
 
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from quadint.analysis import algebra_constant, embedding_constant
 from quadint.exprdsl import (Add, Call, Div, Expr, Mul, Neg, NonlinearitySpec, Num,
                              Pow, Sub, Var, evaluate_many, fold_mul)
 from quadint.model import RationalMultiplier
-from quadint.oracle import random_ball_points
 from quadint.spectral import Grid
 
 
@@ -127,36 +125,6 @@ def ball_points(n: int, radius: float, count: int, seed: int = 0,
     if boundary:
         return directions * radius
     return directions * (radius * u[-1] ** (1.0 / n))[:, None]
-
-
-# --- dense C^1 reference ---------------------------------------------------------
-
-def sphere_axis_points(n: int, radius: float) -> np.ndarray:
-    """The 2n points +-r e_j and the 2n(n-1) points r(+-e_i +- e_j)/sqrt(2),
-    i < j, of the sphere of radius r in R^n, shape (2n^2, n).  A sup of a
-    product of one or two coordinates sits at such a point, and uniform
-    points seldom come near them once n is 6 or more."""
-    axis = radius * np.vstack([np.eye(n), -np.eye(n)])
-    i, j = np.triu_indices(n, 1)
-    rows = np.arange(i.size)
-    diagonals = []
-    for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        p = np.zeros((i.size, n))
-        p[rows, i], p[rows, j] = si, sj
-        diagonals.append(p)
-    return np.vstack([axis, np.vstack(diagonals) * (radius / math.sqrt(2.0))])
-
-
-def extended_dense_c1_norm(g: NonlinearitySpec, radius: float, samples: int,
-                           seed: int = 0) -> float:
-    """The oracle's dense C^1 reference (oracle.dense_c1_norm: the same
-    `samples` pseudo-random points of the ball) taken on the
-    sphere_axis_points as well."""
-    pts = np.vstack([random_ball_points(g.n, radius, samples, seed=seed),
-                     sphere_axis_points(g.n, radius)])
-    cols = [pts[:, j] for j in range(g.n)]
-    return float(sum(evaluate_many(g.c1_expressions, cols,
-                                   take=lambda _, v: np.max(np.abs(v)))))
 
 
 # --- randomized falsification ----------------------------------------------------

@@ -386,6 +386,17 @@ class TestContractionCondition:
         assert (BOUNDARY_WARNING in cert.warnings) == (cert.passed and cert.sigma == 1.0)
         assert (NO_MARGIN in cert.warnings) == (cert.lhs == rho / 2.0)
 
+    @pytest.mark.parametrize("rho", [2.0, 0.0, -0.5, math.nan, math.inf])
+    def test_radius_outside_the_unit_interval_is_refused(self, certified, rho):
+        # the proof that a pass has sigma <= 1 needs 0 < rho <= 1; 0.13.0
+        # passed rho = 2 here with sigma = 1.8
+        import dataclasses
+        with pytest.raises(ConfigurationError, match=r"ball radius must lie in \(0, 1\]"):
+            check_contraction_condition(1.0, 1.0, 0.0, 0.9, rho)
+        _, report = certified
+        with pytest.raises(ConfigurationError, match=r"ball radius must lie in \(0, 1\]"):
+            dataclasses.replace(report, rho=rho).certificate
+
     def test_pass_implies_sigma_below_one(self, certified):
         _, report = certified
         assert report.certificate.passed
@@ -478,6 +489,25 @@ class TestConstantsReport:
         assert doc["sigma"] == report.sigma
         import json
         json.dumps(doc)  # must be plain JSON types
+
+    def test_to_dict_is_the_fields_and_the_verdict(self, certified):
+        # every field under its own name, the certificate's four verdict
+        # keys, and the report's warnings followed by the certificate's
+        import dataclasses
+        _, report = certified
+        c_a, M, Q = BOUNDARY
+        report = dataclasses.replace(report, c_a=c_a, M=M, Q=Q, u0_norm=0.0, rho=1.0,
+                                     warnings=("a report warning",))
+        cert = report.certificate
+        doc = report.to_dict()
+        names = [f.name for f in dataclasses.fields(report)]
+        verdict = {"sigma": cert.sigma, "condition_lhs": cert.lhs,
+                   "condition_pass": cert.passed,
+                   "rho_feasible_interval": cert.feasible_interval}
+        assert set(doc) == set(names) | set(verdict)
+        assert all(doc[name] is getattr(report, name) for name in names if name != "warnings")
+        assert {key: doc[key] for key in verdict} == verdict
+        assert doc["warnings"] == ("a report warning", BOUNDARY_WARNING, NO_MARGIN)
 
     def test_certificate_follows_the_constants(self, certified):
         import dataclasses

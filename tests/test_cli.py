@@ -6,6 +6,7 @@ import io
 import json
 import os
 import platform
+import re
 import resource
 import subprocess
 import sys
@@ -405,6 +406,20 @@ class TestSolve:
         assert doc["solve"]["converged"] is True
         assert doc["solve"]["error_bound"] is None
 
+    def test_no_trace_bound_without_a_certificate(self, tmp_path, capsys):
+        # rho = 0.3 fails the condition (lhs 0.158 > rho / 2) with sigma =
+        # 0.23 < 1; before 0.14.0 the trace still read finite bounds
+        doc_in = json.loads((PROBLEMS / "gaussian_certified.json").read_text())
+        trace_path = tmp_path / "trace.csv"
+        code, doc = run(capsys, "solve", write_problem(tmp_path, dict(doc_in, rho=0.3)),
+                        "--best-effort", "--trace", str(trace_path))
+        assert code == 0
+        assert doc["certified"] is False and doc["constants"]["sigma"] < 1.0
+        assert doc["solve"]["converged"] is True
+        assert doc["solve"]["error_bound"] is None
+        rows = [line.split(",") for line in trace_path.read_text().splitlines()[1:]]
+        assert rows and all(row[4:] == ["nan", "nan"] for row in rows)
+
     def test_uncertified_refused_without_flag(self, tmp_path, capsys):
         doc_in = dict(CERTIFIED, kernels=[{"type": "gaussian", "alpha": 1.0}])
         code, doc = run(capsys, "solve", write_problem(tmp_path, doc_in))
@@ -456,6 +471,17 @@ class TestContinuity:
         assert code == 0
         cont = doc["continuity"]
         assert cont["measured_distance"] <= cont["bound"]
+
+    def test_report_has_the_keys_the_readme_documents(self, tmp_path, capsys):
+        readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"The `continuity` section of the report holds (.*?)\.\s",
+                             readme, re.S).group(1)
+        documented = set(re.findall(r"`(\w+)`", sentence))
+        path = write_problem(tmp_path, CERTIFIED)
+        code, doc = run(capsys, "continuity", path, "--g2", path)
+        assert code == 0
+        assert set(doc["continuity"]) == documented
+        assert len(documented) == 8
 
     def test_missing_g2_is_usage_error(self, tmp_path, capsys):
         path = write_problem(tmp_path, CERTIFIED)
@@ -691,37 +717,36 @@ class TestOracle:
         failed = [c["name"] for c in doc["oracle"]["checks"] if not c["passed"]]
         assert failed == ["c1_bound_dominates_dense_sup"]
 
-    @staticmethod
-    def extended_reference(path):
-        """The report's M of the problem at `path` and the dense C^1
-        reference of the oracle at --seed 7 taken on the axis and diagonal
-        points of the sphere as well (support.extended_dense_c1_norm)."""
+    def test_c1_bound_dominates_the_extended_dense_reference(self, tmp_path, capsys):
+        # before 0.14.0 the oracle's 100 000 points read 5.989 on the
+        # constants-tanh shape; the 72 axis and diagonal points of the sphere
+        # raise that to the exact sup 6.1716
+        from quadint import oracle
+        path = write_problem(tmp_path, CONSTANTS_TANH)
+        code, doc = run(capsys, "oracle", path, "--seed", "7")
+        assert code == 0
+        sup_check = doc["oracle"]["checks"][-1]
+        assert 6.1716 <= sup_check["dense_reference"] <= 6.1718
+        assert sup_check["M"] >= sup_check["dense_reference"] * (1.0 - 1e-9)
         problem, _ = cli.load_problem(path)
         report = analysis.constants_report(model.materialize(problem))
-        return report.M, support.extended_dense_c1_norm(
-            problem.g, report.r_state, 100_000, seed=7)
+        assert oracle.dense_c1_norm(problem.g, report.r_state, 100_000, seed=7) == \
+            sup_check["dense_reference"]
 
-    def test_c1_bound_dominates_the_extended_dense_reference(self, tmp_path, capsys):
-        # the oracle's 100 000 points read 5.989 on the constants-tanh shape;
-        # the 72 points of the sphere raise that to the exact sup 6.1716
-        M, reference = self.extended_reference(write_problem(tmp_path, CONSTANTS_TANH))
-        assert 6.1716 <= reference <= 6.1718
-        assert M >= reference * (1.0 - 1e-9)
-
-    def test_extended_reference_fails_what_the_oracle_passes(
-            self, tmp_path, capsys, monkeypatch):
-        # mutation pair: M / 1.06 = 6.118 lies above the oracle's dense sup
-        # 5.989 and below the exact sup, which only the extended reference reads
+    def test_oracle_fails_an_M_below_the_exact_sup(self, tmp_path, capsys, monkeypatch):
+        # mutation pair: M / 1.06 = 6.118 lies above the sup 5.989 of the
+        # pseudo-random points and below the exact sup, which the sphere's
+        # axis and diagonal points read; before 0.14.0 the oracle passed it
         original = analysis._enclosed_bound
         monkeypatch.setattr(analysis, "_enclosed_bound",
                             lambda *args: original(*args) / 1.06)
         path = write_problem(tmp_path, CONSTANTS_TANH)
         code, doc = run(capsys, "oracle", path, "--seed", "7")
-        assert code == 0
-        assert doc["oracle"]["all_passed"] is True
-        M, reference = self.extended_reference(path)
-        assert M == doc["oracle"]["checks"][-1]["M"]
-        assert M < reference * (1.0 - 1e-9)
+        assert code == 1
+        failed = [c["name"] for c in doc["oracle"]["checks"] if not c["passed"]]
+        assert failed == ["c1_bound_dominates_dense_sup"]
+        sup_check = doc["oracle"]["checks"][-1]
+        assert sup_check["M"] < sup_check["dense_reference"] * (1.0 - 1e-9)
 
 
 class TestWorkingSet:

@@ -472,6 +472,16 @@ class TestTrace:
         assert float(rows[0][4]) == float(rows[0][5])
         assert all(float(r[5]) < float(r[4]) for r in rows[1:])
 
+    def test_error_bound_is_the_last_step_bound(self, certified):
+        mat, report = certified
+        _, trace = picard_solve(mat, report)
+        last = trace.to_csv().strip().split("\n")[-1].split(",")
+        assert trace.error_bound == float(last[5])
+        for sigma in (None, 1.0):
+            trace = IterationTrace(sigma=sigma)
+            trace.record(1, 1.0, 0.5)
+            assert trace.error_bound is None
+
     def test_no_step_bound_without_contraction(self):
         for sigma in (None, 1.0, 2.5):
             trace = IterationTrace(sigma=sigma)
