@@ -10,12 +10,11 @@ fixed-point map contracts a Sobolev ball, solves by iteration, and checks
 the certified rates and continuity bounds against measurements.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
-from .errors import (AssumptionViolation, BallEscapeError, ConfigurationError,
-                     ExpressionDomainError, ExpressionSyntaxError,
-                     NonConvergenceError, NumericOverflowError, OracleBudgetError,
-                     QuadIntError)
+from .errors import (BallEscapeError, ConfigurationError, ExpressionDomainError,
+                     ExpressionSyntaxError, NonConvergenceError, NumericOverflowError,
+                     OracleBudgetError, QuadIntError)
 from .spectral import Grid
 from .model import (GaussianKernel, MaterializedProblem, ProblemSpec,
                     RationalMultiplier, materialize, validate_assumptions)
@@ -35,6 +34,6 @@ __all__ = [
     "apply_map_tg", "picard_solve",
     "residual_original_system", "continuity_experiment",
     "QuadIntError", "ConfigurationError", "ExpressionSyntaxError",
-    "ExpressionDomainError", "AssumptionViolation", "NonConvergenceError",
+    "ExpressionDomainError", "NonConvergenceError",
     "BallEscapeError", "OracleBudgetError", "NumericOverflowError",
 ]

@@ -235,7 +235,7 @@ def _check_pipeline(problem: ProblemSpec, digest: str) -> tuple[
     error, so it lands in the validation report and the constants slot
     stays empty.  A constant beyond the range of a double
     is an input error, raised as such."""
-    mat = model.materialize(problem, strict=False)
+    mat = model.materialize(problem)
     report = None
     failure = None
     try:

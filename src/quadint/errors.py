@@ -28,12 +28,6 @@ class NumericOverflowError(ExpressionDomainError):
     error, never a failed hypothesis."""
 
 
-class AssumptionViolation(QuadIntError):
-    """A structural hypothesis on the problem data does not hold
-    (trivial kernel, vanishing initial data, nonlinearity not rooted at 0,
-    degenerate operator)."""
-
-
 class NonConvergenceError(QuadIntError):
     """Fixed-point iteration failed to reach the requested tolerance."""
 

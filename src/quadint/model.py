@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprdsl, spectral
-from .errors import AssumptionViolation, ConfigurationError, NumericOverflowError
+from .errors import ConfigurationError, NumericOverflowError
 from .exprdsl import Expr, NonlinearitySpec
 from .records import Record
 from .spectral import Grid
@@ -78,20 +78,15 @@ def sample_kernel(spec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return K, dK
 
 
-def materialize_kernel(spec, grid: Grid, strict: bool = True
-                       ) -> tuple[MaterializedKernel, np.ndarray]:
+def materialize_kernel(spec, grid: Grid) -> tuple[MaterializedKernel, np.ndarray]:
     """Sample the kernel and compute its norms; returns them with the
     samples K, which the caller turns into the kernel's spectrum.  The
-    Laplacian serves the W21 norm and is not kept.  With strict=True a
-    kernel that vanishes identically raises."""
+    Laplacian serves the W21 norm and is not kept."""
     K, dK = sample_kernel(spec, grid)
-    nontrivial = bool(np.any(K != 0.0))
-    if strict and not nontrivial:
-        raise AssumptionViolation("kernel vanishes identically on the grid")
     return MaterializedKernel(
         w21=spectral.tilde_w21_norm(grid, K, dK),
         tail_fraction=spectral.tail_mass_fraction(grid, K, "l1"),
-        nontrivial=nontrivial,
+        nontrivial=bool(np.any(K != 0.0)),
     ), K
 
 
@@ -221,11 +216,9 @@ class MaterializedProblem:
         return self.spec.g
 
 
-def materialize_u0(problem: ProblemSpec, strict: bool = True) -> np.ndarray:
+def materialize_u0(problem: ProblemSpec) -> np.ndarray:
     """Sample the initial data, stacked over the components.  Data whose
-    squares overflow a double raises NumericOverflowError.  With
-    strict=True, initial data that vanishes identically in every component
-    raises."""
+    squares overflow a double raises NumericOverflowError."""
     grid = problem.grid
     u0 = np.empty((problem.n,) + grid.shape)
     rows = [m for m, entry in enumerate(problem.u0) if not isinstance(entry, np.ndarray)]
@@ -239,8 +232,6 @@ def materialize_u0(problem: ProblemSpec, strict: bool = True) -> np.ndarray:
     if not math.isfinite(peak * peak):
         raise NumericOverflowError(
             f"initial data reaches {peak:.3g}, whose square overflows a double")
-    if strict and not np.any(u0 != 0.0):
-        raise AssumptionViolation("initial data vanishes identically in every component")
     return u0
 
 
@@ -269,7 +260,7 @@ def check_working_set(grid: Grid, components: int) -> None:
             f"of n^d doubles), more than the {have / 1e9:.3g} GB of physical memory")
 
 
-def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProblem:
+def materialize(problem: ProblemSpec) -> MaterializedProblem:
     """Sample all fields and precompute operator data: the kernel spectra,
     the operator norms and the spectrum of u0, each computed once here:
     once per group of equal specs (equal_groups), whose members share the
@@ -277,10 +268,11 @@ def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProble
     measured and transformed in turn, and dropped once its spectrum is
     written.  A grid too large for the machine is refused first, and
     initial data whose squares or H2 norm overflow a double before anything
-    else uses it."""
+    else uses it.  Degenerate data is never refused: validate_assumptions
+    decides the structural hypotheses."""
     grid = problem.grid
     check_working_set(grid, problem.n)
-    u0 = materialize_u0(problem, strict=strict)
+    u0 = materialize_u0(problem)
     u0_spectrum = spectral.forward_transform(grid, u0)
     with np.errstate(over="ignore", invalid="ignore"):
         u0_norm = spectral.h2_norm(grid, u0_spectrum)
@@ -291,12 +283,10 @@ def materialize(problem: ProblemSpec, strict: bool = True) -> MaterializedProble
         norm = operator_norm(multiplier_values(problem.operators[rows[0]], grid))
         for m in rows:
             norms[m] = norm
-    if strict and 0.0 in norms:
-        raise AssumptionViolation("operator multiplier vanishes identically")
     kernels: list = [None] * problem.n
     kernel_spectra = np.empty((problem.n,) + grid.spectral_shape, dtype=complex)
     for rows in equal_groups(problem.kernels):
-        kernel, K = materialize_kernel(problem.kernels[rows[0]], grid, strict=strict)
+        kernel, K = materialize_kernel(problem.kernels[rows[0]], grid)
         kernel_spectra[rows] = spectral.kernel_spectrum(grid, K)
         del K
         for m in rows:
@@ -328,14 +318,14 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_assumptions(mat: MaterializedProblem,
-                         ball_radius: float | None = None) -> ValidationReport:
-    """Check the structural hypotheses of the problem data and collect every
-    violation instead of stopping at the first.
+def validate_assumptions(mat: MaterializedProblem, ball_radius: float) -> ValidationReport:
+    """Check the structural hypotheses of the problem data, the one place
+    that decides them, and collect every violation instead of stopping at
+    the first.
 
     g(0) = 0 and a g not identically zero on the state ball of radius
-    `ball_radius` (1 when omitted) are decided by enclosures at fixed
-    points (README, "The structural checks").
+    `ball_radius` are decided by enclosures at fixed points (README, "The
+    structural checks").
     """
     report = ValidationReport()
     spec = mat.spec
@@ -358,7 +348,7 @@ def validate_assumptions(mat: MaterializedProblem,
     # one point box per column: the origin, +-(r/2) e_j, +-(r/2)(1,...,1)/sqrt(N),
     # and (r/2)(1, -2, 3, ...)/|(1, 2, 3, ...)|; an enclosure that excludes 0
     # proves that g is not 0 at its point
-    h = 0.5 * (1.0 if ball_radius is None else float(ball_radius))
+    h = 0.5 * float(ball_radius)
     j = np.arange(1.0, spec.n + 1.0)
     spokes = np.column_stack([np.eye(spec.n) * h, np.full(spec.n, h / math.sqrt(spec.n))])
     points = np.column_stack([np.zeros(spec.n), spokes, -spokes,

@@ -114,7 +114,8 @@ def cross_checks(problem: model.ProblemSpec, size: int | None, seed: int) -> dic
     against literal quadrature, the symbolic gradient against finite
     differences at 20 points uniform in the state ball, and the enclosed
     C^1 bound against the dense sup.  The points of both random checks come
-    from `seed`."""
+    from `seed`.  Degenerate data runs all three; a refused M fails the
+    third (README, "Refusal")."""
     d = problem.grid.d
     size = size if size is not None else MAX_POINTS[d]
     small = Grid(d=d, n=size, L=problem.grid.L)
@@ -125,8 +126,14 @@ def cross_checks(problem: model.ProblemSpec, size: int | None, seed: int) -> dic
             "oracle rerun needs expression-based kernels and initial data "
             "(tabulated fields cannot be resampled on the reduced grid)")
     reduced = dataclasses.replace(problem, grid=small)
-    mat = model.materialize(reduced, strict=False)
-    report = analysis.constants_report(mat)
+    mat = model.materialize(reduced)
+    # check's state ball and M; an M that overflows is an input error
+    r_state = analysis.ball_radius_state(
+        analysis.problem_embedding_constant(reduced), mat.u0_norm)
+    try:
+        M, refusal = analysis.estimate_M(mat.g, r_state), None
+    except ConfigurationError as exc:
+        M, refusal = None, str(exc)
 
     checks = []
     ok = True
@@ -151,7 +158,7 @@ def cross_checks(problem: model.ProblemSpec, size: int | None, seed: int) -> dic
     worst = 0.0
     for _ in range(20):
         z = rng.standard_normal(mat.n)
-        z *= (report.r_state * rng.uniform(0, 1) ** (1.0 / mat.n)
+        z *= (r_state * rng.uniform(0, 1) ** (1.0 / mat.n)
               / max(np.linalg.norm(z), 1e-300))
         sym = mat.g.gradient_at(z)
         fd = finite_diff_gradient(mat.g, z)
@@ -165,11 +172,12 @@ def cross_checks(problem: model.ProblemSpec, size: int | None, seed: int) -> dic
 
     # sup estimates: the enclosed C1 bound must dominate a dense reference
     # sup, taken on pseudo-random points and the sphere's axis and diagonal
-    # points
-    dense_total = dense_c1_norm(mat.g, report.r_state, 100_000, seed=seed)
-    sup_ok = report.M >= dense_total * (1.0 - 1e-9)
-    ok &= sup_ok
-    checks.append({"name": "c1_bound_dominates_dense_sup",
-                   "M": float(report.M), "dense_reference": float(dense_total),
-                   "passed": bool(sup_ok)})
+    # points; a refused M fails with no reference drawn
+    sup = {"M": None, "dense_reference": None, "refused": refusal, "passed": False}
+    if refusal is None:
+        dense_total = dense_c1_norm(mat.g, r_state, 100_000, seed=seed)
+        sup = {"M": float(M), "dense_reference": float(dense_total),
+               "passed": bool(M >= dense_total * (1.0 - 1e-9))}
+    ok &= sup["passed"]
+    checks.append({"name": "c1_bound_dominates_dense_sup", **sup})
     return {"grid_points": size, "checks": checks, "all_passed": bool(ok)}

@@ -11,9 +11,8 @@ import numpy as np
 import quadint.spectral as sp
 from quadint import solver
 from quadint.cli import main
-from quadint.errors import AssumptionViolation
 from quadint.exprdsl import NonlinearitySpec
-from quadint.model import materialize
+from quadint.model import materialize, validate_assumptions
 from quadint.oracle import direct_convolution, finite_diff_gradient
 from quadint.solver import apply_map_tg, picard_solve, residual_original_system
 from quadint.spectral import Grid
@@ -208,18 +207,16 @@ def test_criterion_09_trivial_cases(certified):
     residual = residual_original_system(mat0, mat0.u0)
 
     # trivial kernel and trivial initial data are rejected at validation
+    from quadint.exprdsl import parse
     base = make_certified_problem(n=16)
-    kernel_rejected = u0_rejected = False
-    try:
-        materialize(dataclasses.replace(
-            base, kernels=(np.zeros((16, 16)),)))
-    except AssumptionViolation:
-        kernel_rejected = True
-    try:
-        from quadint.exprdsl import parse
-        materialize(dataclasses.replace(base, u0=(parse("0", 2, "x"),)))
-    except AssumptionViolation:
-        u0_rejected = True
+
+    def violations(problem):
+        return validate_assumptions(materialize(problem), 1.0).violations
+
+    kernel_rejected = "kernel 1 vanishes identically" in violations(
+        dataclasses.replace(base, kernels=(np.zeros((16, 16)),)))
+    u0_rejected = "initial data vanishes identically in every component" in violations(
+        dataclasses.replace(base, u0=(parse("0", 2, "x"),)))
 
     ok = exact_zero and residual == 0.0 and kernel_rejected and u0_rejected
     report_line(9, "trivial-cases", ok)

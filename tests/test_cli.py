@@ -665,8 +665,8 @@ class TestOracle:
         from quadint import model
         original = model.materialize
 
-        def corrupted(problem, strict=True):
-            mat = original(problem, strict)
+        def corrupted(problem):
+            mat = original(problem)
             return dataclasses.replace(mat, kernel_spectra=mat.kernel_spectra * (1.0 + 1e-6))
 
         monkeypatch.setattr(model, "materialize", corrupted)
@@ -692,12 +692,51 @@ class TestOracle:
         assert sup_check["name"] == "c1_bound_dominates_dense_sup"
         assert sup_check["dense_reference"] < sup_check["M"]
 
-    def test_unenclosed_m_is_an_input_error(self, tmp_path, capsys):
+    def test_unenclosed_m_fails_the_sup_check(self, tmp_path, capsys):
+        # a refused M fails the sup check, which names the refusal, and the
+        # other checks still run; before 0.15.0 oracle exited 2, the
+        # input-error code, where check exits 1
         path = write_problem(tmp_path, TANH_UNENCLOSED)
-        assert main(["oracle", path, "--size", "16"]) == 2
+        assert main(["oracle", path, "--size", "16"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: " + UNENCLOSED_M.format(0.405241) + "\n"
+        assert captured.err == ""
+        checks = json.loads(captured.out)["oracle"]["checks"]
+        assert [c["name"] for c in checks] == [
+            "convolution_channel_1", "convolution_channel_2",
+            "gradient_vs_finite_differences", "c1_bound_dominates_dense_sup"]
+        assert [c["passed"] for c in checks] == [True, True, True, False]
+        assert checks[-1] == {"name": "c1_bound_dominates_dense_sup", "M": None,
+                              "dense_reference": None,
+                              "refused": UNENCLOSED_M.format(0.405241), "passed": False}
+
+    @pytest.mark.parametrize("degenerate", [
+        {"kernels": [{"type": "expression", "expr": "0*x1"}]},
+        {"operators": [{"type": "scaled_identity", "alpha": 0}]}])
+    def test_degenerate_data_runs_every_check(self, tmp_path, capsys, degenerate):
+        # a zero kernel or a zero operator fails check's hypotheses, and the
+        # oracle still runs its three checks, as for zero initial data;
+        # before 0.15.0 it exited 2 on Q = 0
+        path = write_problem(tmp_path, dict(POLE_INSIDE, g=CERTIFIED["g"], **degenerate))
+        code, doc = run(capsys, "check", path)
+        assert code == 1 and doc["certified"] is False
+        assert main(["oracle", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        checks = json.loads(captured.out)["oracle"]["checks"]
+        assert [c["name"] for c in checks] == [
+            "convolution_channel_1", "gradient_vs_finite_differences",
+            "c1_bound_dominates_dense_sup"]
+        assert all(c["passed"] for c in checks)
+
+    def test_overflowing_m_is_an_input_error(self, tmp_path, capsys):
+        # an M beyond the range of a double is malformed input in oracle, as
+        # in check
+        path = write_problem(tmp_path, dict(POLE_INSIDE, g=["(1e200*z1)^2"]))
+        for command in ("check", "oracle"):
+            assert main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: an enclosure on the state ball overflows a double\n"
 
     def test_oracle_checks_the_enclosed_c1_bound(self, tmp_path, capsys, monkeypatch):
         # mutation pair: the enclosed M of the constants-tanh shape lies

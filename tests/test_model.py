@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import quadint.spectral as sp
 from quadint import model
-from quadint.errors import AssumptionViolation, ConfigurationError, NumericOverflowError
+from quadint.errors import ConfigurationError, NumericOverflowError
 from quadint.exprdsl import NonlinearitySpec, parse
 from quadint.model import (GaussianKernel, ProblemSpec, RationalMultiplier, materialize,
                            materialize_kernel, materialize_u0, sample_kernel,
@@ -39,8 +39,11 @@ class TestKernels:
 
     def test_zero_tabulated_kernel_rejected(self):
         g = Grid(2, 16, 4.0)
-        with pytest.raises(AssumptionViolation, match="vanishes"):
-            materialize_kernel(np.zeros(g.shape), g)
+        mk, _ = materialize_kernel(np.zeros(g.shape), g)
+        assert mk.nontrivial is False
+        problem = one_component(g, parse("exp(-x1^2-x2^2)", 2, "x"), kernel=np.zeros(g.shape))
+        assert validate_assumptions(materialize(problem), 1.0).violations == [
+            "kernel 1 vanishes identically"]
 
     def test_expression_matches_builtin(self):
         g = Grid(2, 32, 8.0)
@@ -161,13 +164,11 @@ class TestOperators:
     def test_zero_multiplier_rejected(self):
         g = Grid(2, 16, 4.0)
         problem = one_component(g, parse("exp(-x1^2-x2^2)", 2, "x"), op=scaled_identity(0.0))
-        with pytest.raises(AssumptionViolation, match="multiplier vanishes"):
-            materialize(problem)
-        # diagnostic mode keeps the zero norm for validation to report
-        mat = materialize(problem, strict=False)
+        # materialize keeps the zero norm for validation to report
+        mat = materialize(problem)
         assert mat.operator_norms == (0.0,)
-        assert any("operator 1 multiplier vanishes" in v
-                   for v in validate_assumptions(mat).violations)
+        assert validate_assumptions(mat, 1.0).violations == [
+            "operator 1 multiplier vanishes identically"]
 
     def test_nonpositive_denominator_rejected(self):
         g = Grid(2, 16, 4.0)
@@ -226,8 +227,9 @@ class TestInitialData:
             g=NonlinearitySpec.from_strings(["z1*z2", "z1^2"]),
             u0=(parse("0", 2, "x"), parse("0", 2, "x")),
         )
-        with pytest.raises(AssumptionViolation, match="initial data"):
-            materialize_u0(problem)
+        assert not np.any(materialize_u0(problem))
+        assert validate_assumptions(materialize(problem), 1.0).violations == [
+            "initial data vanishes identically in every component"]
 
     def test_tabulated_component(self):
         g = Grid(2, 16, 4.0)
@@ -358,17 +360,16 @@ class TestRepeatedSpecs:
         assert calls == [INVERSE_HELMHOLTZ, scaled_identity(0.5)]
         assert mat.operator_norms == (1.0, 0.5, 1.0, 1.0, 0.5, 1.0)
 
-    def test_repeated_vanishing_kernel_raises_where_it_first_appears(self, monkeypatch):
+    def test_repeated_vanishing_kernel_is_reported_at_each_index(self, monkeypatch):
         vanishing = parse("0*x1", 2, "x")
         problem = dataclasses.replace(
             self.six_equal(Grid(2, 16, 8.0)),
             kernels=(GaussianKernel(1.0), vanishing, GaussianKernel(1.0), vanishing,
                      GaussianKernel(2.0), vanishing))
         calls = self.counting(monkeypatch, model, "sample_kernel")
-        with pytest.raises(AssumptionViolation, match="kernel vanishes identically on the grid"):
-            materialize(problem)
-        assert calls == [GaussianKernel(1.0), vanishing]
-        report = validate_assumptions(materialize(problem, strict=False))
+        report = validate_assumptions(materialize(problem), 1.0)
+        # each distinct kernel is sampled once, the vanishing one too
+        assert calls == [GaussianKernel(1.0), vanishing, GaussianKernel(2.0)]
         assert [v for v in report.violations if v.startswith("kernel")] == [
             "kernel 2 vanishes identically", "kernel 4 vanishes identically",
             "kernel 6 vanishes identically"]
@@ -438,7 +439,7 @@ class TestProblemSpec:
 class TestValidation:
     def test_well_posed_problem_is_clean(self):
         mat = materialize(make_certified_problem(n=32))
-        report = validate_assumptions(mat)
+        report = validate_assumptions(mat, 1.0)
         assert report.ok
         assert report.violations == []
 
@@ -446,8 +447,8 @@ class TestValidation:
         import dataclasses
         base = make_certified_problem(n=16)
         bad = dataclasses.replace(base, g=NonlinearitySpec.from_strings(["0*z1"]))
-        mat = materialize(bad, strict=False)
-        report = validate_assumptions(mat)
+        mat = materialize(bad)
+        report = validate_assumptions(mat, 1.0)
         assert report.violations == [
             "nonlinearity is not proved non-zero on the state ball: its enclosure "
             "excludes 0 at none of the probe points"]
@@ -456,7 +457,7 @@ class TestValidation:
         # z1^2 is proved non-zero; with every enclosure of g widened to
         # contain 0, the same problem is not
         mat = materialize(make_certified_problem(n=16))
-        assert validate_assumptions(mat).ok
+        assert validate_assumptions(mat, 1.0).ok
         real = model.exprdsl.enclose_many
 
         def widened(exprs, boxes):
@@ -464,14 +465,14 @@ class TestValidation:
                     for v in real(exprs, boxes)]
 
         monkeypatch.setattr(model.exprdsl, "enclose_many", widened)
-        assert validate_assumptions(mat).violations == [
+        assert validate_assumptions(mat, 1.0).violations == [
             "nonlinearity is not proved non-zero on the state ball: its enclosure "
             "excludes 0 at none of the probe points"]
 
     def test_zero_at_origin(self):
         # g(0) != 0 is proved by an enclosure at the origin that excludes 0
         def vanishes_at_origin(problem):
-            report = validate_assumptions(materialize(problem, strict=False))
+            report = validate_assumptions(materialize(problem), 1.0)
             return "nonlinearity does not vanish at the origin" not in report.violations
 
         def with_g(text):
@@ -495,7 +496,7 @@ class TestValidation:
             mat = materialize(dataclasses.replace(
                 base, g=g, kernels=base.kernels * n, operators=base.operators * n,
                 u0=base.u0 * n))
-            assert validate_assumptions(mat, ball_radius=0.7).ok
+            assert validate_assumptions(mat, 0.7).ok
             points = np.array([boxes[-1][m + 1][0] for m in range(n)])
             assert all(np.array_equal(boxes[-1][m + 1][1], points[m]) for m in range(n))
             assert points.shape == (n, 2 * n + 4)
@@ -508,8 +509,8 @@ class TestValidation:
         import dataclasses
         base = make_certified_problem(n=16)
         bad = dataclasses.replace(base, g=NonlinearitySpec.from_strings(["z1+1"]))
-        mat = materialize(bad, strict=False)
-        report = validate_assumptions(mat)
+        mat = materialize(bad)
+        report = validate_assumptions(mat, 1.0)
         assert any("origin" in v for v in report.violations)
 
     def test_trivial_kernel_flagged(self):
@@ -517,8 +518,8 @@ class TestValidation:
         base = make_certified_problem(n=16)
         bad = dataclasses.replace(
             base, kernels=(np.zeros((16, 16)),))
-        mat = materialize(bad, strict=False)
-        report = validate_assumptions(mat)
+        mat = materialize(bad)
+        report = validate_assumptions(mat, 1.0)
         assert any("kernel 1 vanishes" in v for v in report.violations)
 
     def test_small_box_warns_about_tails(self):
@@ -529,5 +530,5 @@ class TestValidation:
             g=NonlinearitySpec.from_strings(["z1^2"]),
             u0=(parse("exp(-x1^2-x2^2)", 2, "x"),),
         )
-        report = validate_assumptions(materialize(problem))
+        report = validate_assumptions(materialize(problem), 1.0)
         assert any("tail mass" in w for w in report.warnings)

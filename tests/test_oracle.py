@@ -136,7 +136,7 @@ class TestCrossChecks:
         assert doc["all_passed"] is True and len(points) == 20
         small = Grid(problem.grid.d, oracle.MAX_POINTS[problem.grid.d], problem.grid.L)
         r = analysis.constants_report(model.materialize(
-            dataclasses.replace(problem, grid=small), strict=False)).r_state
+            dataclasses.replace(problem, grid=small))).r_state
         rng = np.random.default_rng(3)
         for z in points:
             direction, u = rng.standard_normal(problem.n), rng.uniform(0, 1)

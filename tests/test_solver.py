@@ -45,10 +45,9 @@ class TestApplyMap:
         assert np.all(out == 0.0)
 
     def test_zero_kernel_gives_zero(self):
-        # diagnostic mode: materialize non-strictly with an all-zero kernel
+        # materialize keeps an all-zero kernel for validation to report
         mat = materialize(dataclasses.replace(
-            small_problem(), kernels=(np.zeros((16, 16)),)),
-            strict=False)
+            small_problem(), kernels=(np.zeros((16, 16)),)))
         out = apply_map_tg(mat, zero(mat))
         assert np.all(out == 0.0)
 
@@ -502,6 +501,32 @@ class TestContinuity:
         assert out.passed
         assert out.measured_distance <= out.bound
         assert out.M_joint >= report.M
+
+    @pytest.mark.parametrize("excess, passed", [(-0.5, True), (0.5, False)])
+    def test_margin_is_the_two_error_bounds(self, certified, monkeypatch, excess, passed):
+        # mutation pair: each solution lies within its trace's error_bound
+        # e_i of its fixed point, so the experiment passes a distance of
+        # bound + (1 + excess)(e1 + e2) only when excess <= 0.  Before 0.15.0
+        # the margin was 2 tol, which passed both sides here
+        mat, report = certified
+        g2, tol = support.scaled(mat.g, 1.001), 1e-12
+        traces = []
+        real = solver.picard_solve
+
+        def recording(*args, **kwargs):
+            solution, trace = real(*args, **kwargs)
+            traces.append(trace)
+            return solution, trace
+
+        monkeypatch.setattr(solver, "picard_solve", recording)
+        measured = continuity_experiment(mat, report, g2, tol=tol).measured_distance
+        margin = traces[0].error_bound + traces[1].error_bound
+        assert 0.0 < 1.5 * margin < 2.0 * tol
+        bound = measured - (1.0 + excess) * margin
+        monkeypatch.setattr(type(report), "continuity_bound", lambda self, dist: bound)
+        out = continuity_experiment(mat, report, g2, tol=tol)
+        assert (out.measured_distance, out.bound) == (measured, bound)
+        assert out.passed is passed
 
     def test_uncertifiable_joint_bound_rejected(self, certified):
         mat, report = certified
