@@ -154,20 +154,18 @@ def c1_distance(g1: NonlinearitySpec, g2: NonlinearitySpec, radius: float) -> fl
 # --- aggregate constants --------------------------------------------------------
 
 def compute_Q(operator_norms, kernel_w21_norms) -> float:
-    """Cumulative weight sqrt(sum_m |T_m|^2 |K_m|_W21~^2)."""
+    """Cumulative weight sqrt(sum_m |T_m|^2 |K_m|_W21~^2); Q = 0 is a value."""
     ops = np.asarray(operator_norms, dtype=float)
     kts = np.asarray(kernel_w21_norms, dtype=float)
     if ops.shape != kts.shape:
         raise ConfigurationError("operator and kernel norm lists differ in length")
-    with np.errstate(over="ignore"):
-        Q = float(np.sqrt(np.sum(ops ** 2 * kts ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a zero factor's term is 0, not 0 * inf
+        Q = float(np.sqrt(np.sum(np.where(ops * kts == 0.0, 0.0, ops ** 2 * kts ** 2))))
     if Q == np.inf:
         raise NumericOverflowError(
             f"the squares in the cumulative weight Q overflow a double (largest "
             f"kernel W21~ norm {float(np.max(kts)):.3g}, largest operator norm "
             f"{float(np.max(ops)):.3g})")
-    if not 0.0 < Q < np.inf:
-        raise ConfigurationError(f"cumulative weight Q must be positive and finite, got {Q}")
     return Q
 
 
@@ -182,12 +180,11 @@ class ContractionCertificate(Record, namedtuple(
 
 def check_contraction_condition(c_a: float, M: float, u0_norm: float, Q: float,
                                 rho: float) -> ContractionCertificate:
-    """Evaluate c_a M (|u0|+1)^2 Q <= rho/2, for rho in (0, 1] and Q > 0, and
-    derive the contraction factor sigma = 2 c_a Q M (|u0|+1) = 2 lhs/(|u0|+1).
+    """Evaluate c_a M (|u0|+1)^2 Q <= rho/2, for rho in (0, 1], and derive
+    the contraction factor sigma = 2 c_a Q M (|u0|+1) = 2 lhs/(|u0|+1).
     The feasible interval is the set of admissible radii [2*lhs, 1]; it is
-    None when empty."""
-    if not Q > 0:
-        raise ConfigurationError("Q must be positive")
+    None when empty.  Q = 0 passes with sigma = 0 (validate_assumptions
+    reports the vanishing kernel or operator)."""
     if not 0.0 < rho <= 1.0:
         raise ConfigurationError(f"ball radius must lie in (0, 1], got {rho}")
     lhs = float(c_a * M * (u0_norm + 1.0) ** 2 * Q)

@@ -24,8 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, model, solver, spectral
-from .errors import (ConfigurationError, NonConvergenceError, NumericOverflowError,
-                     QuadIntError)
+from .errors import ConfigurationError, NonConvergenceError, QuadIntError
 from .exprdsl import NonlinearitySpec, parse as parse_expr
 from .model import GaussianKernel, MaterializedProblem, ProblemSpec, RationalMultiplier
 from .spectral import Grid
@@ -229,20 +228,16 @@ def _check_pipeline(problem: ProblemSpec, digest: str) -> tuple[
     condition passes.  Returns the materialized problem, the constants
     report (None when an assumption fails), and the report preamble that
     check, solve and continuity share, with its `constants`, `assumptions`
-    and `certified` entries.  Degenerate data can make the constants
-    uncomputable (e.g. a trivial kernel gives Q = 0, or the enclosure of
-    the C1 bound refuses); that is an assumption failure, not an input
-    error, so it lands in the validation report and the constants slot
-    stays empty.  A constant beyond the range of a double
+    and `certified` entries.  M is the one constant that can be refused
+    (its enclosure may fail): a failed hypothesis, reported as a violation
+    with the constants slot empty.  A constant beyond the range of a double
     is an input error, raised as such."""
     mat = model.materialize(problem)
     report = None
     failure = None
     try:
         report = analysis.constants_report(mat)
-    except NumericOverflowError:
-        raise
-    except QuadIntError as exc:
+    except ConfigurationError as exc:
         failure = str(exc)
     # the report's state ball, which is also there when the constants failed
     r_state = analysis.ball_radius_state(

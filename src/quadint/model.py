@@ -82,12 +82,13 @@ def materialize_kernel(spec, grid: Grid) -> tuple[MaterializedKernel, np.ndarray
     """Sample the kernel and compute its norms; returns them with the
     samples K, which the caller turns into the kernel's spectrum.  The
     Laplacian serves the W21 norm and is not kept."""
-    K, dK = sample_kernel(spec, grid)
-    return MaterializedKernel(
-        w21=spectral.tilde_w21_norm(grid, K, dK),
-        tail_fraction=spectral.tail_mass_fraction(grid, K, "l1"),
-        nontrivial=bool(np.any(K != 0.0)),
-    ), K
+    with np.errstate(all="ignore"):  # an overflow is a norm that materialize refuses
+        K, dK = sample_kernel(spec, grid)
+        return MaterializedKernel(
+            w21=spectral.tilde_w21_norm(grid, K, dK),
+            tail_fraction=spectral.tail_mass_fraction(grid, K, "l1"),
+            nontrivial=bool(np.any(K != 0.0)),
+        ), K
 
 
 def _tabulated(values, grid: Grid, what: str) -> np.ndarray:
@@ -124,11 +125,12 @@ def multiplier_values(spec: RationalMultiplier, grid: Grid) -> np.ndarray:
     """The multiplier evaluated on the half lattice of the grid's spectra.
     It depends on |xi|^2 alone, so the mirrored half takes the same values."""
     s = grid.xi_squared
-    p, q = _horner(spec.p, s), _horner(spec.q, s)
+    with np.errstate(all="ignore"):  # an overflow is inf or NaN; a q <= 0 is refused below
+        p, q = _horner(spec.p, s), _horner(spec.q, s)
+        values = p / q
     if np.min(q) <= 0:
         raise ConfigurationError("rational multiplier denominator is not positive "
                                  "on the frequency lattice")
-    values = p / q
     return values if isinstance(values, np.ndarray) else np.full(grid.spectral_shape, values)
 
 
@@ -266,10 +268,10 @@ def materialize(problem: ProblemSpec) -> MaterializedProblem:
     once per group of equal specs (equal_groups), whose members share the
     result.  Of the sampled fields only u0 is kept: each kernel is sampled,
     measured and transformed in turn, and dropped once its spectrum is
-    written.  A grid too large for the machine is refused first, and
-    initial data whose squares or H2 norm overflow a double before anything
-    else uses it.  Degenerate data is never refused: validate_assumptions
-    decides the structural hypotheses."""
+    written.  A grid too large for the machine is refused first; squares
+    or an H2 norm of the initial data, a multiplier on the lattice or a
+    kernel's W21~ norm that overflows a double raises NumericOverflowError.
+    Degenerate data is never refused: validate_assumptions decides."""
     grid = problem.grid
     check_working_set(grid, problem.n)
     u0 = materialize_u0(problem)
@@ -281,12 +283,17 @@ def materialize(problem: ProblemSpec) -> MaterializedProblem:
     norms = [0.0] * problem.n
     for rows in equal_groups(problem.operators):
         norm = operator_norm(multiplier_values(problem.operators[rows[0]], grid))
+        if not math.isfinite(norm):
+            raise NumericOverflowError(
+                f"the multiplier of operator {rows[0] + 1} overflows a double")
         for m in rows:
             norms[m] = norm
     kernels: list = [None] * problem.n
     kernel_spectra = np.empty((problem.n,) + grid.spectral_shape, dtype=complex)
     for rows in equal_groups(problem.kernels):
         kernel, K = materialize_kernel(problem.kernels[rows[0]], grid)
+        if not math.isfinite(kernel.w21):
+            raise NumericOverflowError(f"the W21~ norm of kernel {rows[0] + 1} overflows a double")
         kernel_spectra[rows] = spectral.kernel_spectrum(grid, K)
         del K
         for m in rows:
@@ -369,7 +376,5 @@ def validate_assumptions(mat: MaterializedProblem, ball_radius: float) -> Valida
     for m, norm in enumerate(mat.operator_norms):
         if norm == 0.0:
             report.violations.append(f"operator {m + 1} multiplier vanishes identically")
-        elif not np.isfinite(norm):
-            report.violations.append(f"operator {m + 1} norm is not finite")
 
     return report

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -317,11 +318,23 @@ class TestQSigma:
         cert = check_contraction_condition(c_a=1.0, M=1.0, u0_norm=0.0, Q=0.1, rho=1.0)
         assert cert.sigma == pytest.approx(0.2)
 
-    def test_sigma_requires_positive_q(self):
-        with pytest.raises(ConfigurationError):
-            check_contraction_condition(c_a=1.0, M=1.0, u0_norm=0.0, Q=0.0, rho=1.0)
-        with pytest.raises(ConfigurationError):
-            compute_Q([1.0], [0.0])
+    def test_zero_q_is_a_value(self):
+        # a vanishing kernel or operator is a violation of validate_assumptions
+        # alone; before 0.16.0 both functions refused Q = 0 as well
+        cert = check_contraction_condition(c_a=1.0, M=1.0, u0_norm=0.0, Q=0.0, rho=1.0)
+        assert cert.lhs == 0.0 and cert.sigma == 0.0 and cert.passed
+        assert compute_Q([1.0], [0.0]) == 0.0
+        assert compute_Q([0.0, 0.0], [1.0, 2.0]) == 0.0
+        # a zero factor zeroes its term where the other's square overflows,
+        # with no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert compute_Q([0.0, 1.0], [1e200, 3.0]) == 3.0
+        assert caught == []
+        with pytest.raises(ConfigurationError, match="differ in length"):
+            compute_Q([1.0], [0.0, 1.0])
+        with pytest.raises(NumericOverflowError, match="overflow a double"):
+            compute_Q([1e200], [1.0])
 
     def test_sigma_recomposition(self, certified):
         _, report = certified

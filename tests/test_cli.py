@@ -256,13 +256,41 @@ class TestCheck:
         assert code == 1
         assert any("kernel 1 vanishes" in v
                    for v in doc["assumptions"]["violations"])
-        assert doc["constants"] is None
+        # the constants are reported with Q = 0 (null before 0.16.0)
+        assert doc["constants"]["Q"] == 0.0
+        assert doc["certified"] is False
+
+    def test_all_zero_operators_report_as_one_zero_operator(self, tmp_path, capsys):
+        # two_component with one and with both operators at alpha 0: a
+        # constants block and one violation per vanishing operator; before
+        # 0.16.0 both zero gave constants null and a third violation, Q = 0
+        doc_in = json.loads((PROBLEMS / "two_component.json").read_text())
+        zero = {"type": "scaled_identity", "alpha": 0}
+        one = dict(doc_in, operators=[doc_in["operators"][0], zero])
+        code, doc_one = run(capsys, "check", write_problem(tmp_path, one))
+        assert code == 1
+        assert doc_one["assumptions"]["violations"] == [
+            "operator 2 multiplier vanishes identically"]
+        code, doc_both = run(capsys, "check",
+                             write_problem(tmp_path, dict(doc_in, operators=[zero, zero])))
+        assert code == 1
+        assert doc_both.keys() == doc_one.keys()
+        assert doc_both["constants"].keys() == doc_one["constants"].keys()
+        assert doc_both["assumptions"]["violations"] == [
+            "operator 1 multiplier vanishes identically",
+            "operator 2 multiplier vanishes identically"]
+        consts = doc_both["constants"]
+        assert consts["Q"] == 0.0 and consts["sigma"] == 0.0 and consts["condition_lhs"] == 0.0
+        assert consts["condition_pass"] is True and consts["operator_norms"] == [0.0, 0.0]
+        assert consts["M"] == doc_one["constants"]["M"]
+        assert doc_both["certified"] is False and doc_one["certified"] is False
 
     def test_failed_constants_keep_the_overridden_state_ball(
             self, tmp_path, capsys, monkeypatch):
         # c_e = 0.05 gives a state ball of radius 0.66, on which
-        # sqrt(1 - z1^2) is defined.  A zero kernel makes the constants fail
-        # (Q = 0); the structural checks still probe g on the same ball
+        # sqrt(1 - z1^2) is defined.  A zero kernel gives Q = 0, which is
+        # reported, and a g whose M is refused makes the constants fail;
+        # the structural checks probe g on the same ball in all three runs
         from quadint import model
         radii = []
         real = model.validate_assumptions
@@ -283,13 +311,17 @@ class TestCheck:
                                     "values": [[0.0] * 16 for _ in range(16)]}])
         code, doc = run(capsys, "check", write_problem(tmp_path, zero))
         assert code == 1
-        assert doc["constants"] is None
-        assert doc["assumptions"]["violations"] == [
-            "kernel 1 vanishes identically",
-            "constants computation failed: cumulative weight Q must be "
-            "positive and finite, got 0.0",
-        ]
+        assert doc["constants"]["Q"] == 0.0 and doc["constants"]["r_state"] == r_state
+        assert doc["assumptions"]["violations"] == ["kernel 1 vanishes identically"]
         assert radii == [r_state, r_state]
+        refused = dict(base, g=["sqrt(1-z1^2)-1+sqrt(z1-z1)"])
+        code, doc = run(capsys, "check", write_problem(tmp_path, refused))
+        assert code == 1
+        assert doc["constants"] is None
+        assert doc["assumptions"]["violations"][-1].startswith(
+            "constants computation failed: the C1 bound of g cannot be enclosed "
+            f"on the state ball of radius {r_state:.6g}")
+        assert radii == [r_state, r_state, r_state]
 
     @pytest.mark.parametrize("L", [1e100, 1e150, 1e-100, 1e-150])
     def test_box_with_nonfinite_weights_is_input_error(self, tmp_path, capsys, L):
@@ -303,6 +335,21 @@ class TestCheck:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("L", [1e100, 1e150])
+    def test_zero_operator_beside_an_overflowing_square(self, tmp_path, capsys, L):
+        # the kernel norm is finite but its square in Q is not; a zero
+        # operator makes the term 0, not 0 * inf: Q = 0 and one violation,
+        # where 0.15.0 reported Q = nan as a second violation after a warning
+        doc_in = dict(CERTIFIED, grid={"d": 2, "n": 16, "L": L},
+                      operators=[{"type": "scaled_identity", "alpha": 0}])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, doc = run(capsys, "check", write_problem(tmp_path, doc_in))
+        assert code == 1
+        assert doc["assumptions"]["violations"] == ["operator 1 multiplier vanishes identically"]
+        assert doc["constants"]["Q"] == 0.0
+        assert [str(w.message) for w in caught] == []
 
     def test_box_with_nonfinite_weights_in_a_process(self, tmp_path):
         for L in (1e100, 1e-100):
@@ -674,6 +721,28 @@ class TestOracle:
         code, doc = run(capsys, "oracle", path, "--size", "16")
         assert code == 1
         assert doc["oracle"]["checks"][0]["passed"] is False
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-6])
+    def test_kernel_spectrum_checked_on_zero_initial_data(
+            self, tmp_path, capsys, monkeypatch, scale):
+        # mutation pair: with u0 = 0 the check convolves exp(-|x|^2) in
+        # place of the zero field, so a kernel spectrum off by 1e-6 fails it;
+        # before 0.16.0 it convolved zeros and passed with error 0.0
+        from quadint import model
+        original = model.materialize
+
+        def scaled(problem):
+            mat = original(problem)
+            return dataclasses.replace(mat, kernel_spectra=mat.kernel_spectra * scale)
+
+        monkeypatch.setattr(model, "materialize", scaled)
+        path = write_problem(tmp_path, dict(CERTIFIED, u0=["0*x1"]))
+        code, doc = run(capsys, "oracle", path, "--size", "16")
+        check = doc["oracle"]["checks"][0]
+        assert check["name"] == "convolution_channel_1"
+        assert check["passed"] is (scale == 1.0)
+        assert check["relative_error"] > (0.0 if scale == 1.0 else 1e-7)
+        assert code == (0 if scale == 1.0 else 1)
 
     def test_dense_reference_is_drawn_once_and_independently(
             self, tmp_path, capsys, monkeypatch):
@@ -1116,6 +1185,69 @@ class TestPathologicalInput:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: initial data reaches 1e+200, whose square overflows a double\n"
+
+    # the canonical problem at n = 16 with a kernel or an operator whose norm
+    # overflows a double; before 0.16.0 these exited 1 or 2 after numpy
+    # warnings, depending on which layer met the overflow first
+    OVERFLOWING_KERNEL = {"type": "tabulated", "values": [[1e308] * 16 for _ in range(16)]}
+    KERNEL_MESSAGE = "error: the W21~ norm of kernel 1 overflows a double\n"
+    OPERATOR_MESSAGE = "error: the multiplier of operator 1 overflows a double\n"
+
+    @pytest.mark.parametrize("kernel, operator, message", [
+        (OVERFLOWING_KERNEL, {"type": "scaled_identity", "alpha": 1}, KERNEL_MESSAGE),
+        (OVERFLOWING_KERNEL, {"type": "scaled_identity", "alpha": 0}, KERNEL_MESSAGE),
+        (CERTIFIED["kernels"][0], {"type": "rational_multiplier", "p": [1e300], "q": [1e-300]},
+         OPERATOR_MESSAGE),
+        ({"type": "expression", "expr": "0*x1"},
+         {"type": "rational_multiplier", "p": [1e300], "q": [1e-300]}, OPERATOR_MESSAGE),
+        (CERTIFIED["kernels"][0], {"type": "rational_multiplier", "p": [1, 1e307], "q": [1]},
+         OPERATOR_MESSAGE),
+    ])
+    def test_overflowing_kernel_or_operator_is_one_line(self, tmp_path, capsys,
+                                                        kernel, operator, message):
+        path = write_problem(tmp_path, dict(POLE_INSIDE, g=CERTIFIED["g"], kernels=[kernel],
+                                            operators=[operator]))
+        for command in ("check", "solve"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, path])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == message
+            assert [str(w.message) for w in caught] == []
+
+    def test_overflowing_kernel_or_operator_in_a_process(self, tmp_path):
+        for kernel, operator, message in (
+                (self.OVERFLOWING_KERNEL, CERTIFIED["operators"][0], self.KERNEL_MESSAGE),
+                (CERTIFIED["kernels"][0],
+                 {"type": "rational_multiplier", "p": [1e300], "q": [1e-300]},
+                 self.OPERATOR_MESSAGE)):
+            path = write_problem(tmp_path, dict(POLE_INSIDE, g=CERTIFIED["g"],
+                                                kernels=[kernel], operators=[operator]))
+            proc = run_python("-m", "quadint.cli", "check", path)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == message
+
+    def test_multiplier_overflowing_to_zero_certifies_silently(self, tmp_path, capsys):
+        # q = 1 + 1e307 s overflows to inf away from s = 0, where p / q is 0:
+        # a finite multiplier, which certifies and solves with no numpy
+        # warning, in materialize or in the map
+        path = write_problem(tmp_path, dict(POLE_INSIDE, g=CERTIFIED["g"], operators=[
+            {"type": "rational_multiplier", "p": [1], "q": [1, 1e307]}]))
+        for command in ("check", "solve"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, path])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert captured.err == ""
+            assert json.loads(captured.out)["certified"] is True
+            assert [str(w.message) for w in caught] == []
+        proc = run_python("-m", "quadint.cli", "solve", path)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("section", ["g", "kernel"])
     def test_nesting_beyond_the_limit_names_its_offset(self, tmp_path, capsys, section):

@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +319,26 @@ class TestRepeatedSpecs:
             return inner(spec, grid)
         monkeypatch.setattr(module, name, counted)
         return calls
+
+    @pytest.mark.parametrize("where", ["kernels", "operators"])
+    def test_overflowing_norm_is_refused_at_its_first_index(self, where):
+        # components 2 and 3 share an overflowing kernel or operator:
+        # materialize refuses it, naming the first index of its group
+        g = Grid(2, 16, 8.0)
+        base = dict(kernels=(GaussianKernel(1.0),) * 3, operators=(INVERSE_HELMHOLTZ,) * 3)
+        overflowing = {"kernels": np.full(g.shape, 1e308),
+                       "operators": RationalMultiplier(p=(1.0, 1e307), q=(1.0,))}[where]
+        base[where] = (base[where][0], overflowing, overflowing)
+        problem = ProblemSpec(
+            grid=g, g=NonlinearitySpec.from_strings(["z1^2", "z2^2", "z3^2"]),
+            u0=(parse("exp(-x1^2-x2^2)", 2, "x"),) * 3, **base)
+        message = {"kernels": "the W21~ norm of kernel 2 overflows a double",
+                   "operators": "the multiplier of operator 2 overflows a double"}[where]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericOverflowError, match=f"^{re.escape(message)}$"):
+                materialize(problem)
+        assert [str(w.message) for w in caught] == []
 
     def test_repeated_kernels_give_the_spectra_of_sampled_kernels(self):
         g = Grid(3, 8, 4.0)
